@@ -1,0 +1,14 @@
+"""Put the benchmark's modules and the library under test on sys.path.
+
+Run the benchmark's own tests with:
+
+    python3 -m pytest perfbench/tests -q
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+for path in (BENCH, BENCH.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
