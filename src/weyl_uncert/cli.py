@@ -51,7 +51,7 @@ def _envelope(command: str, parameters: dict, payload: dict, notes: list[str] | 
     doc = {"schema_version": "1", "command": command, "parameters": parameters}
     doc.update(payload)
     doc["notes"] = notes or []
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _row_values(row: analysis.ScanRow) -> tuple[float, ...]:
@@ -204,6 +204,23 @@ def _cmd_qubit(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line on stderr, without the usage text, and exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -214,15 +231,15 @@ def _positive_int(text: str) -> int:
 def _add_range_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, help="family spec, e.g. phase-coherent:xi=0.49")
     p.add_argument("--param", required=True, help="swept parameter name")
-    p.add_argument("--from", dest="lo", type=float, required=True)
-    p.add_argument("--to", dest="hi", type=float, required=True)
+    p.add_argument("--from", dest="lo", type=_finite_float, required=True)
+    p.add_argument("--to", dest="hi", type=_finite_float, required=True)
     p.add_argument("--k", type=_positive_int, default=1)
-    p.add_argument("--phi-over-pi", type=float, default=None,
+    p.add_argument("--phi-over-pi", type=_finite_float, default=None,
                    help="phase in units of pi (default 1/k, so k*phi = pi)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weyl-uncert",
         description="Certainty relations for phase-number variables from Weyl "
         "commutation relations.",
@@ -262,9 +279,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_extremum)
 
     p = sub.add_parser("qubit", help="report the qubit characteristic set and relations")
-    p.add_argument("--sx", type=float, default=0.0)
-    p.add_argument("--sy", type=float, default=0.0)
-    p.add_argument("--sz", type=float, default=0.0)
+    p.add_argument("--sx", type=_finite_float, default=0.0)
+    p.add_argument("--sy", type=_finite_float, default=0.0)
+    p.add_argument("--sz", type=_finite_float, default=0.0)
     p.add_argument("--k", type=_positive_int, default=1)
     p.add_argument("--ell", type=_positive_int, default=1)
     p.add_argument("--out", default=None)

@@ -443,6 +443,8 @@ def parse_spec(text: str) -> FamilySpec:
             values[key] = float(val)
         except ValueError:
             raise FamilySpecError(f"invalid number {val!r}", pos + len(key) + 1) from None
+        if not math.isfinite(values[key]):
+            raise FamilySpecError(f"non-finite number {val!r}", pos + len(key) + 1)
         pos += len(part) + 1
     missing = sorted(required - set(values))
     if missing:

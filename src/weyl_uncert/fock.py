@@ -4,8 +4,9 @@ States are amplitude vectors over photon numbers 0..n_max.  The exponential
 of phase is the one-sided-unitary operator E with E|n+1> = |n> (the
 Susskind-Glogower shift); E^k acts as an index shift down, its adjoint as a
 shift up, and exp(i phi n) as a diagonal phase.  All characteristic
-functions are O(n_max) sums over amplitudes; dense operator matrices exist
-only in the test oracles.
+functions are O(n_max) sums over amplitudes, and the phase density on a
+periodic grid of M points is one length-M FFT (other grids are rejected);
+dense operator matrices exist only in the test oracles.
 
 The two Gram matrices differ because E is not unitary: the second carries
 the weight of the subspace with fewer than k photons (pi_k) on its
@@ -19,12 +20,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .numerics import Hermitian3, det3
 from .reports import UncertaintyReport
 
 _NORM_TOL = 1e-12
+_GRID_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -206,14 +207,20 @@ def report(state: FockState, k: int, phi: float) -> UncertaintyReport:
 def phase_distribution(state: FockState, phi_grid: np.ndarray) -> np.ndarray:
     """Phase density P(phi) = |sum_n c_n exp(-i n phi)|^2 / (2 pi) on a grid.
 
-    The grid should cover one period, e.g. [-pi, pi); with M points and
-    M > 2 n_max the periodic trapezoid (equivalently rectangle) quadrature
-    of P over the period is exact up to rounding.
+    The grid must be one period, phi_j = phi_0 + 2 pi j / M (e.g. [-pi, pi)),
+    or ValueError is raised; the sum is then one length-M FFT of
+    c_n exp(-i n phi_0) folded modulo M.  With M > 2 n_max the periodic
+    rectangle quadrature of P over the period is exact up to rounding.
     """
     grid = np.asarray(phi_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("phi_grid must be a 1-D grid with at least 2 points")
-    amp = npoly.polyval(np.exp(-1j * grid), state.amplitudes)
+    m = grid.size
+    periodic = grid[0] + (2.0 * math.pi / m) * np.arange(m)
+    if np.max(np.abs(grid - periodic)) > _GRID_TOL * (1.0 + np.max(np.abs(grid))):
+        raise ValueError("phi_grid must be phi_0 + 2 pi j / M for j = 0..M-1 (one period)")
+    a = state.amplitudes * np.exp(-1j * grid[0] * np.arange(state.amplitudes.size))
+    amp = np.fft.fft(np.pad(a, (0, -a.size % m)).reshape(-1, m).sum(axis=0))
     return np.abs(amp) ** 2 / (2.0 * math.pi)
 
 

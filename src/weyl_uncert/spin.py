@@ -9,13 +9,16 @@ the Weyl commutation relation
     shift^k clock^l = exp(-i 2pi k l / d) clock^l shift^k
 
 for all integers k, l, which is what every check in this module leans on.
+
+shift^k acts on amplitudes as a signed cyclic roll, so every quantity here
+costs O(d) with no dense operator matrices and no caches; ``shift_op`` and
+``clock_op`` build matrices only for callers that ask for them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -89,16 +92,6 @@ class SpinCharSet:
                 raise ValueError(f"|{name}| exceeds 1: {abs(getattr(self, name))!r}")
 
 
-@lru_cache(maxsize=128)
-def _phase_basis(dim: int) -> np.ndarray:
-    # Columns are the phase states; a centered discrete Fourier matrix.
-    j = (dim - 1) / 2.0
-    m = np.arange(dim) - j
-    p = np.exp(-2j * np.pi * np.outer(m, m) / dim) / math.sqrt(dim)
-    p.flags.writeable = False
-    return p
-
-
 def _unit_phases(dim: int, power: int) -> np.ndarray:
     # exp(i 2pi m q / d) for m = -j..j, with the exponent reduced in exact
     # integer arithmetic: 2 m q = (2t - d + 1) q with t = 0..d-1.
@@ -107,39 +100,31 @@ def _unit_phases(dim: int, power: int) -> np.ndarray:
     return np.exp(1j * math.pi * num / dim)
 
 
-@lru_cache(maxsize=4096)
-def _shift_pow_cached(dim: int, kmod: int) -> np.ndarray:
-    p = _phase_basis(dim)
-    lam = _unit_phases(dim, kmod)
-    out = (p * lam) @ p.conj().T
-    out.flags.writeable = False
-    return out
-
-
-def _shift_pow(dim: int, k: int) -> np.ndarray:
-    # exp(i 2pi m q / d) has period 2d in q once m may be half-integer.
-    return _shift_pow_cached(dim, k % (2 * dim))
-
-
-def _apply_clock(dim: int, ell: int, c: np.ndarray) -> np.ndarray:
-    return _unit_phases(dim, ell) * c
-
-
 def _apply_shift(dim: int, k: int, c: np.ndarray) -> np.ndarray:
-    p = _phase_basis(dim)
-    return p @ (_unit_phases(dim, k % (2 * dim)) * (p.conj().T @ c))
+    # shift^k acts along axis 0 as a cyclic roll by r = k mod d.  The r
+    # entries that wrap pick up exp(-i 2pi j) = (-1)^(d-1), and shift^d is
+    # that same sign times the identity, once per full period q = k div d.
+    q, r = divmod(k, dim)
+    w = np.roll(c, r, axis=0)
+    if dim % 2 == 0:
+        w[:r] *= -1.0
+        w *= (-1.0) ** q
+    return w
 
 
 def phase_state(system: SpinSystem, m_tilde: float) -> QuditState:
     """Shift-operator eigenstate with label m_tilde in -j..j (integer steps).
 
-    Amplitudes are exp(-i 2pi m m_tilde / d) / sqrt(d).
+    Amplitudes are exp(-i 2pi m m_tilde / d) / sqrt(d), with the exponent
+    4 m m_tilde = (2t - d + 1)(2 ti - d + 1) reduced exactly modulo 4d.
     """
     t = m_tilde + system.j
     ti = round(t)
     if abs(t - ti) > 1e-9 or not 0 <= ti < system.dim:
         raise ValueError(f"m_tilde must lie in -j..j in integer steps, got {m_tilde}")
-    return QuditState(system, _phase_basis(system.dim)[:, int(ti)].copy())
+    d = system.dim
+    num = ((2 * np.arange(d) - (d - 1)) * (2 * int(ti) - (d - 1))) % (4 * d)
+    return QuditState(system, np.exp(-0.5j * math.pi * num / d) / math.sqrt(d))
 
 
 def clock_op(system: SpinSystem) -> np.ndarray:
@@ -153,7 +138,7 @@ def shift_op(system: SpinSystem) -> np.ndarray:
     In the m basis this acts as a cyclic shift m -> m+1 with a wrap phase
     exp(-i 2pi j), i.e. a sign flip on wraparound when d is even.
     """
-    return _shift_pow(system.dim, 1).copy()
+    return _apply_shift(system.dim, 1, np.eye(system.dim, dtype=complex))
 
 
 def pauli_ops() -> tuple[np.ndarray, np.ndarray]:
@@ -174,14 +159,18 @@ def pauli_ops() -> tuple[np.ndarray, np.ndarray]:
 
 
 def weyl_defect(system: SpinSystem, k: int, ell: int) -> float:
-    """Max-entry magnitude of shift^k clock^l - exp(-i 2pi k l / d) clock^l shift^k."""
+    """Max-entry magnitude of shift^k clock^l - exp(-i 2pi k l / d) clock^l shift^k.
+
+    Both products have one nonzero entry per row, in the same column
+    (row - k) mod d, so applying them to the all-ones vector lists exactly
+    those entries: O(d), no matrices.
+    """
     d = system.dim
-    ek = _shift_pow(d, k)
     f = _unit_phases(d, ell)
-    lhs = ek * f[None, :]
+    lhs = _apply_shift(d, k, f)
+    rhs = f * _apply_shift(d, k, np.ones(d, dtype=complex))
     phase = np.exp(-2j * math.pi * ((k * ell) % d) / d)
-    rhs = phase * (f[:, None] * ek)
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.max(np.abs(lhs - phase * rhs)))
 
 
 def weyl_angle(system: SpinSystem, k: int, ell: int) -> float:
@@ -212,18 +201,16 @@ def certainty_bound(gamma: float) -> float:
 def char_set(state: QuditState, k: int, ell: int) -> SpinCharSet:
     """Characteristic functions <clock^l>, <shift^k>, <clock^(-l) shift^k>.
 
-    The clock expectation is a diagonal sum, the shift expectation a
-    diagonal sum in the phase basis; no operator matrices are formed.
+    The clock expectation is a diagonal sum; shift^k psi is formed once as a
+    signed cyclic roll and serves both the shift and the cross term.
     """
     d = state.system.dim
     c = state.amplitudes
-    probs = np.abs(c) ** 2
-    number_char = complex(probs @ _unit_phases(d, ell))
-    b = _phase_basis(d).conj().T @ c
-    phase_char = complex((np.abs(b) ** 2) @ _unit_phases(d, k % (2 * d)))
-    v = _apply_clock(d, ell, c)
+    f = _unit_phases(d, ell)
+    number_char = complex((np.abs(c) ** 2) @ f)
     w = _apply_shift(d, k, c)
-    cross_char = complex(np.vdot(v, w))
+    phase_char = complex(np.vdot(c, w))
+    cross_char = complex(np.vdot(f * c, w))
     return SpinCharSet(number_char, phase_char, cross_char, k, ell)
 
 
@@ -233,10 +220,8 @@ def cyclic_phase(state: QuditState, k: int, ell: int) -> complex:
     Equals exp(-i 2pi k l / d) for every state.
     """
     d = state.system.dim
-    w = _apply_clock(d, ell, state.amplitudes)
-    w = _apply_shift(d, k, w)
-    w = _apply_clock(d, -ell, w)
-    w = _apply_shift(d, -k, w)
+    w = _apply_shift(d, k, _unit_phases(d, ell) * state.amplitudes)
+    w = _apply_shift(d, -k, _unit_phases(d, -ell) * w)
     return complex(np.vdot(state.amplitudes, w))
 
 
@@ -247,11 +232,18 @@ def gram_matrix(cs: SpinCharSet) -> Hermitian3:
     )
 
 
+def _det_pair(cs: SpinCharSet, dim: int) -> tuple[float, float]:
+    # The (-k, -l) set from the (k, l) one: unitarity conjugates the number
+    # and phase characters, and the Weyl relation gives the cross character.
+    w = complex(np.exp(-2j * math.pi * ((cs.k * cs.ell) % dim) / dim))
+    n, p, x = (z.conjugate() for z in (cs.number_char, cs.phase_char, cs.cross_char))
+    minus = SpinCharSet(n, p, w * x, -cs.k, -cs.ell)
+    return det3(gram_matrix(cs)), det3(gram_matrix(minus))
+
+
 def gram_dets(state: QuditState, k: int, ell: int) -> tuple[float, float]:
     """Determinants of the Gram matrices for (k, l) and (-k, -l)."""
-    det_plus = det3(gram_matrix(char_set(state, k, ell)))
-    det_minus = det3(gram_matrix(char_set(state, -k, -ell)))
-    return det_plus, det_minus
+    return _det_pair(char_set(state, k, ell), state.system.dim)
 
 
 def report(state: QuditState, k: int, ell: int) -> UncertaintyReport:
@@ -268,7 +260,7 @@ def report(state: QuditState, k: int, ell: int) -> UncertaintyReport:
     u = ap * ap + pp * pp
     v = ap * pp
     applicable = abs(gamma - math.pi) <= 1e-9
-    det_plus, det_minus = gram_dets(state, k, ell)
+    det_plus, det_minus = _det_pair(cs, state.system.dim)
     u_prime = u + abs(cs.cross_char) ** 2 if applicable else None
     return UncertaintyReport(
         u=u,

@@ -140,6 +140,34 @@ def test_qubit_long_bloch_exits_2():
     assert "Bloch" in proc.stderr
 
 
+def assert_one_line_error(proc, needle):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert "error" in lines[0] and needle in lines[0]
+
+
+def test_qubit_nan_exits_2():
+    assert_one_line_error(run_cli("qubit", "--sx", "nan"), "finite")
+
+
+def test_infinite_family_value_exits_2():
+    proc = run_cli(
+        "scan", "--family", "gaussian:nbar=inf,a=0.01", "--param", "a",
+        "--from", "0.01", "--to", "0.02", "--steps", "2",
+    )
+    assert_one_line_error(proc, "non-finite")
+
+
+def test_phi_over_pi_nan_exits_2():
+    proc = run_cli(
+        "scan", "--family", "phase-coherent:xi=0.5", "--param", "xi",
+        "--from", "0.1", "--to", "0.2", "--steps", "2", "--phi-over-pi", "nan",
+    )
+    assert_one_line_error(proc, "finite")
+
+
 def test_usage_error_exits_2():
     proc = run_cli("figure", "--id", "9")
     assert proc.returncode == 2

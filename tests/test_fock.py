@@ -318,9 +318,37 @@ def test_phase_distribution_moments_match_char_set():
         assert abs(moment - np.conj(char_set(st, k, 0.5).phase_char)) < 1e-8
 
 
+def dense_density(st, grid):
+    n = np.arange(st.amplitudes.size)
+    return np.abs(np.exp(-1j * np.outer(grid, n)) @ st.amplitudes) ** 2 / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize(
+    "n_max,points,phi0",
+    [
+        (40, 97, -math.pi),  # odd M
+        (300, 64, -math.pi),  # M < n_max + 1: amplitudes fold modulo M
+        (50, 128, 0.0),  # nonzero offset from the -pi convention
+        (20, 33, 1.3),
+    ],
+)
+def test_phase_distribution_matches_direct_sum(n_max, points, phi0):
+    st = random_state(n_max, np.random.default_rng(n_max + points))
+    grid = np.linspace(phi0, phi0 + 2.0 * math.pi, points, endpoint=False)
+    assert np.max(np.abs(phase_distribution(st, grid) - dense_density(st, grid))) < 1e-12
+
+
 def test_phase_distribution_grid_validation():
     with pytest.raises(ValueError, match="grid"):
         phase_distribution(number_state(1), np.array([0.0]))
+    st = number_state(1)
+    for grid in (
+        np.linspace(-math.pi, math.pi, 64),  # endpoint included: not one period
+        np.linspace(-math.pi, math.pi, 64, endpoint=False)[::-1],
+        np.sort(np.random.default_rng(4).uniform(-math.pi, math.pi, 64)),
+    ):
+        with pytest.raises(ValueError, match="one period"):
+            phase_distribution(st, grid)
 
 
 def test_mean_photon():

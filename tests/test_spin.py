@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from weyl_uncert import spin
-from weyl_uncert.numerics import min_eig3
+from weyl_uncert.numerics import det3, min_eig3
 from weyl_uncert.spin import (
     SIGMA_X,
     SIGMA_Y,
@@ -103,9 +103,25 @@ def test_operator_dth_power_parity(d):
         assert np.max(np.abs(powered - sign * np.eye(d))) < 1e-12
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 7])
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 16, 33])
 def test_shift_matches_direct_construction(d):
-    assert np.max(np.abs(shift_op(SpinSystem(d)) - dense_shift(d))) < 1e-12
+    system = SpinSystem(d)
+    e, f = dense_shift(d), dense_clock(d)
+    assert np.max(np.abs(shift_op(system) - e)) < 1e-12
+    st = random_state(system, np.random.default_rng(d))
+    c = st.amplitudes
+    # k over two full periods each way reaches every roll r and both signs
+    # of the per-period factor (-1)^(d-1) on every wrapped entry.
+    for k in range(-2 * d, 2 * d + 1):
+        ell = 3 * k + 1
+        ek = np.linalg.matrix_power(e, k)
+        fl = np.linalg.matrix_power(f, ell)
+        cs = char_set(st, k, ell)
+        assert abs(cs.number_char - np.vdot(c, fl @ c)) < 1e-12
+        assert abs(cs.phase_char - np.vdot(c, ek @ c)) < 1e-12
+        assert abs(cs.cross_char - np.vdot(c, fl.conj().T @ ek @ c)) < 1e-12
+        loop = np.linalg.inv(ek) @ fl.conj().T @ ek @ fl
+        assert abs(cyclic_phase(st, k, ell) - np.vdot(c, loop @ c)) < 1e-12
 
 
 def test_pauli_relabeling_exact():
@@ -123,6 +139,18 @@ def test_weyl_defect_qubit_anticommutation():
 @pytest.mark.parametrize("d,k,ell", [(5, 2, 3), (3, 3, 1), (4, 3, 5), (16, 9, 31), (64, 17, 100)])
 def test_weyl_defect_small(d, k, ell):
     assert weyl_defect(SpinSystem(d), k, ell) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 16])
+def test_weyl_defect_matches_dense_oracle(d):
+    e, f = dense_shift(d), dense_clock(d)
+    for k in range(-d, 2 * d + 1):
+        for ell in (-d - 1, 1, d // 2 + 1, 2 * d - 1):
+            ek = np.linalg.matrix_power(e, k)
+            fl = np.linalg.matrix_power(f, ell)
+            phase = np.exp(-2j * math.pi * ((k * ell) % d) / d)
+            dense = np.max(np.abs(ek @ fl - phase * fl @ ek))
+            assert abs(weyl_defect(SpinSystem(d), k, ell) - dense) < 1e-13
 
 
 def test_weyl_defect_negative_powers():
@@ -233,6 +261,19 @@ def test_gram_dets_trivial_powers_singular():
         dp, dm = gram_dets(st, d, d)
         assert dp == pytest.approx(0.0, abs=1e-10)
         assert dm == pytest.approx(0.0, abs=1e-10)
+
+
+def test_gram_dets_minus_pair_matches_direct_char_set():
+    # gram_dets derives the (-k, -l) matrix from the (k, l) set through the
+    # Weyl phase; it must agree with the set computed at (-k, -l) directly.
+    rng = np.random.default_rng(25)
+    for d in (3, 4, 5, 8):
+        st = random_state(SpinSystem(d), rng)
+        for k in range(1, d + 1):
+            for ell in range(1, d + 1):
+                dp, dm = gram_dets(st, k, ell)
+                assert dp == pytest.approx(det3(gram_matrix(char_set(st, k, ell))), abs=1e-12)
+                assert dm == pytest.approx(det3(gram_matrix(char_set(st, -k, -ell))), abs=1e-12)
 
 
 def test_gram_positivity_random_sample():
