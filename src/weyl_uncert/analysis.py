@@ -95,6 +95,14 @@ def _row_at(
     )
 
 
+def _grid(lo: float, hi: float, steps: int, log_spaced: bool = False) -> np.ndarray:
+    if steps < 2:
+        raise ValueError(f"need at least 2 steps, got {steps}")
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got {lo!r} >= {hi!r}")
+    return np.geomspace(lo, hi, steps) if log_spaced else np.linspace(lo, hi, steps)
+
+
 def scan(
     family_template: FamilySpec,
     param_name: str,
@@ -107,11 +115,7 @@ def scan(
     max_nmax: int | None = None,
 ) -> ScanTable:
     """Uniform sweep (linear, or log-spaced on request) with one row per grid point."""
-    if steps < 2:
-        raise ValueError(f"need at least 2 steps, got {steps}")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got {lo!r} >= {hi!r}")
-    grid = np.geomspace(lo, hi, steps) if log_spaced else np.linspace(lo, hi, steps)
+    grid = _grid(lo, hi, steps, log_spaced)
     rows = tuple(_row_at(family_template, param_name, x, k, phi, max_nmax) for x in grid)
     return ScanTable(
         family=families.format_spec(family_template),
@@ -141,7 +145,7 @@ def find_extremum(
     phi: float,
     max_nmax: int | None = None,
 ) -> ExtremumResult:
-    """Locate a min or max of one functional over [lo, hi].
+    """Locate a min or max of one functional over [lo, hi], lo < hi.
 
     A 64-point coarse grid brackets the extremum (assumed unimodal on the
     interval), then golden-section refinement narrows the parameter to
@@ -152,13 +156,13 @@ def find_extremum(
         raise ValueError(f"functional must be one of {FUNCTIONALS}, got {functional!r}")
     if kind not in ("min", "max"):
         raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
+    grid = _grid(lo, hi, _COARSE_POINTS)
     field = _FIELD_OF_FUNCTIONAL[functional]
     sign = 1.0 if kind == "min" else -1.0
 
     def f(x: float) -> float:
         return sign * getattr(_row_at(family_template, param_name, x, k, phi, max_nmax), field)
 
-    grid = np.linspace(lo, hi, _COARSE_POINTS)
     values = [f(x) for x in grid]
     best = int(np.argmin(values))
     boundary = best in (0, _COARSE_POINTS - 1)

@@ -9,16 +9,19 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
+from dataclasses import asdict, fields
 
-import numpy as np
-
-from . import analysis, families, fock, spin, verify
-from .analysis import ExtremumResult, ScanTable
+from . import analysis, families, reports, spin, verify
+from .analysis import ScanTable
 
 CSV_HEADER = "param,U,Uprime,Udoubleprime,V,absPhi,absPhiTilde,absOmega,Pik,nbar"
+
+# A scan row's values in CSV column order: ScanRow's fields are the columns.
+_row_values = operator.attrgetter(*(f.name for f in fields(analysis.ScanRow)))
 
 _QUBIT_CROSS_NOTE = (
     "cross_char follows the operator definition tr(rho clock^-ell shift^k), which is "
@@ -52,21 +55,6 @@ def _envelope(command: str, parameters: dict, payload: dict, notes: list[str] | 
     doc.update(payload)
     doc["notes"] = notes or []
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
-def _row_values(row: analysis.ScanRow) -> tuple[float, ...]:
-    return (
-        row.param,
-        row.u,
-        row.u_prime,
-        row.u_double_prime,
-        row.v,
-        row.abs_number_char,
-        row.abs_phase_char,
-        row.abs_cross_char,
-        row.pi_k,
-        row.nbar,
-    )
 
 
 def _table_csv(table: ScanTable) -> str:
@@ -141,7 +129,7 @@ def _cmd_figure(args) -> int:
 def _cmd_extremum(args) -> int:
     spec = families.parse_spec(args.family)
     x, phi = _resolve_phi(args.phi_over_pi, args.k)
-    res: ExtremumResult = analysis.find_extremum(
+    res = analysis.find_extremum(
         spec, args.param, args.functional, args.kind, args.lo, args.hi, args.k, phi
     )
     parameters = {
@@ -154,33 +142,16 @@ def _cmd_extremum(args) -> int:
         "k": args.k,
         "phi_over_pi": x,
     }
-    payload = {
-        "result": {
-            "param": res.param,
-            "value": res.value,
-            "kind": res.kind,
-            "functional": res.functional,
-            "bracket": list(res.bracket),
-            "iterations": res.iterations,
-            "boundary": res.boundary,
-        }
-    }
-    _write_text(args.out, _envelope("extremum", parameters, payload))
+    _write_text(args.out, _envelope("extremum", parameters, {"result": asdict(res)}))
     return 0
 
 
 def _cmd_qubit(args) -> int:
-    s = np.array([args.sx, args.sy, args.sz], dtype=float)
-    if float(np.linalg.norm(s)) > 1.0 + 1e-12:
-        print(f"error: Bloch vector must satisfy |s| <= 1, got |s| = {np.linalg.norm(s)!r}",
-              file=sys.stderr)
-        return 2
-    cs = spin.qubit_char(s, args.k, args.ell)
+    cs = spin.qubit_char((args.sx, args.sy, args.sz), args.k, args.ell)
     gamma = spin.weyl_angle(spin.SpinSystem(2), args.k, args.ell)
-    bound = spin.certainty_bound(gamma)
-    ap, pp, cp = abs(cs.number_char), abs(cs.phase_char), abs(cs.cross_char)
-    u = ap * ap + pp * pp
+    u, u_prime, _, v = reports.functionals(cs.number_char, cs.phase_char, cs.cross_char)
     product_form = 1j * args.sx * args.sy * args.sz
+    _, product_u_prime, _, _ = reports.functionals(cs.number_char, cs.phase_char, product_form)
     payload = {
         "report": {
             "number_char": [cs.number_char.real, cs.number_char.imag],
@@ -188,11 +159,11 @@ def _cmd_qubit(args) -> int:
             "cross_char": [cs.cross_char.real, cs.cross_char.imag],
             "cross_char_product_form": [product_form.real, product_form.imag],
             "gamma": gamma,
-            "bound": bound,
+            "bound": spin.certainty_bound(gamma),
             "U": u,
-            "Uprime": u + cp * cp,
-            "V": ap * pp,
-            "sum_relation_product_form": u + abs(product_form) ** 2,
+            "Uprime": u_prime,
+            "V": v,
+            "sum_relation_product_form": product_u_prime,
         }
     }
     parameters = {"sx": args.sx, "sy": args.sy, "sz": args.sz, "k": args.k, "ell": args.ell}
@@ -229,7 +200,7 @@ def _positive_int(text: str) -> int:
 
 
 def _add_range_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True, help="family spec, e.g. phase-coherent:xi=0.49")
+    p.add_argument("--family", required=True, help="family spec tag:key=value,... (see --help)")
     p.add_argument("--param", required=True, help="swept parameter name")
     p.add_argument("--from", dest="lo", type=_finite_float, required=True)
     p.add_argument("--to", dest="hi", type=_finite_float, required=True)
@@ -243,11 +214,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="weyl-uncert",
         description="Certainty relations for phase-number variables from Weyl "
         "commutation relations.",
-        epilog="Family specs are 'tag:key=value,...' with no spaces; tags: "
-        "number (n), phase-coherent (xi), gaussian (nbar, a, b), bessel (lambda), "
-        "intermediate (alpha2, n, xi).  The truncation cap (default "
-        f"{families.DEFAULT_TRUNCATION_CAP}) can be overridden via "
-        f"{families.TRUNCATION_CAP_ENV}.",
+        epilog="Family specs are 'tag:key=value,...' with no spaces; tags and keys:\n"
+        + "".join(f"  {tag}: {', '.join(keys)}\n" for tag, keys in families.SPEC_KEYS.items())
+        + f"The truncation cap (default {families.DEFAULT_TRUNCATION_CAP}) can be "
+        f"overridden via {families.TRUNCATION_CAP_ENV}.",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -142,8 +142,10 @@ def _resolve_cap(max_nmax: int | None) -> int:
 
 
 def _cap_error(need: int, cap: int) -> ValueError:
+    # A spec such as gaussian:nbar=1e308 needs an n_max of hundreds of digits.
+    shown = need if need < 10**15 else f"{float(need):.3g}"
     return ValueError(
-        f"truncation cap exceeded: family needs n_max = {need} but the cap is {cap} "
+        f"truncation cap exceeded: family needs n_max = {shown} but the cap is {cap} "
         f"(raise it via {TRUNCATION_CAP_ENV} or the max_nmax argument)"
     )
 
@@ -380,41 +382,60 @@ def gaussian_product_certainty(a: float, b: float, k: float) -> float:
     return math.exp(-math.pi**2 / (8.0 * a * k * k)) * math.exp(-(a * a + b * b) * k * k / (2.0 * a))
 
 
+def _weights(alpha2: float) -> dict:
+    if not 0.0 <= alpha2 <= 1.0:
+        raise ValueError(f"alpha2 must lie in [0, 1], got {alpha2!r}")
+    return {"alpha": math.sqrt(alpha2), "beta": math.sqrt(1.0 - alpha2)}
+
+
+class _Key(NamedTuple):
+    """One key of the spec grammar: spec -> value, and value -> constructor fields."""
+
+    read: Callable[[FamilySpec], complex | float | int]
+    write: Callable[[float], dict]
+    required: bool = True
+
+
+def _field(name: str, convert: Callable = lambda v: v, required: bool = True) -> _Key:
+    return _Key(lambda spec: getattr(spec, name), lambda v: {name: convert(v)}, required)
+
+
+# The textual spec grammar: tag -> (spec class, keys in canonical order).
+_GRAMMAR: dict[str, tuple[type, dict[str, _Key]]] = {
+    "number": (NumberState, {"n": _field("n", round)}),
+    "phase-coherent": (PhaseCoherent, {"xi": _field("xi")}),
+    "gaussian": (
+        GaussianNumber,
+        {"nbar": _field("nbar", float), "a": _field("a", float), "b": _field("b", float, False)},
+    ),
+    "bessel": (BesselEigenstate, {"lambda": _field("lam", float)}),
+    "intermediate": (
+        Intermediate,
+        {
+            "alpha2": _Key(lambda spec: abs(spec.alpha) ** 2, _weights),
+            "n": _field("n", round),
+            "xi": _field("xi"),
+        },
+    ),
+}
+_TAG = {cls: tag for tag, (cls, _) in _GRAMMAR.items()}
+
+# Family tags and their keys, in canonical order.
+SPEC_KEYS: dict[str, tuple[str, ...]] = {tag: tuple(keys) for tag, (_, keys) in _GRAMMAR.items()}
+
+
 def with_param(spec: FamilySpec, name: str, value: float) -> FamilySpec:
     """Copy of a family spec with one sweepable parameter replaced.
 
-    Parameter names follow the textual spec grammar; for the intermediate
-    family 'alpha2' sets the number-state weight |alpha|^2 with real
-    non-negative alpha, beta.
+    Parameter names follow the textual spec grammar ('lam' is accepted for
+    'lambda'); for the intermediate family 'alpha2' sets the number-state
+    weight |alpha|^2 with real non-negative alpha, beta.
     """
-    if isinstance(spec, NumberState) and name == "n":
-        return NumberState(int(round(value)))
-    if isinstance(spec, PhaseCoherent) and name == "xi":
-        return PhaseCoherent(value)
-    if isinstance(spec, GaussianNumber) and name in ("nbar", "a", "b"):
-        return replace(spec, **{name: float(value)})
-    if isinstance(spec, BesselEigenstate) and name in ("lambda", "lam"):
-        return BesselEigenstate(float(value))
-    if isinstance(spec, Intermediate):
-        if name == "alpha2":
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"alpha2 must lie in [0, 1], got {value!r}")
-            return replace(spec, alpha=math.sqrt(value), beta=math.sqrt(1.0 - value))
-        if name == "xi":
-            return replace(spec, xi=value)
-        if name == "n":
-            return replace(spec, n=int(round(value)))
-    raise ValueError(f"family {type(spec).__name__} has no sweepable parameter {name!r}")
-
-
-_FAMILY_KEYS: dict[str, tuple[set[str], set[str]]] = {
-    # tag -> (required keys, optional keys)
-    "number": ({"n"}, set()),
-    "phase-coherent": ({"xi"}, set()),
-    "gaussian": ({"nbar", "a"}, {"b"}),
-    "bessel": ({"lambda"}, set()),
-    "intermediate": ({"alpha2", "n", "xi"}, set()),
-}
+    _, keys = _GRAMMAR.get(_TAG.get(type(spec)), (None, {}))
+    key = keys.get("lambda" if name == "lam" else name)
+    if key is None:
+        raise ValueError(f"family {type(spec).__name__} has no sweepable parameter {name!r}")
+    return replace(spec, **key.write(value))
 
 
 def parse_spec(text: str) -> FamilySpec:
@@ -424,10 +445,9 @@ def parse_spec(text: str) -> FamilySpec:
     no spaces.  Errors carry the offending position in the string.
     """
     head, sep, rest = text.partition(":")
-    if head not in _FAMILY_KEYS:
+    if head not in _GRAMMAR:
         raise FamilySpecError(f"unknown family {head!r}", 0)
-    required, optional = _FAMILY_KEYS[head]
-    allowed = required | optional
+    cls, keys = _GRAMMAR[head]
     values: dict[str, float] = {}
     pos = len(head) + 1
     parts = rest.split(",") if sep else []
@@ -435,7 +455,7 @@ def parse_spec(text: str) -> FamilySpec:
         key, eq, val = part.partition("=")
         if not eq or not key:
             raise FamilySpecError(f"expected key=value, got {part!r}", pos)
-        if key not in allowed:
+        if key not in keys:
             raise FamilySpecError(f"unknown key {key!r} for family {head!r}", pos)
         if key in values:
             raise FamilySpecError(f"duplicate key {key!r}", pos)
@@ -446,33 +466,21 @@ def parse_spec(text: str) -> FamilySpec:
         if not math.isfinite(values[key]):
             raise FamilySpecError(f"non-finite number {val!r}", pos + len(key) + 1)
         pos += len(part) + 1
-    missing = sorted(required - set(values))
+    missing = sorted(k for k, entry in keys.items() if entry.required and k not in values)
     if missing:
         raise FamilySpecError(f"missing required key(s) {', '.join(missing)}", len(text))
-
     try:
-        if head == "number":
-            return NumberState(int(round(values["n"])))
-        if head == "phase-coherent":
-            return PhaseCoherent(values["xi"])
-        if head == "gaussian":
-            return GaussianNumber(values["nbar"], values["a"], values.get("b", 0.0))
-        if head == "bessel":
-            return BesselEigenstate(values["lambda"])
-        a2 = values["alpha2"]
-        if not 0.0 <= a2 <= 1.0:
-            raise ValueError(f"alpha2 must lie in [0, 1], got {a2!r}")
-        return Intermediate(
-            alpha=math.sqrt(a2),
-            beta=math.sqrt(1.0 - a2),
-            n=int(round(values["n"])),
-            xi=values["xi"],
-        )
+        fields: dict = {}
+        for key, value in values.items():
+            fields.update(keys[key].write(value))
+        return cls(**fields)
     except ValueError as err:
         raise FamilySpecError(str(err), len(head) + 1) from None
 
 
-def _fmt_value(x: complex | float) -> str:
+def _fmt_value(x: complex | float | int) -> str:
+    if isinstance(x, int):
+        return str(x)
     x = complex(x)
     if x.imag == 0.0:
         r = x.real
@@ -482,17 +490,8 @@ def _fmt_value(x: complex | float) -> str:
 
 def format_spec(spec: FamilySpec) -> str:
     """Canonical textual form of a family spec."""
-    if isinstance(spec, NumberState):
-        return f"number:n={spec.n}"
-    if isinstance(spec, PhaseCoherent):
-        return f"phase-coherent:xi={_fmt_value(spec.xi)}"
-    if isinstance(spec, GaussianNumber):
-        return f"gaussian:nbar={_fmt_value(spec.nbar)},a={_fmt_value(spec.a)},b={_fmt_value(spec.b)}"
-    if isinstance(spec, BesselEigenstate):
-        return f"bessel:lambda={_fmt_value(spec.lam)}"
-    if isinstance(spec, Intermediate):
-        return (
-            f"intermediate:alpha2={_fmt_value(abs(spec.alpha) ** 2)},"
-            f"n={spec.n},xi={_fmt_value(spec.xi)}"
-        )
-    raise TypeError(f"unknown family spec {spec!r}")
+    if type(spec) not in _TAG:
+        raise TypeError(f"unknown family spec {spec!r}")
+    tag = _TAG[type(spec)]
+    pairs = (f"{name}={_fmt_value(key.read(spec))}" for name, key in _GRAMMAR[tag][1].items())
+    return f"{tag}:{','.join(pairs)}"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import Hermitian3, det3
-from .reports import UncertaintyReport
+from .reports import UncertaintyReport, functionals, gram_pair
 
 _NORM_TOL = 1e-12
 _GRID_TOL = 1e-12
@@ -154,15 +154,8 @@ def gram_matrices(cs: FockCharSet) -> tuple[Hermitian3, Hermitian3]:
     on the last diagonal entry, both consequences of the one-sided
     unitarity of E.
     """
-    g_plus = Hermitian3.from_upper(
-        (1.0, 1.0, 1.0), (cs.number_char, cs.phase_char, cs.cross_char)
-    )
     w = np.exp(-1j * cs.k * cs.phase_arg)
-    g_minus = Hermitian3.from_upper(
-        (1.0, 1.0, 1.0 - cs.pi_k),
-        (cs.number_char.conjugate(), cs.phase_char.conjugate(), w * cs.cross_char.conjugate()),
-    )
-    return g_plus, g_minus
+    return gram_pair(cs.number_char, cs.phase_char, cs.cross_char, w, cs.pi_k)
 
 
 def gram_dets(state: FockState, k: int, phi: float) -> tuple[float, float]:
@@ -182,11 +175,9 @@ def report(state: FockState, k: int, phi: float) -> UncertaintyReport:
     cs = char_set(state, k, phi)
     g_plus, g_minus = gram_matrices(cs)
     det_plus, det_minus = det3(g_plus), det3(g_minus)
-    ap, pp, cp = abs(cs.number_char), abs(cs.phase_char), abs(cs.cross_char)
-    u = ap * ap + pp * pp
-    u_prime = u + cp * cp
-    u_double_prime = u_prime + 0.5 * cs.pi_k * (1.0 - ap * ap)
-    v = ap * pp
+    u, u_prime, u_double_prime, v = functionals(
+        cs.number_char, cs.phase_char, cs.cross_char, cs.pi_k
+    )
     applicable = stringent(k, phi)
     return UncertaintyReport(
         u=u,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import Hermitian3, det3
-from .reports import UncertaintyReport
+from .reports import UncertaintyReport, functionals, gram_pair
 
 _NORM_TOL = 1e-12
 
@@ -236,9 +236,8 @@ def _det_pair(cs: SpinCharSet, dim: int) -> tuple[float, float]:
     # The (-k, -l) set from the (k, l) one: unitarity conjugates the number
     # and phase characters, and the Weyl relation gives the cross character.
     w = complex(np.exp(-2j * math.pi * ((cs.k * cs.ell) % dim) / dim))
-    n, p, x = (z.conjugate() for z in (cs.number_char, cs.phase_char, cs.cross_char))
-    minus = SpinCharSet(n, p, w * x, -cs.k, -cs.ell)
-    return det3(gram_matrix(cs)), det3(gram_matrix(minus))
+    g_plus, g_minus = gram_pair(cs.number_char, cs.phase_char, cs.cross_char, w)
+    return det3(g_plus), det3(g_minus)
 
 
 def gram_dets(state: QuditState, k: int, ell: int) -> tuple[float, float]:
@@ -256,16 +255,13 @@ def report(state: QuditState, k: int, ell: int) -> UncertaintyReport:
     cs = char_set(state, k, ell)
     gamma = weyl_angle(state.system, k, ell)
     bound = certainty_bound(gamma)
-    ap, pp = abs(cs.number_char), abs(cs.phase_char)
-    u = ap * ap + pp * pp
-    v = ap * pp
+    u, u_prime, _, v = functionals(cs.number_char, cs.phase_char, cs.cross_char)
     applicable = abs(gamma - math.pi) <= 1e-9
     det_plus, det_minus = _det_pair(cs, state.system.dim)
-    u_prime = u + abs(cs.cross_char) ** 2 if applicable else None
     return UncertaintyReport(
         u=u,
         v=v,
-        u_prime=u_prime,
+        u_prime=u_prime if applicable else None,
         u_double_prime=None,
         det_plus=det_plus,
         det_minus=det_minus,
@@ -288,8 +284,9 @@ def qubit_char(bloch, k: int = 1, ell: int = 1) -> SpinCharSet:
     s = np.asarray(bloch, dtype=float)
     if s.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got shape {s.shape}")
-    if float(np.linalg.norm(s)) > 1.0 + 1e-12:
-        raise ValueError(f"Bloch vector must satisfy |s| <= 1, got |s| = {np.linalg.norm(s)!r}")
+    norm = float(np.linalg.norm(s))
+    if norm > 1.0 + 1e-12:
+        raise ValueError(f"Bloch vector must satisfy |s| <= 1, got |s| = {norm!r}")
     z_odd, x_odd = ell % 2 == 1, k % 2 == 1
     number_char = complex(s[2]) if z_odd else complex(1.0)
     phase_char = complex(s[0]) if x_odd else complex(1.0)

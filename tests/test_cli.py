@@ -136,8 +136,9 @@ def test_qubit_cross_term_general_definition():
 
 def test_qubit_long_bloch_exits_2():
     proc = run_cli("qubit", "--sx", "1.0", "--sy", "0.5", "--sz", "0.0")
-    assert proc.returncode == 2
-    assert "Bloch" in proc.stderr
+    assert_one_line_error(proc, "Bloch")
+    assert "np.float64" not in proc.stderr
+    assert "1.118033988749895" in proc.stderr
 
 
 def assert_one_line_error(proc, needle):
@@ -166,6 +167,41 @@ def test_phi_over_pi_nan_exits_2():
         "--from", "0.1", "--to", "0.2", "--steps", "2", "--phi-over-pi", "nan",
     )
     assert_one_line_error(proc, "finite")
+
+
+@pytest.mark.parametrize("lo, hi", [("0.9", "0.1"), ("0.5", "0.5")])
+def test_extremum_reversed_or_empty_range_exits_2(lo, hi):
+    proc = run_cli(
+        "extremum", "--family", "phase-coherent:xi=0.5", "--param", "xi",
+        "--functional", "V", "--kind", "max", "--from", lo, "--to", hi,
+    )
+    assert_one_line_error(proc, "need lo < hi")
+
+
+def test_truncation_cap_error_prints_huge_n_max_compactly():
+    proc = run_cli(
+        "scan", "--family", "gaussian:nbar=1e308,a=0.01", "--param", "a",
+        "--from", "0.01", "--to", "0.02", "--steps", "2",
+    )
+    assert_one_line_error(proc, "WEYL_UNCERT_MAX_NMAX")
+    assert len(proc.stderr.splitlines()[0]) <= 200
+    assert "n_max = 1e+308" in proc.stderr
+
+
+def test_truncation_cap_error_keeps_ordinary_n_max_exact():
+    proc = run_cli(
+        "scan", "--family", "phase-coherent:xi=0.999", "--param", "xi",
+        "--from", "0.998", "--to", "0.999", "--steps", "2",
+    )
+    assert_one_line_error(proc, "n_max = 8051 but the cap is 4096")
+
+
+def test_help_lists_every_family_and_its_keys():
+    proc = run_cli("--help")
+    assert proc.returncode == 0
+    for line in ("number: n", "phase-coherent: xi", "gaussian: nbar, a, b", "bessel: lambda",
+                 "intermediate: alpha2, n, xi"):
+        assert f"  {line}\n" in proc.stdout
 
 
 def test_usage_error_exits_2():

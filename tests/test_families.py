@@ -256,6 +256,8 @@ def test_parse_spec_round_trips():
     for text, spec in cases:
         assert parse_spec(text) == spec
         assert parse_spec(format_spec(spec)) == spec
+    # Integer counts are written exactly, also beyond float precision.
+    assert format_spec(NumberState(2**60 + 1)) == f"number:n={2**60 + 1}"
 
 
 def test_parse_spec_intermediate():
@@ -297,7 +299,13 @@ def test_with_param():
     assert with_param(GaussianNumber(400.0, 0.01, 0.0), "b", 1.0).b == 1.0
     assert with_param(BesselEigenstate(1.0), "lambda", 0.77) == BesselEigenstate(0.77)
     assert with_param(NumberState(0), "n", 4.0) == NumberState(4)
+    assert with_param(BesselEigenstate(1.0), "lam", 0.77) == BesselEigenstate(0.77)
     inter = with_param(Intermediate(1.0, 0.0, 3, 0.999), "alpha2", 0.25)
     assert abs(inter.alpha) ** 2 == pytest.approx(0.25)
+    # Sweeping xi or n keeps complex weights exactly, phase included.
+    phased = Intermediate(0.6j, -0.8, 2, 0.5 + 0.1j)
+    assert with_param(phased, "xi", 0.7) == Intermediate(0.6j, -0.8, 2, 0.7)
+    assert with_param(phased, "n", 4.4) == Intermediate(0.6j, -0.8, 4, 0.5 + 0.1j)
+    assert with_param(phased, "alpha2", 0.36) == Intermediate(0.6, 0.8, 2, 0.5 + 0.1j)
     with pytest.raises(ValueError, match="sweepable"):
         with_param(PhaseCoherent(0.1), "nbar", 1.0)
