@@ -11,6 +11,7 @@ import json
 import math
 import operator
 import os
+import re
 import sys
 import tempfile
 from dataclasses import asdict, fields
@@ -79,7 +80,11 @@ def _emit_table(args, command: str, parameters: dict, table: ScanTable) -> None:
 
 def _resolve_phi(phi_over_pi: float | None, k: int) -> tuple[float, float]:
     x = phi_over_pi if phi_over_pi is not None else 1.0 / k
-    return x, x * math.pi
+    phi = x * math.pi
+    # k >= 1, so a finite k*phi means a finite phi too.
+    if not math.isfinite(k * phi):
+        raise ValueError(f"phase out of range: k*phi must be finite, got phi_over_pi = {x!r}, k = {k}")
+    return x, phi
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +181,18 @@ def _cmd_qubit(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors print one line on stderr, without the usage text, and exit 2."""
+    """Usage errors print one line on stderr, without the usage text, and exit 2.
+
+    A value such as ``-5e-05`` reads as a negative number, not as an option,
+    like argparse's own ``-12`` and ``-1.5``; subparsers inherit this class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's private matcher (Python 3.11: ``-12``, ``-1.5``); extended
+        # with an e-notation alternative, never narrowed.
+        default = self._negative_number_matcher.pattern
+        self._negative_number_matcher = re.compile(rf"(?:{default})|^-(\d+\.?\d*|\.\d+)[eE][+-]?\d+$")
 
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {message}\n")
@@ -268,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     except families.FamilySpecError as err:
         print(f"error: invalid family spec: {err}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as err:
+    except (ValueError, MemoryError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -4,10 +4,17 @@ Two small families of routines live here: modified Bessel functions of
 integer order for complex argument, evaluated by direct power series with a
 controlled stopping rule, and closed-form determinant/eigenvalue routines
 for 3x3 Hermitian matrices (the Gram matrices of three state vectors).
+
+``Hermitian3(mat)`` validates an arbitrary matrix (shape, finiteness,
+Hermitian to rounding level) and stores its Hermitian average.
+``Hermitian3.from_upper``, the constructor on every report's Gram step,
+checks only that its six scalars are finite: a matrix assembled from a real
+diagonal and conjugated upper entries is exactly Hermitian already.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -84,9 +91,14 @@ class Hermitian3:
         diag: tuple[float, float, float],
         upper: tuple[complex, complex, complex],
     ) -> "Hermitian3":
-        """Build from real diagonal (d0, d1, d2) and upper entries (a01, a02, a12)."""
+        """Build from real diagonal (d0, d1, d2) and upper entries (a01, a02, a12).
+
+        Hermitian by construction, so only finiteness is checked.
+        """
         d0, d1, d2 = (float(x) for x in diag)
         a01, a02, a12 = (complex(x) for x in upper)
+        if not all(map(cmath.isfinite, (d0, d1, d2, a01, a02, a12))):
+            raise ValueError("matrix entries must be finite")
         m = np.array(
             [
                 [d0, a01, a02],
@@ -95,20 +107,24 @@ class Hermitian3:
             ],
             dtype=complex,
         )
-        return cls(m)
+        m.flags.writeable = False
+        g = object.__new__(cls)
+        object.__setattr__(g, "mat", m)
+        return g
 
 
-def _det3_raw(m: np.ndarray) -> complex:
+def _det3_raw(rows) -> complex:
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
     return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+        m00 * (m11 * m22 - m12 * m21)
+        - m01 * (m10 * m22 - m12 * m20)
+        + m02 * (m10 * m21 - m11 * m20)
     )
 
 
 def det3(g: Hermitian3) -> float:
-    """Determinant by cofactor expansion; real for Hermitian input."""
-    d = _det3_raw(g.mat)
+    """Determinant by cofactor expansion on Python scalars; real for Hermitian input."""
+    d = _det3_raw(g.mat.tolist())
     if abs(d.imag) > 1e-12:
         raise ArithmeticError(f"Hermitian determinant came out non-real (imag {d.imag:g})")
     return float(d.real)

@@ -101,11 +101,12 @@ def _unit_phases(dim: int, power: int) -> np.ndarray:
 
 
 def _apply_shift(dim: int, k: int, c: np.ndarray) -> np.ndarray:
-    # shift^k acts along axis 0 as a cyclic roll by r = k mod d.  The r
-    # entries that wrap pick up exp(-i 2pi j) = (-1)^(d-1), and shift^d is
+    # shift^k acts along axis 0 as a cyclic roll by r = k mod d, two slices
+    # joined into a new array that the sign flips below may write to.  The
+    # r entries that wrap pick up exp(-i 2pi j) = (-1)^(d-1), and shift^d is
     # that same sign times the identity, once per full period q = k div d.
     q, r = divmod(k, dim)
-    w = np.roll(c, r, axis=0)
+    w = np.concatenate((c[dim - r:], c[:dim - r]))
     if dim % 2 == 0:
         w[:r] *= -1.0
         w *= (-1.0) ** q

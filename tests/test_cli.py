@@ -169,6 +169,44 @@ def test_phi_over_pi_nan_exits_2():
     assert_one_line_error(proc, "finite")
 
 
+@pytest.mark.parametrize("phi_over_pi, k", [("1e308", "1"), ("1e307", "10")])
+def test_overflowing_phase_exits_2(phi_over_pi, k):
+    # phi = 1e308*pi overflows; with k = 10 phi is finite but k*phi is not.
+    proc = run_cli(
+        "scan", "--family", "phase-coherent:xi=0.5", "--param", "xi",
+        "--from", "0.1", "--to", "0.5", "--steps", "3", "--k", k, "--phi-over-pi", phi_over_pi,
+    )
+    assert_one_line_error(proc, "k*phi must be finite")
+
+
+def test_negative_e_notation_is_a_value():
+    proc = run_cli("qubit", "--sx", "0.1", "--sy", "0.2", "--sz", "-5e-05")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["parameters"]["sz"] == -5e-05
+    assert doc["report"]["number_char"] == [-5e-05, 0.0]
+
+
+def test_negative_e_notation_range_start():
+    proc = run_cli(
+        "scan", "--family", "phase-coherent:xi=0.5", "--param", "xi",
+        "--from", "-1e-3", "--to", "0.5", "--steps", "3", "--format", "json",
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["parameters"]["from"] == -1e-3
+    assert doc["rows"][0]["param"] == -1e-3
+
+
+def test_unallocatable_scan_grid_exits_2():
+    # numpy refuses the 800 TB grid up front, before any memory is touched.
+    proc = run_cli(
+        "scan", "--family", "phase-coherent:xi=0.5", "--param", "xi",
+        "--from", "0.1", "--to", "0.5", "--steps", "100000000000000",
+    )
+    assert_one_line_error(proc, "allocate")
+
+
 @pytest.mark.parametrize("lo, hi", [("0.9", "0.1"), ("0.5", "0.5")])
 def test_extremum_reversed_or_empty_range_exits_2(lo, hi):
     proc = run_cli(

@@ -178,6 +178,61 @@ def test_hermitian3_symmetry_exact():
     assert np.all(np.diag(g.mat).imag == 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_from_upper_rejects_non_finite_entries(bad):
+    diag, upper = (1.0, 1.0, 1.0), (0.5, 0.25j, 0.1 - 0.2j)
+    for i in range(3):
+        cases = [(diag[:i] + (bad,) + diag[i + 1:], upper)]
+        for z in (complex(bad, 0.3), complex(0.3, bad)):
+            cases.append((diag, upper[:i] + (z,) + upper[i + 1:]))
+        for d, u in cases:
+            with pytest.raises(ValueError, match="finite"):
+                Hermitian3.from_upper(d, u)
+
+
+def random_upper(rng):
+    diag = tuple(float(x) for x in rng.standard_normal(3))
+    upper = tuple(complex(x, y) for x, y in rng.standard_normal((3, 2)))
+    return diag, upper
+
+
+def full_matrix(diag, upper):
+    (d0, d1, d2), (a01, a02, a12) = diag, upper
+    return np.array(
+        [[d0, a01, a02], [a01.conjugate(), d1, a12], [a02.conjugate(), a12.conjugate(), d2]],
+        dtype=complex,
+    )
+
+
+def test_from_upper_equals_validated_full_matrix():
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        diag, upper = random_upper(rng)
+        g = Hermitian3.from_upper(diag, upper)
+        ref = Hermitian3(full_matrix(diag, upper))
+        assert g.mat.dtype == ref.mat.dtype and g.mat.shape == (3, 3)
+        assert np.array_equal(g.mat.view(float), ref.mat.view(float))
+        assert not g.mat.flags.writeable
+
+
+def numpy_cofactor_det(m):
+    """Cofactor expansion on 0-d numpy entries: the reference det3 must match bit for bit."""
+    return (
+        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+    )
+
+
+def test_det3_equals_numpy_cofactor_expansion_exactly():
+    rng = np.random.default_rng(17)
+    for _ in range(500):
+        diag, upper = random_upper(rng)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        for g in (Hermitian3.from_upper(diag, upper), Hermitian3((a + a.conj().T) / 2)):
+            assert det3(g) == float(numpy_cofactor_det(g.mat).real)
+
+
 def test_min_eig3_degenerate_double_zero():
     # Gram of three collinear unit vectors (signs flipped): spectrum {3, 0, 0};
     # the clustered-root path must stay within the 1e-10 contract.

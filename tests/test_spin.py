@@ -110,11 +110,17 @@ def test_shift_matches_direct_construction(d):
     assert np.max(np.abs(shift_op(system) - e)) < 1e-12
     st = random_state(system, np.random.default_rng(d))
     c = st.amplitudes
+    # A d x 3 block takes the 2-D path of the roll, as shift_op does.
+    block = np.stack([c, c.conj(), np.roll(c, 1)], axis=1)
     # k over two full periods each way reaches every roll r and both signs
     # of the per-period factor (-1)^(d-1) on every wrapped entry.
     for k in range(-2 * d, 2 * d + 1):
         ell = 3 * k + 1
         ek = np.linalg.matrix_power(e, k)
+        rolled = spin._apply_shift(d, k, block)
+        assert np.max(np.abs(rolled - ek @ block)) < 1e-12
+        for i in range(3):
+            assert np.array_equal(rolled[:, i], spin._apply_shift(d, k, block[:, i]))
         fl = np.linalg.matrix_power(f, ell)
         cs = char_set(st, k, ell)
         assert abs(cs.number_char - np.vdot(c, fl @ c)) < 1e-12
