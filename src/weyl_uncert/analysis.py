@@ -100,6 +100,8 @@ def _grid(lo: float, hi: float, steps: int, log_spaced: bool = False) -> np.ndar
         raise ValueError(f"need at least 2 steps, got {steps}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got {lo!r} >= {hi!r}")
+    if log_spaced and not lo > 0:
+        raise ValueError(f"a log-spaced grid needs lo > 0, got {lo!r}")
     return np.geomspace(lo, hi, steps) if log_spaced else np.linspace(lo, hi, steps)
 
 

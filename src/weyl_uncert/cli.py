@@ -14,7 +14,7 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 from . import analysis, families, reports, spin, verify
 from .analysis import ScanTable
@@ -154,9 +154,9 @@ def _cmd_extremum(args) -> int:
 def _cmd_qubit(args) -> int:
     cs = spin.qubit_char((args.sx, args.sy, args.sz), args.k, args.ell)
     gamma = spin.weyl_angle(spin.SpinSystem(2), args.k, args.ell)
-    u, u_prime, _, v = reports.functionals(cs.number_char, cs.phase_char, cs.cross_char)
+    u, u_prime, _, v = reports.functionals(cs)
     product_form = 1j * args.sx * args.sy * args.sz
-    _, product_u_prime, _, _ = reports.functionals(cs.number_char, cs.phase_char, product_form)
+    _, product_u_prime, _, _ = reports.functionals(replace(cs, cross_char=product_form))
     payload = {
         "report": {
             "number_char": [cs.number_char.real, cs.number_char.imag],

@@ -25,8 +25,9 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from . import fock
-from .fock import FockCharSet, FockState
+from .fock import FockState
 from .numerics import bessel_i
+from .reports import CharSet
 
 TRUNCATION_CAP_ENV = "WEYL_UNCERT_MAX_NMAX"
 DEFAULT_TRUNCATION_CAP = 4096
@@ -130,9 +131,12 @@ def truncation_cap() -> int:
     """Active n_max cap: the override environment variable or the default."""
     env = os.environ.get(TRUNCATION_CAP_ENV)
     if env:
-        cap = int(env)
+        try:
+            cap = int(env)
+        except ValueError:
+            cap = 0
         if cap < _MIN_NMAX:
-            raise ValueError(f"{TRUNCATION_CAP_ENV} must be >= {_MIN_NMAX}, got {cap}")
+            raise ValueError(f"{TRUNCATION_CAP_ENV} must be an integer >= {_MIN_NMAX}, got {env!r}")
         return cap
     return DEFAULT_TRUNCATION_CAP
 
@@ -235,7 +239,7 @@ def build(spec: FamilySpec, max_nmax: int | None = None) -> FockState:
     raise TypeError(f"unknown family spec {spec!r}")
 
 
-def closed_form_char(spec: FamilySpec, k: int, phi: float) -> FockCharSet | CharMagnitudes:
+def closed_form_char(spec: FamilySpec, k: int, phi: float) -> CharSet | CharMagnitudes:
     """Closed-form characteristic functions where the family admits them.
 
     Number and phase-coherent states have exact complex closed forms; the
@@ -248,29 +252,27 @@ def closed_form_char(spec: FamilySpec, k: int, phi: float) -> FockCharSet | Char
     k = int(k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    weyl = np.exp(-1j * k * phi)
 
     if isinstance(spec, NumberState):
-        return FockCharSet(
+        return CharSet(
             number_char=complex(np.exp(1j * phi * spec.n)),
             phase_char=0.0j,
             cross_char=0.0j,
+            weyl=weyl,
             pi_k=1.0 if spec.n < k else 0.0,
-            k=k,
-            phase_arg=float(phi),
         )
 
     if isinstance(spec, PhaseCoherent):
         t = abs(spec.xi) ** 2
         number = (1.0 - t) / (1.0 - t * np.exp(1j * phi))
         phase = np.conj(spec.xi) ** k
-        cross = np.exp(-1j * k * phi) * phase * np.conj(number)
-        return FockCharSet(
+        return CharSet(
             number_char=complex(number),
             phase_char=complex(phase),
-            cross_char=complex(cross),
+            cross_char=complex(weyl * phase * np.conj(number)),
+            weyl=weyl,
             pi_k=1.0 - t**k,
-            k=k,
-            phase_arg=float(phi),
         )
 
     if isinstance(spec, GaussianNumber):
@@ -313,13 +315,11 @@ def closed_form_char(spec: FamilySpec, k: int, phi: float) -> FockCharSet | Char
             )
         wa = abs(spec.alpha) ** 2
         wb = abs(spec.beta) ** 2
-        return FockCharSet(
+        return CharSet(
             number_char=complex(wa * np.exp(1j * phi * spec.n)),
             phase_char=complex(wb * np.conj(spec.xi) ** k),
             cross_char=0.0j,
-            pi_k=0.0,
-            k=k,
-            phase_arg=float(phi),
+            weyl=weyl,
         )
 
     raise TypeError(f"unknown family spec {spec!r}")
@@ -332,8 +332,8 @@ _ALIAS_LIMIT = 1e-4
 _REPRESENTABLE = 1e-250
 
 
-def _gaussian_deviation(spec: GaussianNumber, num: FockCharSet, cf: CharMagnitudes) -> float:
-    phir = abs(math.remainder(num.phase_arg, 2.0 * math.pi))
+def _gaussian_deviation(spec: GaussianNumber, phi: float, num: CharSet, cf: CharMagnitudes) -> float:
+    phir = abs(math.remainder(phi, 2.0 * math.pi))
     alias = math.exp(-math.pi * (math.pi - phir) / spec.a) if phir < math.pi else 1.0
 
     def rel(x: float, y: float) -> float:
@@ -358,7 +358,7 @@ def oracle_check(spec: FamilySpec, k: int, phi: float, max_nmax: int | None = No
     """
     cf = closed_form_char(spec, k, phi)
     num = fock.char_set(build(spec, max_nmax), k, phi)
-    if isinstance(cf, FockCharSet):
+    if isinstance(cf, CharSet):
         return max(
             abs(num.number_char - cf.number_char),
             abs(num.phase_char - cf.phase_char),
@@ -366,7 +366,7 @@ def oracle_check(spec: FamilySpec, k: int, phi: float, max_nmax: int | None = No
             abs(num.pi_k - cf.pi_k),
         )
     if isinstance(spec, GaussianNumber):
-        return _gaussian_deviation(spec, num, cf)
+        return _gaussian_deviation(spec, phi, num, cf)
     return max(
         abs(abs(num.number_char) - cf.abs_number_char),
         abs(abs(num.phase_char) - cf.abs_phase_char),
@@ -384,7 +384,7 @@ def gaussian_product_certainty(a: float, b: float, k: float) -> float:
 
 def _weights(alpha2: float) -> dict:
     if not 0.0 <= alpha2 <= 1.0:
-        raise ValueError(f"alpha2 must lie in [0, 1], got {alpha2!r}")
+        raise ValueError(f"alpha2 must lie in [0, 1], got {float(alpha2)!r}")
     return {"alpha": math.sqrt(alpha2), "beta": math.sqrt(1.0 - alpha2)}
 
 

@@ -8,9 +8,11 @@ functions are O(n_max) sums over amplitudes, and the phase density on a
 periodic grid of M points is one length-M FFT (other grids are rejected);
 dense operator matrices exist only in the test oracles.
 
-The two Gram matrices differ because E is not unitary: the second carries
-the weight of the subspace with fewer than k photons (pi_k) on its
-diagonal.  Their determinants and the derived certainty functionals
+Characteristic sets are :class:`reports.CharSet` records.  The two Gram
+matrices of {psi, exp(+-i phi n) psi, Edag^k / E^k psi} differ because E is
+not unitary: the second carries exp(-i k phi) (the Weyl phase) on its cross
+entry and the weight of the subspace with fewer than k photons (pi_k) on
+its diagonal.  Their determinants and the derived certainty functionals
 U, U', U'', V are produced by :func:`report`.
 """
 
@@ -21,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Hermitian3, det3
-from .reports import UncertaintyReport, functionals, gram_pair
+from .numerics import det3
+from .reports import CharSet, UncertaintyReport, functionals, gram_pair, unit_amplitudes
 
-_NORM_TOL = 1e-12
 _GRID_TOL = 1e-12
 
 
@@ -40,47 +41,16 @@ class FockState:
     tail_bound: float = 0.0
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.amplitudes, dtype=complex).copy()
+        c = np.asarray(self.amplitudes, dtype=complex)
         if c.ndim != 1 or c.size < 1:
             raise ValueError("amplitudes must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(c.view(float))):
-            raise ValueError("amplitudes must be finite")
-        norm = float(np.linalg.norm(c))
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):g}")
+        object.__setattr__(self, "amplitudes", unit_amplitudes(c))
         if self.tail_bound < 0.0:
             raise ValueError("tail_bound must be >= 0")
-        c.flags.writeable = False
-        object.__setattr__(self, "amplitudes", c)
 
     @property
     def n_max(self) -> int:
         return self.amplitudes.size - 1
-
-
-@dataclass(frozen=True)
-class FockCharSet:
-    """Characteristic functions for one (k, phi) configuration.
-
-    number_char = <exp(i phi n)>  (characteristic function of the photon
-    number distribution), phase_char = <Edag^k> (conjugate characteristic
-    function of the phase distribution), cross_char = <exp(-i phi n) Edag^k>,
-    and pi_k is the population of photon numbers below k.
-    """
-
-    number_char: complex
-    phase_char: complex
-    cross_char: complex
-    pi_k: float
-    k: int
-    phase_arg: float
-
-    def __post_init__(self) -> None:
-        for name in ("number_char", "phase_char", "cross_char"):
-            if abs(getattr(self, name)) > 1.0 + 1e-12:
-                raise ValueError(f"|{name}| exceeds 1: {abs(getattr(self, name))!r}")
-        if not -1e-12 <= self.pi_k <= 1.0 + 1e-12:
-            raise ValueError(f"pi_k out of [0, 1]: {self.pi_k!r}")
 
 
 def _check_k(state: FockState, k: int) -> int:
@@ -128,8 +98,10 @@ def apply_phase_shift(state: FockState, phi: float) -> FockState:
     return FockState(np.exp(1j * phi * n) * state.amplitudes, state.tail_bound)
 
 
-def char_set(state: FockState, k: int, phi: float) -> FockCharSet:
-    """Characteristic triple and pi_k by direct amplitude sums."""
+def char_set(state: FockState, k: int, phi: float) -> CharSet:
+    """Characteristic set by direct amplitude sums: number_char = <exp(i phi n)>,
+    phase_char = <Edag^k>, cross_char = <exp(-i phi n) Edag^k> and pi_k, the
+    population of photon numbers below k."""
     k = _check_k(state, k)
     c = state.amplitudes
     n = np.arange(c.size)
@@ -139,7 +111,7 @@ def char_set(state: FockState, k: int, phi: float) -> FockCharSet:
     phase_char = complex(np.sum(pair))
     cross_char = complex(pair @ np.exp(-1j * phi * n[k:]))
     pi_k = float(np.sum(probs[:k]))
-    return FockCharSet(number_char, phase_char, cross_char, pi_k, k, float(phi))
+    return CharSet(number_char, phase_char, cross_char, np.exp(-1j * k * phi), pi_k)
 
 
 def stringent(k: int, phi: float) -> bool:
@@ -147,15 +119,8 @@ def stringent(k: int, phi: float) -> bool:
     return abs(math.remainder(k * phi - math.pi, 2.0 * math.pi)) <= 1e-9
 
 
-def gram_matrices(cs: FockCharSet) -> tuple[Hermitian3, Hermitian3]:
-    """The Gram matrices of {psi, exp(+-i phi n) psi, Edag^k / E^k psi}.
-
-    The second one picks up exp(-i k phi) on the cross entry and 1 - pi_k
-    on the last diagonal entry, both consequences of the one-sided
-    unitarity of E.
-    """
-    w = np.exp(-1j * cs.k * cs.phase_arg)
-    return gram_pair(cs.number_char, cs.phase_char, cs.cross_char, w, cs.pi_k)
+# report calls the Gram step under this module-level name, so tracing can wrap it.
+gram_matrices = gram_pair
 
 
 def gram_dets(state: FockState, k: int, phi: float) -> tuple[float, float]:
@@ -175,9 +140,7 @@ def report(state: FockState, k: int, phi: float) -> UncertaintyReport:
     cs = char_set(state, k, phi)
     g_plus, g_minus = gram_matrices(cs)
     det_plus, det_minus = det3(g_plus), det3(g_minus)
-    u, u_prime, u_double_prime, v = functionals(
-        cs.number_char, cs.phase_char, cs.cross_char, cs.pi_k
-    )
+    u, u_prime, u_double_prime, v = functionals(cs)
     applicable = stringent(k, phi)
     return UncertaintyReport(
         u=u,

@@ -1,40 +1,77 @@
-"""Gram pair, certainty functionals and report record of both systems, which
-differ only in the Weyl phase and in pi_k (0 for the clock/shift pair).
+"""Unit amplitudes, characteristic set, Gram pair, certainty functionals and
+report record of both systems, which differ only in the Weyl phase on the
+inverse-power cross term and in pi_k (0 for the unitary clock/shift pair).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .numerics import Hermitian3
 
 
-def gram_pair(
-    number: complex, phase: complex, cross: complex, weyl: complex, pi_k: float = 0.0
-) -> tuple[Hermitian3, Hermitian3]:
-    """Gram matrices of {psi, F psi, E psi} and of the inverse powers.
+def unit_amplitudes(amps) -> np.ndarray:
+    """A read-only complex copy of ``amps``, checked finite and of unit norm."""
+    c = np.array(amps, dtype=complex)
+    if not np.all(np.isfinite(c.view(float))):
+        raise ValueError("amplitudes must be finite")
+    norm = float(np.linalg.norm(c))
+    if abs(norm - 1.0) > 1e-12:
+        raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):g}")
+    c.flags.writeable = False
+    return c
+
+
+@dataclass(frozen=True)
+class CharSet:
+    """Characteristic triple of one configuration, its Weyl phase and pi_k.
+
+    number_char = <F>, phase_char = <S> and cross_char = <F^-1 S> for the
+    system's number-type unitary F and phase-type shift S (clock^l and
+    shift^k on a qudit; exp(i phi n) and Edag^k on the single mode).  The
+    inverse-power Gram matrix carries weyl * conj(cross_char), and pi_k is
+    the weight that the adjoint of S annihilates.
+    """
+
+    number_char: complex
+    phase_char: complex
+    cross_char: complex
+    weyl: complex
+    pi_k: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("number_char", "phase_char", "cross_char"):
+            if abs(getattr(self, name)) > 1.0 + 1e-12:
+                raise ValueError(f"|{name}| exceeds 1: {abs(getattr(self, name))!r}")
+        if not -1e-12 <= self.pi_k <= 1.0 + 1e-12:
+            raise ValueError(f"pi_k out of [0, 1]: {self.pi_k!r}")
+
+
+def gram_pair(cs: CharSet) -> tuple[Hermitian3, Hermitian3]:
+    """Gram matrices of {psi, F psi, E^k psi} and of the inverse powers.
 
     The second conjugates the number and phase characters, multiplies the
     conjugated cross character by the Weyl phase and has 1 - pi_k last on
     its diagonal.
     """
+    number, phase, cross = cs.number_char, cs.phase_char, cs.cross_char
     g_plus = Hermitian3.from_upper((1.0, 1.0, 1.0), (number, phase, cross))
     g_minus = Hermitian3.from_upper(
-        (1.0, 1.0, 1.0 - pi_k),
-        (number.conjugate(), phase.conjugate(), weyl * cross.conjugate()),
+        (1.0, 1.0, 1.0 - cs.pi_k),
+        (number.conjugate(), phase.conjugate(), cs.weyl * cross.conjugate()),
     )
     return g_plus, g_minus
 
 
-def functionals(
-    number: complex, phase: complex, cross: complex, pi_k: float = 0.0
-) -> tuple[float, float, float, float]:
+def functionals(cs: CharSet) -> tuple[float, float, float, float]:
     """U = |number|^2 + |phase|^2, U' = U + |cross|^2,
     U'' = U' + pi_k/2 * (1 - |number|^2) and V = |number| * |phase|."""
-    ap, pp, cp = abs(number), abs(phase), abs(cross)
+    ap, pp, cp = abs(cs.number_char), abs(cs.phase_char), abs(cs.cross_char)
     u = ap * ap + pp * pp
     u_prime = u + cp * cp
-    return u, u_prime, u_prime + 0.5 * pi_k * (1.0 - ap * ap), ap * pp
+    return u, u_prime, u_prime + 0.5 * cs.pi_k * (1.0 - ap * ap), ap * pp
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,9 @@ for all integers k, l, which is what every check in this module leans on.
 shift^k acts on amplitudes as a signed cyclic roll, so every quantity here
 costs O(d) with no dense operator matrices and no caches; ``shift_op`` and
 ``clock_op`` build matrices only for callers that ask for them.
+
+Characteristic sets are :class:`reports.CharSet` records whose Weyl phase is
+exp(-i 2pi k l / d) and whose pi_k is 0, since shift^k is unitary.
 """
 
 from __future__ import annotations
@@ -23,9 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import Hermitian3, det3
-from .reports import UncertaintyReport, functionals, gram_pair
-
-_NORM_TOL = 1e-12
+from .reports import CharSet, UncertaintyReport, functionals, gram_pair, unit_amplitudes
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -60,36 +61,10 @@ class QuditState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.amplitudes, dtype=complex).copy()
+        c = np.asarray(self.amplitudes, dtype=complex)
         if c.shape != (self.system.dim,):
             raise ValueError(f"amplitudes must have shape ({self.system.dim},), got {c.shape}")
-        if not np.all(np.isfinite(c.view(float))):
-            raise ValueError("amplitudes must be finite")
-        norm = float(np.linalg.norm(c))
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):g}")
-        c.flags.writeable = False
-        object.__setattr__(self, "amplitudes", c)
-
-
-@dataclass(frozen=True)
-class SpinCharSet:
-    """Characteristic-function triple for one (k, l) configuration.
-
-    number_char = <clock^l>, phase_char = <shift^k>,
-    cross_char = <clock^(-l) shift^k>.
-    """
-
-    number_char: complex
-    phase_char: complex
-    cross_char: complex
-    k: int
-    ell: int
-
-    def __post_init__(self) -> None:
-        for name in ("number_char", "phase_char", "cross_char"):
-            if abs(getattr(self, name)) > 1.0 + 1e-12:
-                raise ValueError(f"|{name}| exceeds 1: {abs(getattr(self, name))!r}")
+        object.__setattr__(self, "amplitudes", unit_amplitudes(c))
 
 
 def _unit_phases(dim: int, power: int) -> np.ndarray:
@@ -159,6 +134,11 @@ def pauli_ops() -> tuple[np.ndarray, np.ndarray]:
     return SIGMA_X.copy(), SIGMA_Z.copy()
 
 
+def _weyl_phase(dim: int, k: int, ell: int) -> complex:
+    # exp(-i 2pi k l / d), with k l reduced modulo d in integers.
+    return complex(np.exp(-2j * math.pi * ((k * ell) % dim) / dim))
+
+
 def weyl_defect(system: SpinSystem, k: int, ell: int) -> float:
     """Max-entry magnitude of shift^k clock^l - exp(-i 2pi k l / d) clock^l shift^k.
 
@@ -170,8 +150,7 @@ def weyl_defect(system: SpinSystem, k: int, ell: int) -> float:
     f = _unit_phases(d, ell)
     lhs = _apply_shift(d, k, f)
     rhs = f * _apply_shift(d, k, np.ones(d, dtype=complex))
-    phase = np.exp(-2j * math.pi * ((k * ell) % d) / d)
-    return float(np.max(np.abs(lhs - phase * rhs)))
+    return float(np.max(np.abs(lhs - _weyl_phase(d, k, ell) * rhs)))
 
 
 def weyl_angle(system: SpinSystem, k: int, ell: int) -> float:
@@ -199,7 +178,7 @@ def certainty_bound(gamma: float) -> float:
     return 2.0 * math.sqrt(2.0) * (math.sqrt(2.0) - math.sqrt(one_minus_cos)) / one_plus_cos
 
 
-def char_set(state: QuditState, k: int, ell: int) -> SpinCharSet:
+def char_set(state: QuditState, k: int, ell: int) -> CharSet:
     """Characteristic functions <clock^l>, <shift^k>, <clock^(-l) shift^k>.
 
     The clock expectation is a diagonal sum; shift^k psi is formed once as a
@@ -212,7 +191,7 @@ def char_set(state: QuditState, k: int, ell: int) -> SpinCharSet:
     w = _apply_shift(d, k, c)
     phase_char = complex(np.vdot(c, w))
     cross_char = complex(np.vdot(f * c, w))
-    return SpinCharSet(number_char, phase_char, cross_char, k, ell)
+    return CharSet(number_char, phase_char, cross_char, _weyl_phase(d, k, ell))
 
 
 def cyclic_phase(state: QuditState, k: int, ell: int) -> complex:
@@ -226,24 +205,18 @@ def cyclic_phase(state: QuditState, k: int, ell: int) -> complex:
     return complex(np.vdot(state.amplitudes, w))
 
 
-def gram_matrix(cs: SpinCharSet) -> Hermitian3:
+def gram_matrix(cs: CharSet) -> Hermitian3:
     """Gram matrix of the vectors {psi, clock^l psi, shift^k psi}."""
     return Hermitian3.from_upper(
         (1.0, 1.0, 1.0), (cs.number_char, cs.phase_char, cs.cross_char)
     )
 
 
-def _det_pair(cs: SpinCharSet, dim: int) -> tuple[float, float]:
-    # The (-k, -l) set from the (k, l) one: unitarity conjugates the number
-    # and phase characters, and the Weyl relation gives the cross character.
-    w = complex(np.exp(-2j * math.pi * ((cs.k * cs.ell) % dim) / dim))
-    g_plus, g_minus = gram_pair(cs.number_char, cs.phase_char, cs.cross_char, w)
-    return det3(g_plus), det3(g_minus)
-
-
 def gram_dets(state: QuditState, k: int, ell: int) -> tuple[float, float]:
-    """Determinants of the Gram matrices for (k, l) and (-k, -l)."""
-    return _det_pair(char_set(state, k, ell), state.system.dim)
+    """Determinants of the Gram matrices for (k, l) and (-k, -l); the second
+    comes from the (k, l) set through unitarity and the Weyl phase."""
+    g_plus, g_minus = gram_pair(char_set(state, k, ell))
+    return det3(g_plus), det3(g_minus)
 
 
 def report(state: QuditState, k: int, ell: int) -> UncertaintyReport:
@@ -256,9 +229,10 @@ def report(state: QuditState, k: int, ell: int) -> UncertaintyReport:
     cs = char_set(state, k, ell)
     gamma = weyl_angle(state.system, k, ell)
     bound = certainty_bound(gamma)
-    u, u_prime, _, v = functionals(cs.number_char, cs.phase_char, cs.cross_char)
+    u, u_prime, _, v = functionals(cs)
     applicable = abs(gamma - math.pi) <= 1e-9
-    det_plus, det_minus = _det_pair(cs, state.system.dim)
+    g_plus, g_minus = gram_pair(cs)
+    det_plus, det_minus = det3(g_plus), det3(g_minus)
     return UncertaintyReport(
         u=u,
         v=v,
@@ -275,7 +249,7 @@ def report(state: QuditState, k: int, ell: int) -> UncertaintyReport:
     )
 
 
-def qubit_char(bloch, k: int = 1, ell: int = 1) -> SpinCharSet:
+def qubit_char(bloch, k: int = 1, ell: int = 1) -> CharSet:
     """Characteristic set of a qubit state rho = (I + s.sigma)/2, Pauli convention.
 
     Clock = sigma_z and shift = sigma_x, so for odd k and l the triple is
@@ -299,7 +273,7 @@ def qubit_char(bloch, k: int = 1, ell: int = 1) -> SpinCharSet:
         cross_char = complex(s[0])
     else:
         cross_char = complex(1.0)
-    return SpinCharSet(number_char, phase_char, cross_char, k, ell)
+    return CharSet(number_char, phase_char, cross_char, _weyl_phase(2, k, ell))
 
 
 def random_state(system: SpinSystem, rng: np.random.Generator) -> QuditState:

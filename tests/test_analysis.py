@@ -55,6 +55,9 @@ def test_scan_validation():
         scan(PhaseCoherent(0.5), "xi", 0.9, 0.1, 5, 1, math.pi)
     with pytest.raises(ValueError, match="build failed at xi"):
         scan(PhaseCoherent(0.5), "xi", 0.5, 1.5, 5, 1, math.pi)
+    for lo in (-0.5, 0.0):
+        with pytest.raises(ValueError, match="log-spaced grid needs lo > 0"):
+            scan(PhaseCoherent(0.5), "xi", lo, 0.5, 3, 1, math.pi, log_spaced=True)
 
 
 def test_find_extremum_product_maximum():

@@ -179,6 +179,23 @@ def test_overflowing_phase_exits_2(phi_over_pi, k):
     assert_one_line_error(proc, "k*phi must be finite")
 
 
+def test_log_spaced_scan_with_nonpositive_start_exits_2():
+    proc = run_cli(
+        "scan", "--family", "phase-coherent:xi=0.5", "--param", "xi",
+        "--from", "-0.5", "--to", "0.5", "--steps", "3", "--log-spaced",
+    )
+    assert_one_line_error(proc, "log-spaced grid needs lo > 0, got -0.5")
+
+
+def test_out_of_range_alpha2_prints_a_plain_float():
+    proc = run_cli(
+        "scan", "--family", "intermediate:alpha2=0.5,n=3,xi=0.5", "--param", "alpha2",
+        "--from", "0", "--to", "2", "--steps", "3",
+    )
+    assert_one_line_error(proc, "alpha2 must lie in [0, 1], got 2.0")
+    assert "np.float64" not in proc.stderr
+
+
 def test_negative_e_notation_is_a_value():
     proc = run_cli("qubit", "--sx", "0.1", "--sy", "0.2", "--sz", "-5e-05")
     assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +121,11 @@ def test_truncation_cap_env_override(monkeypatch):
     assert st.n_max > 10000
     monkeypatch.delenv(families.TRUNCATION_CAP_ENV)
     assert truncation_cap() == families.DEFAULT_TRUNCATION_CAP
+    for bad in ("abc", "1e5", "8"):
+        monkeypatch.setenv(families.TRUNCATION_CAP_ENV, bad)
+        message = f"{families.TRUNCATION_CAP_ENV} must be an integer >= 16, got '{bad}'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            truncation_cap()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from weyl_uncert import families, fock
+from weyl_uncert.reports import CharSet
 from weyl_uncert.fock import (
     FockState,
     apply_lowering,
@@ -108,6 +109,12 @@ def test_state_validation():
         FockState(np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="finite"):
         FockState(np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError, match="1-D"):
+        FockState(np.eye(2))
+    given = np.array([0.6, 0.8j])
+    st = FockState(given)
+    given[0] = 0.0
+    assert st.amplitudes[0] == 0.6 and not st.amplitudes.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +131,22 @@ def test_char_set_number_state():
                 assert cs.phase_char == 0.0
                 assert cs.cross_char == 0.0
                 assert cs.pi_k == (1.0 if n < k else 0.0)
+
+
+def test_char_set_record_validation():
+    ok = {"number_char": 0.5, "phase_char": 0.5j, "cross_char": -0.5, "weyl": 1.0}
+    for pi_k in (0.0, 1.0, -1e-13, 1.0 + 1e-13):
+        assert CharSet(**ok, pi_k=pi_k).pi_k == pi_k
+    for name in ("number_char", "phase_char", "cross_char"):
+        assert abs(getattr(CharSet(**{**ok, name: 1.0 + 1e-13}), name)) > 1.0
+        with pytest.raises(ValueError, match=rf"\|{name}\| exceeds 1"):
+            CharSet(**{**ok, name: 1j * (1.0 + 1e-11)})
+    for pi_k in (-1e-11, 1.0 + 1e-11, math.nan):
+        with pytest.raises(ValueError, match="pi_k out of"):
+            CharSet(**ok, pi_k=pi_k)
+    st = random_state(6, np.random.default_rng(40))
+    for k, phi in ((1, math.pi), (3, 0.7), (2, -2.5)):
+        assert char_set(st, k, phi).weyl == np.exp(-1j * k * phi)
 
 
 def test_char_set_vacuum():

@@ -244,6 +244,7 @@ def test_cyclic_excursion_phase():
             ell = int(rng.integers(1, 2 * d + 1))
             expected = np.exp(-2j * math.pi * ((k * ell) % d) / d)
             assert abs(cyclic_phase(st, k, ell) - expected) < 1e-12
+            assert char_set(st, k, ell).weyl == expected
 
 
 # ---------------------------------------------------------------------------
@@ -418,5 +419,13 @@ def test_spin_char_magnitudes_match_qubit_closed_form():
 def test_state_validation():
     with pytest.raises(ValueError, match="normalized"):
         QuditState(SpinSystem(2), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        QuditState(SpinSystem(2), np.array([np.inf, 0.0]))
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        QuditState(SpinSystem(3), np.array([1.0, 0.0]))
+    given = np.array([0.6, 0.8j])
+    st = QuditState(SpinSystem(2), given)
+    given[0] = 0.0
+    assert st.amplitudes[0] == 0.6 and not st.amplitudes.flags.writeable
     with pytest.raises(ValueError, match="dimension"):
         SpinSystem(1)
