@@ -402,7 +402,7 @@ def _field(name: str, convert: Callable = lambda v: v, required: bool = True) ->
 
 # The textual spec grammar: tag -> (spec class, keys in canonical order).
 _GRAMMAR: dict[str, tuple[type, dict[str, _Key]]] = {
-    "number": (NumberState, {"n": _field("n", round)}),
+    "number": (NumberState, {"n": _field("n")}),
     "phase-coherent": (PhaseCoherent, {"xi": _field("xi")}),
     "gaussian": (
         GaussianNumber,
@@ -413,7 +413,7 @@ _GRAMMAR: dict[str, tuple[type, dict[str, _Key]]] = {
         Intermediate,
         {
             "alpha2": _Key(lambda spec: abs(spec.alpha) ** 2, _weights),
-            "n": _field("n", round),
+            "n": _field("n"),
             "xi": _field("xi"),
         },
     ),

@@ -1,6 +1,11 @@
-"""Unit amplitudes, characteristic set, Gram pair, certainty functionals and
-report record of both systems, which differ only in the Weyl phase on the
-inverse-power cross term and in pi_k (0 for the unitary clock/shift pair).
+"""Unit amplitudes, characteristic set, Gram pair and determinants, certainty
+functionals and report record of both systems, which differ only in the Weyl
+phase on the inverse-power cross term and in pi_k (0 for the unitary
+clock/shift pair).
+
+:func:`gram_dets` and :func:`functionals` are closed forms in the fields of
+a :class:`CharSet`, so they take Python scalars and numpy arrays alike: the
+same code serves one configuration and a whole table of them.
 """
 
 from __future__ import annotations
@@ -33,6 +38,10 @@ class CharSet:
     shift^k on a qudit; exp(i phi n) and Edag^k on the single mode).  The
     inverse-power Gram matrix carries weyl * conj(cross_char), and pi_k is
     the weight that the adjoint of S annihilates.
+
+    Any field may be a numpy array, the fields broadcasting against each
+    other to a table of configurations; scalar fields are checked without a
+    numpy reduction, which keeps a single record cheap.
     """
 
     number_char: complex
@@ -43,9 +52,15 @@ class CharSet:
 
     def __post_init__(self) -> None:
         for name in ("number_char", "phase_char", "cross_char"):
-            if abs(getattr(self, name)) > 1.0 + 1e-12:
-                raise ValueError(f"|{name}| exceeds 1: {abs(getattr(self, name))!r}")
-        if not -1e-12 <= self.pi_k <= 1.0 + 1e-12:
+            size = abs(getattr(self, name))
+            if isinstance(size, np.ndarray):
+                size = float(np.max(size))
+            if size > 1.0 + 1e-12:
+                raise ValueError(f"|{name}| exceeds 1: {size!r}")
+        lo = hi = self.pi_k
+        if isinstance(lo, np.ndarray):
+            lo, hi = float(np.min(lo)), float(np.max(hi))
+        if not -1e-12 <= lo <= hi <= 1.0 + 1e-12:
             raise ValueError(f"pi_k out of [0, 1]: {self.pi_k!r}")
 
 
@@ -63,6 +78,34 @@ def gram_pair(cs: CharSet) -> tuple[Hermitian3, Hermitian3]:
         (number.conjugate(), phase.conjugate(), cs.weyl * cross.conjugate()),
     )
     return g_plus, g_minus
+
+
+def _det(diag, ar, ai, br, bi, cr, ci):
+    # det [[1, a, b], [a*, 1, c], [b*, c*, diag]] from the real and imaginary
+    # parts of a, b, c, in real products and sums only, which round alike on
+    # Python floats and numpy arrays.
+    re_acb = (ar * cr - ai * ci) * br + (ar * ci + ai * cr) * bi
+    abs_a2, abs_b2, abs_c2 = ar * ar + ai * ai, br * br + bi * bi, cr * cr + ci * ci
+    return diag * (1.0 - abs_a2) - abs_b2 - abs_c2 + 2.0 * re_acb
+
+
+def gram_dets(cs: CharSet) -> tuple:
+    """Determinants of both :func:`gram_pair` matrices, in closed form.
+
+    Each matrix has unit diagonal except D last and upper entries (a, b, c),
+    so its determinant is D (1 - |a|^2) - |b|^2 - |c|^2 + 2 Re(a c conj(b)):
+    D = 1 with (number, phase, cross) for the first, D = 1 - pi_k with
+    (conj number, conj phase, weyl * conj cross) for the second.  Array
+    fields give arrays of determinants, each equal to the one its scalar
+    entries give.
+    """
+    a, b, c, w = cs.number_char, cs.phase_char, cs.cross_char, cs.weyl
+    det_plus = _det(1.0, a.real, a.imag, b.real, b.imag, c.real, c.imag)
+    det_minus = _det(
+        1.0 - cs.pi_k, a.real, -a.imag, b.real, -b.imag,
+        w.real * c.real + w.imag * c.imag, w.imag * c.real - w.real * c.imag,
+    )
+    return det_plus, det_minus
 
 
 def functionals(cs: CharSet) -> tuple[float, float, float, float]:

@@ -10,12 +10,17 @@ the Weyl commutation relation
 
 for all integers k, l, which is what every check in this module leans on.
 
-shift^k acts on amplitudes as a signed cyclic roll, so every quantity here
-costs O(d) with no dense operator matrices and no caches; ``shift_op`` and
-``clock_op`` build matrices only for callers that ask for them.
+shift^k acts on amplitudes as a signed cyclic roll, so every quantity for
+one (k, l) pair costs O(d) with no dense operator matrices and no caches;
+``shift_op`` and ``clock_op`` build matrices only for callers that ask for
+them.  :func:`char_table` covers all d^2 pairs of one state at once in
+O(d^3): d rolls and one d x d matrix product.
 
 Characteristic sets are :class:`reports.CharSet` records whose Weyl phase is
 exp(-i 2pi k l / d) and whose pi_k is 0, since shift^k is unitary.
+:func:`report` takes its Gram determinants from the closed form
+:func:`reports.gram_dets`; :func:`gram_dets` here builds the Gram matrices
+and expands them with ``det3``, as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import reports
 from .numerics import Hermitian3, det3
 from .reports import CharSet, UncertaintyReport, functionals, gram_pair, unit_amplitudes
 
@@ -67,25 +73,29 @@ class QuditState:
         object.__setattr__(self, "amplitudes", unit_amplitudes(c))
 
 
-def _unit_phases(dim: int, power: int) -> np.ndarray:
+def _unit_phases(dim: int, power) -> np.ndarray:
     # exp(i 2pi m q / d) for m = -j..j, with the exponent reduced in exact
-    # integer arithmetic: 2 m q = (2t - d + 1) q with t = 0..d-1.
+    # integer arithmetic: 2 m q = (2t - d + 1) q with t = 0..d-1.  A column
+    # of powers gives one row per power.
     t = np.arange(dim)
     num = ((2 * t - (dim - 1)) * power) % (2 * dim)
     return np.exp(1j * math.pi * num / dim)
 
 
+def _wrapped(dim: int, c: np.ndarray) -> np.ndarray:
+    # c along axis 0, preceded by a copy times the wrap phase
+    # exp(-i 2pi j) = (-1)^(d-1).  Its rows d-r .. 2d-r-1 are shift^r c for
+    # r = 0..d: c rolled by r, with the r entries that wrap from the copy.
+    return np.concatenate((c if dim % 2 else -c, c))
+
+
 def _apply_shift(dim: int, k: int, c: np.ndarray) -> np.ndarray:
-    # shift^k acts along axis 0 as a cyclic roll by r = k mod d, two slices
-    # joined into a new array that the sign flips below may write to.  The
-    # r entries that wrap pick up exp(-i 2pi j) = (-1)^(d-1), and shift^d is
-    # that same sign times the identity, once per full period q = k div d.
+    # shift^k acts along axis 0 as the signed cyclic roll by r = k mod d,
+    # and shift^d is the wrap sign times the identity, once per full period
+    # q = k div d.  The result is a fresh array.
     q, r = divmod(k, dim)
-    w = np.concatenate((c[dim - r:], c[:dim - r]))
-    if dim % 2 == 0:
-        w[:r] *= -1.0
-        w *= (-1.0) ** q
-    return w
+    w = _wrapped(dim, c)[dim - r:2 * dim - r]
+    return -w if dim % 2 == 0 and q % 2 else w
 
 
 def phase_state(system: SpinSystem, m_tilde: float) -> QuditState:
@@ -134,9 +144,12 @@ def pauli_ops() -> tuple[np.ndarray, np.ndarray]:
     return SIGMA_X.copy(), SIGMA_Z.copy()
 
 
-def _weyl_phase(dim: int, k: int, ell: int) -> complex:
-    # exp(-i 2pi k l / d), with k l reduced modulo d in integers.
-    return complex(np.exp(-2j * math.pi * ((k * ell) % dim) / dim))
+def _weyl_phase(dim: int, k, ell):
+    # exp(-i 2pi k l / d), with k l reduced modulo d in integers; a complex
+    # for integer k, l and an array for integer arrays.  The angle is formed
+    # in real arithmetic, where scalars and arrays round alike.
+    z = np.exp(1j * (-2.0 * math.pi * ((k * ell) % dim) / dim))
+    return z if isinstance(z, np.ndarray) else complex(z)
 
 
 def weyl_defect(system: SpinSystem, k: int, ell: int) -> float:
@@ -194,6 +207,28 @@ def char_set(state: QuditState, k: int, ell: int) -> CharSet:
     return CharSet(number_char, phase_char, cross_char, _weyl_phase(d, k, ell))
 
 
+def char_table(state: QuditState) -> CharSet:
+    """Characteristic sets of every pair (k, l), k, l = 1..d, as one record.
+
+    The fields broadcast to d x d, and entry [k-1, l-1] equals
+    ``char_set(state, k, l)`` up to rounding (weyl exactly): number_char has
+    shape (1, d), phase_char (d, 1), cross_char and weyl (d, d).  Both powers have period d up to a sign (shift^d and
+    clock^d are -1 for even d), so these d^2 entries give every pair.  The
+    rows of clock phases and the d signed rolls shift^k psi are each formed
+    once; the cross characters are one matrix product of the two.
+    """
+    d = state.system.dim
+    c = state.amplitudes
+    powers = np.arange(1, d + 1)
+    f = _unit_phases(d, powers[:, None])
+    w = _wrapped(d, c)[d + np.arange(d) - powers[:, None]]  # row k-1: shift^k c
+    number_char = f @ (np.abs(c) ** 2)
+    phase_char = w @ c.conj()
+    cross_char = w @ (f * c).conj().T
+    weyl = _weyl_phase(d, powers[:, None], powers[None, :])
+    return CharSet(number_char[None, :], phase_char[:, None], cross_char, weyl)
+
+
 def cyclic_phase(state: QuditState, k: int, ell: int) -> complex:
     """<shift^-k clock^-l shift^k clock^l>, the closed-excursion phase.
 
@@ -214,7 +249,10 @@ def gram_matrix(cs: CharSet) -> Hermitian3:
 
 def gram_dets(state: QuditState, k: int, ell: int) -> tuple[float, float]:
     """Determinants of the Gram matrices for (k, l) and (-k, -l); the second
-    comes from the (k, l) set through unitarity and the Weyl phase."""
+    comes from the (k, l) set through unitarity and the Weyl phase.
+
+    Built as matrices and expanded by ``det3``, independently of the closed
+    form that :func:`report` and :func:`char_table` users take."""
     g_plus, g_minus = gram_pair(char_set(state, k, ell))
     return det3(g_plus), det3(g_minus)
 
@@ -231,8 +269,7 @@ def report(state: QuditState, k: int, ell: int) -> UncertaintyReport:
     bound = certainty_bound(gamma)
     u, u_prime, _, v = functionals(cs)
     applicable = abs(gamma - math.pi) <= 1e-9
-    g_plus, g_minus = gram_pair(cs)
-    det_plus, det_minus = det3(g_plus), det3(g_minus)
+    det_plus, det_minus = reports.gram_dets(cs)
     return UncertaintyReport(
         u=u,
         v=v,

@@ -4,6 +4,12 @@ Each suite draws seeded random states, checks the module invariants (Weyl
 identities, Gram positivity, certainty bounds, closed-form oracles) and
 collects human-readable failure descriptions.  Oracle comparisons here use
 independently constructed dense operators, not the production fast paths.
+
+The spin suite checks the Gram determinants, the certainty bounds and the
+triple sum of each random state on all its drawn (k, l) pairs at once: one
+``spin.char_table`` per state, the closed-form ``reports.gram_dets`` and
+``reports.functionals`` on the table, and array comparisons.  Failures are
+listed per pair in the drawn order and quote that pair's single-pair values.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import families, fock, spin
+from . import families, fock, reports, spin
 
 _DET_TOL = -1e-10
 _BOUND_TOL = 1e-9
@@ -84,31 +90,44 @@ def run_spin(samples: int, seed: int) -> SuiteResult:
     for d in dims:
         system = spin.SpinSystem(d)
         pairs = _spin_pairs(d, rng)
+        at = tuple(np.array(pairs).T - 1)  # each pair's entry in a char table
+        gammas = [spin.weyl_angle(system, k, l) for k, l in pairs]
+        bound = np.array([spin.certainty_bound(g) for g in gammas])
+        applicable = np.abs(np.array(gammas) - math.pi) <= 1e-9
         for _ in range(per):
             st = spin.random_state(system, rng)
-            for k, l in pairs:
-                rep = spin.report(st, k, l)
-                res.checks += 1
-                min_det = min(min_det, rep.det_plus, rep.det_minus)
-                if rep.det_plus < _DET_TOL or rep.det_minus < _DET_TOL:
+            table = spin.char_table(st)
+            det_plus, det_minus = (x[at] for x in reports.gram_dets(table))
+            u, u_prime, _, v = (x[at] for x in reports.functionals(table))
+            res.checks += len(pairs)
+            min_det = min(min_det, float(det_plus.min()), float(det_minus.min()))
+            det_bad = (det_plus < _DET_TOL) | (det_minus < _DET_TOL)
+            u_bad = u > bound + _BOUND_TOL
+            v_bad = v > bound / 2 + _BOUND_TOL
+            triple_bad = applicable & (u_prime > 1.0 + _BOUND_TOL)
+            for i in np.flatnonzero(det_bad | u_bad | v_bad | triple_bad):
+                # A message quotes the single-pair values (spin.char_set, and
+                # the det3 cross-check spin.gram_dets) of its printed state, not
+                # the table's, which may differ from them in the last digit.
+                k, l = pairs[i]
+                u_i, u_prime_i, _, v_i = reports.functionals(spin.char_set(st, k, l))
+                det_plus_i, det_minus_i = spin.gram_dets(st, k, l)
+                where = f"spin d={d} k={k} l={l}"
+                amps = _amps(st.amplitudes)
+                if det_bad[i]:
                     res.failures.append(
-                        f"spin d={d} k={k} l={l}: Gram determinant negative "
-                        f"({rep.det_plus:.3e}, {rep.det_minus:.3e}); amplitudes={_amps(st.amplitudes)}"
+                        f"{where}: Gram determinant negative "
+                        f"({det_plus_i:.3e}, {det_minus_i:.3e}); amplitudes={amps}"
                     )
-                if rep.u > rep.bound + _BOUND_TOL:
+                if u_bad[i]:
                     res.failures.append(
-                        f"spin d={d} k={k} l={l}: U={rep.u!r} exceeds bound {rep.bound!r}; "
-                        f"amplitudes={_amps(st.amplitudes)}"
+                        f"{where}: U={u_i!r} exceeds bound {float(bound[i])!r}; amplitudes={amps}"
                     )
-                if rep.v > rep.bound / 2 + _BOUND_TOL:
+                if v_bad[i]:
+                    res.failures.append(f"{where}: V={v_i!r} exceeds bound/2; amplitudes={amps}")
+                if triple_bad[i]:
                     res.failures.append(
-                        f"spin d={d} k={k} l={l}: V={rep.v!r} exceeds bound/2; "
-                        f"amplitudes={_amps(st.amplitudes)}"
-                    )
-                if rep.applicable and rep.u_prime > 1.0 + _BOUND_TOL:
-                    res.failures.append(
-                        f"spin d={d} k={k} l={l}: triple sum {rep.u_prime!r} exceeds 1; "
-                        f"amplitudes={_amps(st.amplitudes)}"
+                        f"{where}: triple sum {u_prime_i!r} exceeds 1; amplitudes={amps}"
                     )
             k = int(rng.integers(1, 2 * d + 1))
             l = int(rng.integers(1, 2 * d + 1))

@@ -196,6 +196,32 @@ def test_out_of_range_alpha2_prints_a_plain_float():
     assert "np.float64" not in proc.stderr
 
 
+@pytest.mark.parametrize("spec", ["number:n=3", "intermediate:alpha2=0.5,n=3,xi=0.5"])
+def test_scan_over_n_rejects_a_non_integer_grid(spec):
+    # The grid 0, 1.25, 2.5 must not be rounded to other states than the rows report.
+    proc = run_cli(
+        "scan", "--family", spec, "--param", "n", "--from", "0", "--to", "2.5", "--steps", "3",
+    )
+    assert_one_line_error(proc, "n must be an integer")
+
+
+def test_scan_over_n_on_an_integer_grid_reports_the_state_it_evaluates():
+    proc = run_cli(
+        "scan", "--family", "number:n=3", "--param", "n", "--from", "0", "--to", "2", "--steps", "3",
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+    assert [(float(r[0]), float(r[-1])) for r in rows] == [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]
+
+
+def test_extremum_over_n_rejects_non_integer_points():
+    proc = run_cli(
+        "extremum", "--family", "number:n=3", "--param", "n",
+        "--functional", "V", "--kind", "max", "--from", "0", "--to", "3",
+    )
+    assert_one_line_error(proc, "n must be an integer")
+
+
 def test_negative_e_notation_is_a_value():
     proc = run_cli("qubit", "--sx", "0.1", "--sy", "0.2", "--sz", "-5e-05")
     assert proc.returncode == 0, proc.stderr

@@ -311,7 +311,17 @@ def test_with_param():
     # Sweeping xi or n keeps complex weights exactly, phase included.
     phased = Intermediate(0.6j, -0.8, 2, 0.5 + 0.1j)
     assert with_param(phased, "xi", 0.7) == Intermediate(0.6j, -0.8, 2, 0.7)
-    assert with_param(phased, "n", 4.4) == Intermediate(0.6j, -0.8, 4, 0.5 + 0.1j)
+    assert with_param(phased, "n", 4.0) == Intermediate(0.6j, -0.8, 4, 0.5 + 0.1j)
     assert with_param(phased, "alpha2", 0.36) == Intermediate(0.6, 0.8, 2, 0.5 + 0.1j)
     with pytest.raises(ValueError, match="sweepable"):
         with_param(PhaseCoherent(0.1), "nbar", 1.0)
+
+
+@pytest.mark.parametrize("spec", [NumberState(3), Intermediate(0.6, 0.8, 3, 0.5)])
+def test_non_integer_n_is_rejected_not_rounded(spec):
+    # A photon count of 4.4 names no state of either family.
+    with pytest.raises(ValueError, match="n must be an integer"):
+        with_param(spec, "n", 4.4)
+    text = format_spec(spec).replace("n=3", "n=2.5")
+    with pytest.raises(FamilySpecError, match="n must be an integer"):
+        parse_spec(text)

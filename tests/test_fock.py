@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from weyl_uncert import families, fock
-from weyl_uncert.reports import CharSet
+from weyl_uncert import families, fock, reports
+from weyl_uncert.numerics import det3
+from weyl_uncert.reports import CharSet, gram_pair
 from weyl_uncert.fock import (
     FockState,
     apply_lowering,
@@ -252,6 +253,41 @@ def test_gram_dets_match_explicit_formulas():
         dp, dm = gram_dets(st, k, phi)
         assert dp == pytest.approx(ref_plus, abs=1e-12)
         assert dm == pytest.approx(ref_minus, abs=1e-12)
+
+
+def test_closed_form_gram_dets_match_det3_with_pi_k():
+    # Number states (pi_k = 0 or 1), phase-coherent states near |xi| = 1 and
+    # random states, at and away from the stringent point.
+    rng = np.random.default_rng(41)
+    states = [number_state(n, n_max=6) for n in range(4)]
+    states += [families.build(families.PhaseCoherent(xi)) for xi in (0.9, 0.5j, 0.99)]
+    states += [random_state(int(rng.integers(3, 40)), rng) for _ in range(10)]
+    with_pi_k = 0
+    for st in states:
+        for k in (1, 2, 3):
+            for phi in (math.pi / k, 0.7, 0.0):
+                cs = char_set(st, k, phi)
+                with_pi_k += cs.pi_k > 0.0
+                g_plus, g_minus = gram_pair(cs)
+                det_plus, det_minus = reports.gram_dets(cs)
+                assert abs(det_plus - det3(g_plus)) <= 1e-12
+                assert abs(det_minus - det3(g_minus)) <= 1e-12
+    assert with_pi_k >= len(states)
+
+
+def test_array_char_set_gives_the_scalar_dets_exactly():
+    rng = np.random.default_rng(42)
+    sets = [
+        char_set(random_state(int(rng.integers(3, 30)), rng), int(rng.integers(1, 4)),
+                 float(rng.uniform(-math.pi, math.pi)))
+        for _ in range(60)
+    ]
+    names = ("number_char", "phase_char", "cross_char", "weyl", "pi_k")
+    stacked = CharSet(*(np.array([getattr(cs, name) for cs in sets]) for name in names))
+    det_plus, det_minus = reports.gram_dets(stacked)
+    assert det_plus.shape == det_minus.shape == (60,)
+    for i, cs in enumerate(sets):
+        assert (det_plus[i], det_minus[i]) == reports.gram_dets(cs)
 
 
 def test_gram_positivity_random_sample():

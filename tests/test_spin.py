@@ -1,13 +1,17 @@
 """Spin-like Weyl pair: phase states, operator identities, characteristic
-sets against dense oracles, bounds and the qubit closed forms."""
+sets against dense oracles, bounds, the closed-form Gram kernel, the
+all-pairs table and the batched verify suite, and the qubit closed forms."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
-from weyl_uncert import spin
+from weyl_uncert import reports, spin, verify
 from weyl_uncert.numerics import det3, min_eig3
+from weyl_uncert.reports import CharSet, gram_pair
 from weyl_uncert.spin import (
     SIGMA_X,
     SIGMA_Y,
@@ -44,6 +48,13 @@ def dense_shift(d):
 def dense_clock(d):
     j = (d - 1) / 2.0
     return np.diag(np.exp(2j * math.pi * (np.arange(d) - j) / d))
+
+
+def assert_closed_form_matches_det3(cs):
+    g_plus, g_minus = gram_pair(cs)
+    det_plus, det_minus = reports.gram_dets(cs)
+    assert abs(det_plus - det3(g_plus)) <= 1e-12
+    assert abs(det_minus - det3(g_minus)) <= 1e-12
 
 
 def qudit_from_bloch(s):
@@ -263,11 +274,12 @@ def test_gram_dets_number_eigenstate_singular():
 def test_gram_dets_trivial_powers_singular():
     # k = l = d makes all three vectors collinear up to the parity phase.
     rng = np.random.default_rng(23)
-    for d in (3, 5):
+    for d in (3, 5, 2, 4, 8, 16):
         st = random_state(SpinSystem(d), rng)
         dp, dm = gram_dets(st, d, d)
         assert dp == pytest.approx(0.0, abs=1e-10)
         assert dm == pytest.approx(0.0, abs=1e-10)
+        assert_closed_form_matches_det3(char_set(st, d, d))
 
 
 def test_gram_dets_minus_pair_matches_direct_char_set():
@@ -367,6 +379,140 @@ def test_gram_det_equator_state():
     assert abs(abs(cs.cross_char) - 1.0) < 1e-12
     dp, _ = gram_dets(st, 1, 1)
     assert dp == pytest.approx(0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# closed-form Gram kernel
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def test_closed_form_gram_dets_number_and_phase_states(d):
+    # Every pair, k = l = d included, of the states that saturate the bounds.
+    system = SpinSystem(d)
+    states = [QuditState(system, np.eye(d)[i]) for i in range(d)]
+    states += [phase_state(system, m) for m in system.m_values()]
+    for st in states:
+        for k in range(1, d + 1):
+            for ell in range(1, d + 1):
+                assert_closed_form_matches_det3(char_set(st, k, ell))
+
+
+@pytest.mark.parametrize(
+    "bloch",
+    [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-0.6, 0.8, 0.0),  # equator
+     (1 / math.sqrt(2), 0.0, 1 / math.sqrt(2)), (0.0, 1 / math.sqrt(2), -1 / math.sqrt(2)),  # diagonal
+     (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)],  # poles
+)
+def test_closed_form_gram_dets_bloch_surface(bloch):
+    st = qudit_from_bloch(bloch)
+    for k, ell in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1)):
+        assert_closed_form_matches_det3(char_set(st, k, ell))
+        assert_closed_form_matches_det3(qubit_char(bloch, k, ell))
+
+
+def test_report_takes_the_closed_form_dets():
+    st = random_state(SpinSystem(5), np.random.default_rng(31))
+    for k, ell in ((1, 1), (2, 3), (5, 5)):
+        rep = report(st, k, ell)
+        assert (rep.det_plus, rep.det_minus) == reports.gram_dets(char_set(st, k, ell))
+        dp, dm = gram_dets(st, k, ell)  # the det3 cross-check
+        assert abs(rep.det_plus - dp) <= 1e-12 and abs(rep.det_minus - dm) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# all-pairs table
+
+
+def table_fields(table):
+    return np.broadcast_arrays(table.number_char, table.phase_char, table.cross_char, table.weyl)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16, 33])
+def test_char_table_matches_char_set_on_every_pair(d):
+    st = random_state(SpinSystem(d), np.random.default_rng(100 + d))
+    table = spin.char_table(st)
+    number, phase, cross, weyl = table_fields(table)
+    assert number.shape == (d, d) and table.pi_k == 0.0
+    for k in range(1, d + 1):
+        for ell in range(1, d + 1):
+            cs = char_set(st, k, ell)
+            assert abs(number[k - 1, ell - 1] - cs.number_char) <= 1e-13
+            assert abs(phase[k - 1, ell - 1] - cs.phase_char) <= 1e-13
+            assert abs(cross[k - 1, ell - 1] - cs.cross_char) <= 1e-13
+            assert weyl[k - 1, ell - 1] == spin._weyl_phase(d, k, ell) == cs.weyl
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def test_char_table_matches_dense_oracle(d):
+    st = random_state(SpinSystem(d), np.random.default_rng(200 + d))
+    c = st.amplitudes
+    number, phase, cross, _ = table_fields(spin.char_table(st))
+    e, f = verify._dense_shift(d), verify._dense_clock(d)
+    for k in range(1, d + 1):
+        ek = np.linalg.matrix_power(e, k)
+        for ell in range(1, d + 1):
+            fl = np.linalg.matrix_power(f, ell)
+            assert abs(number[k - 1, ell - 1] - np.vdot(c, fl @ c)) < 1e-12
+            assert abs(phase[k - 1, ell - 1] - np.vdot(c, ek @ c)) < 1e-12
+            assert abs(cross[k - 1, ell - 1] - np.vdot(c, fl.conj().T @ ek @ c)) < 1e-12
+
+
+def test_char_table_dets_equal_the_scalar_kernel_exactly():
+    st = random_state(SpinSystem(8), np.random.default_rng(32))
+    table = spin.char_table(st)
+    fields = table_fields(table)
+    det_plus, det_minus = reports.gram_dets(table)
+    for i, j in np.ndindex(8, 8):
+        cs = CharSet(*(complex(x[i, j]) for x in fields))
+        assert (det_plus[i, j], det_minus[i, j]) == reports.gram_dets(cs)
+
+
+def test_array_char_set_rejects_an_entry_above_one():
+    table = spin.char_table(random_state(SpinSystem(4), np.random.default_rng(33)))
+    for name in ("number_char", "phase_char", "cross_char"):
+        bad = np.array(getattr(table, name))
+        bad.flat[-1] = 1j * (1.0 + 1e-11)
+        with pytest.raises(ValueError, match=rf"\|{name}\| exceeds 1"):
+            dataclasses.replace(table, **{name: bad})
+    for pi_k in (np.array([0.0, 0.5, 1.0 + 1e-11]), np.array([-1e-11, 0.5]), np.array([0.5, math.nan])):
+        with pytest.raises(ValueError, match="pi_k out of"):
+            dataclasses.replace(table, pi_k=pi_k)
+    assert dataclasses.replace(table, pi_k=np.array([0.0, 1.0])).pi_k.shape == (2,)
+
+
+def test_batched_spin_suite_reports_every_failure_in_pair_order(monkeypatch):
+    # With these tolerances every drawn pair fails its det, U and V checks,
+    # and the triple sum as well where gamma = pi.
+    monkeypatch.setattr(verify, "_BOUND_TOL", -10.0)
+    monkeypatch.setattr(verify, "_DET_TOL", 10.0)
+    res = verify.run_spin(6, 1)
+    kinds = {"Gram determinant negative": "det", "U=": "U", "V=": "V", "triple sum": "triple"}
+    groups: list[tuple[tuple[int, int, int], list[str], set[str]]] = []
+    for msg in res.failures:
+        m = re.fullmatch(r"spin d=(\d+) k=(\d+) l=(\d+): (Gram determinant negative|U=|V=|triple sum).*"
+                         r"; amplitudes=(.*)", msg)
+        assert m is not None, msg
+        pair = tuple(int(x) for x in m.group(1, 2, 3))
+        if not groups or groups[-1][0] != pair:
+            groups.append((pair, [], set()))
+        groups[-1][1].append(kinds[m.group(4)])
+        groups[-1][2].add(m.group(5))
+    pairs = [g[0] for g in groups]
+    dims = [p[0] for p in pairs]
+    assert dims == sorted(dims, key=(2, 3, 4, 5, 8, 16).index)
+    for d in (2, 3, 4, 5, 8):
+        grid = [(d, k, ell) for k in range(1, d + 1) for ell in range(1, d + 1)]
+        assert [p for p in pairs if p[0] == d] == grid
+    drawn = [p for p in pairs if p[0] == 16]
+    assert drawn == sorted(set(drawn)) and len(drawn) == 32
+    assert {(16, 1, 8), (16, 1, 16), (16, 16, 16)} <= set(drawn)
+    at_pi = [d % 2 == 0 and (k * ell) % d == d // 2 for d, k, ell in pairs]
+    for (_, got, amps), triple in zip(groups, at_pi):
+        assert got == ["det", "U", "V"] + ["triple"] * triple
+        assert len(amps) == 1
+    assert len(pairs) == 150 and len(res.failures) == 3 * 150 + sum(at_pi)
+    assert res.checks == 150 + 6 + 64 + 49
+    assert not any("np.float64(" in msg for msg in res.failures)
 
 
 # ---------------------------------------------------------------------------
