@@ -147,7 +147,11 @@ def _resolve_cap(max_nmax: int | None) -> int:
 
 def _cap_error(need: int, cap: int) -> ValueError:
     # A spec such as gaussian:nbar=1e308 needs an n_max of hundreds of digits.
-    shown = need if need < 10**15 else f"{float(need):.3g}"
+    # Decimal rounds it to three digits as float would, without overflowing;
+    # it is imported on this error path only, which keeps it out of every run.
+    from decimal import Context, Decimal
+
+    shown = need if need < 10**15 else format(Context(prec=3).normalize(Decimal(need)), "g")
     return ValueError(
         f"truncation cap exceeded: family needs n_max = {shown} but the cap is {cap} "
         f"(raise it via {TRUNCATION_CAP_ENV} or the max_nmax argument)"
@@ -448,7 +452,7 @@ def parse_spec(text: str) -> FamilySpec:
     if head not in _GRAMMAR:
         raise FamilySpecError(f"unknown family {head!r}", 0)
     cls, keys = _GRAMMAR[head]
-    values: dict[str, float] = {}
+    values: dict[str, int | float] = {}
     pos = len(head) + 1
     parts = rest.split(",") if sep else []
     for part in parts:
@@ -460,11 +464,15 @@ def parse_spec(text: str) -> FamilySpec:
         if key in values:
             raise FamilySpecError(f"duplicate key {key!r}", pos)
         try:
-            values[key] = float(val)
+            # An integer literal stays an exact int: counts may exceed 2^53.
+            values[key] = int(val)
         except ValueError:
-            raise FamilySpecError(f"invalid number {val!r}", pos + len(key) + 1) from None
-        if not math.isfinite(values[key]):
-            raise FamilySpecError(f"non-finite number {val!r}", pos + len(key) + 1)
+            try:
+                values[key] = float(val)
+            except ValueError:
+                raise FamilySpecError(f"invalid number {val!r}", pos + len(key) + 1) from None
+            if not math.isfinite(values[key]):
+                raise FamilySpecError(f"non-finite number {val!r}", pos + len(key) + 1)
         pos += len(part) + 1
     missing = sorted(k for k, entry in keys.items() if entry.required and k not in values)
     if missing:
@@ -474,7 +482,7 @@ def parse_spec(text: str) -> FamilySpec:
         for key, value in values.items():
             fields.update(keys[key].write(value))
         return cls(**fields)
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:
         raise FamilySpecError(str(err), len(head) + 1) from None
 
 

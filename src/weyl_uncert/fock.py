@@ -101,17 +101,24 @@ def apply_phase_shift(state: FockState, phi: float) -> FockState:
 def char_set(state: FockState, k: int, phi: float) -> CharSet:
     """Characteristic set by direct amplitude sums: number_char = <exp(i phi n)>,
     phase_char = <Edag^k>, cross_char = <exp(-i phi n) Edag^k> and pi_k, the
-    population of photon numbers below k."""
+    population of photon numbers below k.
+
+    One phase table exp(i phi n), n = 0..n_max, serves both phase-weighted
+    sums: the cross sum reads its conjugate from n = k on, which is bitwise
+    exp(-i phi n) since cos is even and sin odd.
+    """
     k = _check_k(state, k)
     c = state.amplitudes
-    n = np.arange(c.size)
+    phases = np.exp(1j * phi * np.arange(c.size))
     probs = np.abs(c) ** 2
-    number_char = complex(probs @ np.exp(1j * phi * n))
     pair = np.conj(c[k:]) * c[:-k]
-    phase_char = complex(np.sum(pair))
-    cross_char = complex(pair @ np.exp(-1j * phi * n[k:]))
-    pi_k = float(np.sum(probs[:k]))
-    return CharSet(number_char, phase_char, cross_char, np.exp(-1j * k * phi), pi_k)
+    return CharSet(
+        complex(probs @ phases),
+        complex(pair.sum()),
+        complex(pair @ phases[k:].conj()),
+        np.exp(-1j * k * phi),
+        float(probs[:k].sum()),
+    )
 
 
 def stringent(k: int, phi: float) -> bool:
@@ -161,14 +168,16 @@ def report(state: FockState, k: int, phi: float) -> UncertaintyReport:
 def phase_distribution(state: FockState, phi_grid: np.ndarray) -> np.ndarray:
     """Phase density P(phi) = |sum_n c_n exp(-i n phi)|^2 / (2 pi) on a grid.
 
-    The grid must be one period, phi_j = phi_0 + 2 pi j / M (e.g. [-pi, pi)),
-    or ValueError is raised; the sum is then one length-M FFT of
+    The grid must be finite and one period, phi_j = phi_0 + 2 pi j / M (e.g.
+    [-pi, pi)), or ValueError is raised; the sum is then one length-M FFT of
     c_n exp(-i n phi_0) folded modulo M.  With M > 2 n_max the periodic
     rectangle quadrature of P over the period is exact up to rounding.
     """
     grid = np.asarray(phi_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("phi_grid must be a 1-D grid with at least 2 points")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("phi_grid must be finite")
     m = grid.size
     periodic = grid[0] + (2.0 * math.pi / m) * np.arange(m)
     if np.max(np.abs(grid - periodic)) > _GRID_TOL * (1.0 + np.max(np.abs(grid))):

@@ -55,8 +55,8 @@ class CharSet:
             size = abs(getattr(self, name))
             if isinstance(size, np.ndarray):
                 size = float(np.max(size))
-            if size > 1.0 + 1e-12:
-                raise ValueError(f"|{name}| exceeds 1: {size!r}")
+            if not size <= 1.0 + 1e-12:
+                raise ValueError(f"|{name}| exceeds 1 or is NaN: {size!r}")
         lo = hi = self.pi_k
         if isinstance(lo, np.ndarray):
             lo, hi = float(np.min(lo)), float(np.max(hi))

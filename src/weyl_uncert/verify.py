@@ -38,7 +38,8 @@ class SuiteResult:
 
 
 def _amps(vec: np.ndarray) -> str:
-    return np.array2string(np.asarray(vec), separator=",", max_line_width=10**9)
+    # Shortest round-trip digits, so a failing state can be rebuilt from its message.
+    return np.array2string(np.asarray(vec), separator=",", max_line_width=10**9, floatmode="unique")
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,15 @@ def test_truncation_cap_error_prints_huge_n_max_compactly():
     assert "n_max = 1e+308" in proc.stderr
 
 
+def test_truncation_cap_error_prints_a_400_digit_count_compactly():
+    proc = run_cli(
+        "scan", "--family", f"intermediate:alpha2=0.5,n={10**399},xi=0.5", "--param", "xi",
+        "--from", "0.1", "--to", "0.2", "--steps", "2",
+    )
+    assert_one_line_error(proc, "n_max = 1e+399 but the cap is")
+    assert len(proc.stderr.splitlines()[0]) <= 200
+
+
 def test_truncation_cap_error_keeps_ordinary_n_max_exact():
     proc = run_cli(
         "scan", "--family", "phase-coherent:xi=0.999", "--param", "xi",

@@ -262,8 +262,23 @@ def test_parse_spec_round_trips():
     for text, spec in cases:
         assert parse_spec(text) == spec
         assert parse_spec(format_spec(spec)) == spec
-    # Integer counts are written exactly, also beyond float precision.
+    # Integer counts are written and read exactly, also beyond float precision.
     assert format_spec(NumberState(2**60 + 1)) == f"number:n={2**60 + 1}"
+    assert parse_spec(format_spec(NumberState(2**60 + 1))) == NumberState(2**60 + 1)
+    assert parse_spec("number:n=9007199254740993").n == 2**53 + 1
+
+
+def test_parse_spec_keeps_a_huge_count_exact_until_the_cap():
+    digits = "1" + "0" * 399
+    spec = parse_spec(f"number:n={digits}")
+    assert spec == NumberState(10**399)
+    with pytest.raises(ValueError, match=r"n_max = 1e\+399 but the cap is 4096"):
+        build(spec, max_nmax=4096)
+    # Fields read as floats reject a literal no float can hold.
+    for text in (f"phase-coherent:xi={digits}", f"gaussian:nbar={digits},a=0.01",
+                 f"intermediate:alpha2={digits},n=3,xi=0.5"):
+        with pytest.raises(FamilySpecError, match="too large"):
+            parse_spec(text)
 
 
 def test_parse_spec_intermediate():

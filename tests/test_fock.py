@@ -145,7 +145,13 @@ def test_char_set_record_validation():
     for pi_k in (-1e-11, 1.0 + 1e-11, math.nan):
         with pytest.raises(ValueError, match="pi_k out of"):
             CharSet(**ok, pi_k=pi_k)
+    for name in ("number_char", "phase_char", "cross_char"):
+        for bad in (complex(math.nan, 0.0), complex(0.0, math.nan), np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match=rf"\|{name}\| exceeds 1 or is NaN"):
+                CharSet(**{**ok, name: bad})
     st = random_state(6, np.random.default_rng(40))
+    with pytest.raises(ValueError, match="is NaN"):
+        char_set(st, 1, math.nan)
     for k, phi in ((1, math.pi), (3, 0.7), (2, -2.5)):
         assert char_set(st, k, phi).weyl == np.exp(-1j * k * phi)
 
@@ -185,6 +191,36 @@ def test_char_set_against_dense_oracle():
             assert abs(cs.phase_char - np.vdot(c, edk @ c)) < 1e-12
             assert abs(cs.cross_char - np.vdot(c, rot.conj().T @ edk @ c)) < 1e-12
             assert abs(cs.pi_k - np.linalg.norm(c[:k]) ** 2) < 1e-12
+
+
+def two_exponential_char_set(state, k, phi):
+    # The per-sum formula: one complex exponential for the number sum and
+    # another for the cross sum.
+    c = state.amplitudes
+    n = np.arange(c.size)
+    probs = np.abs(c) ** 2
+    pair = np.conj(c[k:]) * c[:-k]
+    return (
+        complex(probs @ np.exp(1j * phi * n)),
+        complex(np.sum(pair)),
+        complex(pair @ np.exp(-1j * phi * n[k:])),
+        np.exp(-1j * k * phi),
+        float(np.sum(probs[:k])),
+    )
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 8, 153, 427, 4096])
+def test_char_set_equals_two_exponential_formula_exactly(n_max):
+    # The shared phase table conjugated is bitwise exp(-i phi n), so every
+    # field matches the per-sum formula exactly, not just to rounding.
+    rng = np.random.default_rng(n_max)
+    for _ in range(3):
+        st = random_state(n_max, rng)
+        for k in sorted({1, 2, 5, n_max} & set(range(1, n_max + 1))):
+            for phi in (0.0, math.pi, math.pi / k, -2.3, 7.5, 1e3):
+                cs = char_set(st, k, phi)
+                got = (cs.number_char, cs.phase_char, cs.cross_char, cs.weyl, cs.pi_k)
+                assert got == two_exponential_char_set(st, k, phi), (n_max, k, phi)
 
 
 def test_number_char_hermitian_in_phi():
@@ -407,6 +443,11 @@ def test_phase_distribution_grid_validation():
         np.sort(np.random.default_rng(4).uniform(-math.pi, math.pi, 64)),
     ):
         with pytest.raises(ValueError, match="one period"):
+            phase_distribution(st, grid)
+    for index, value in ((0, math.nan), (5, math.nan), (5, math.inf)):
+        grid = np.linspace(-math.pi, math.pi, 64, endpoint=False)
+        grid[index] = value
+        with pytest.raises(ValueError, match="finite"):
             phase_distribution(st, grid)
 
 

@@ -515,6 +515,23 @@ def test_batched_spin_suite_reports_every_failure_in_pair_order(monkeypatch):
     assert not any("np.float64(" in msg for msg in res.failures)
 
 
+def test_spin_failure_message_rebuilds_the_drawn_state_exactly(monkeypatch):
+    drawn, draw = [], spin.random_state
+
+    def recording_random_state(system, rng):
+        drawn.append(draw(system, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(spin, "random_state", recording_random_state)
+    monkeypatch.setattr(verify, "_BOUND_TOL", -10.0)
+    res = verify.run_spin(6, 1)
+    m = re.fullmatch(r"spin d=(\d+) k=\d+ l=\d+: U=.*; amplitudes=\[(.*)\]", res.failures[0])
+    assert m is not None, res.failures[0]
+    amps = [complex(x.replace(" ", "")) for x in m.group(2).split(",")]
+    rebuilt = spin.QuditState(spin.SpinSystem(int(m.group(1))), amps)
+    assert np.array_equal(rebuilt.amplitudes, drawn[0].amplitudes)
+
+
 # ---------------------------------------------------------------------------
 # qubit closed forms
 
