@@ -9,7 +9,7 @@ moduli, and this package computes, verifies and sweeps those relations.
 """
 
 from . import analysis, families, fock, spin, verify
-from .numerics import Hermitian3, bessel_i, det3, eigvals3, min_eig3
+from .numerics import Hermitian3, bessel_i, det3
 from .reports import UncertaintyReport
 
 __version__ = "0.1.0"
@@ -20,10 +20,8 @@ __all__ = [
     "analysis",
     "bessel_i",
     "det3",
-    "eigvals3",
     "families",
     "fock",
-    "min_eig3",
     "spin",
     "verify",
 ]

@@ -45,8 +45,8 @@ class FockState:
         if c.ndim != 1 or c.size < 1:
             raise ValueError("amplitudes must be a non-empty 1-D vector")
         object.__setattr__(self, "amplitudes", unit_amplitudes(c))
-        if self.tail_bound < 0.0:
-            raise ValueError("tail_bound must be >= 0")
+        if not 0.0 <= self.tail_bound < math.inf:
+            raise ValueError("tail_bound must be finite and >= 0")
 
     @property
     def n_max(self) -> int:
@@ -130,12 +130,6 @@ def stringent(k: int, phi: float) -> bool:
 gram_matrices = gram_pair
 
 
-def gram_dets(state: FockState, k: int, phi: float) -> tuple[float, float]:
-    """Both Gram determinants; each is >= 0 up to rounding for any state."""
-    g_plus, g_minus = gram_matrices(char_set(state, k, phi))
-    return det3(g_plus), det3(g_minus)
-
-
 def report(state: FockState, k: int, phi: float) -> UncertaintyReport:
     """Certainty functionals U, U', U'', V with slacks at the stringent point.
 
@@ -169,7 +163,8 @@ def phase_distribution(state: FockState, phi_grid: np.ndarray) -> np.ndarray:
     """Phase density P(phi) = |sum_n c_n exp(-i n phi)|^2 / (2 pi) on a grid.
 
     The grid must be finite and one period, phi_j = phi_0 + 2 pi j / M (e.g.
-    [-pi, pi)), or ValueError is raised; the sum is then one length-M FFT of
+    [-pi, pi)), with |phi| small enough for its points to be told apart, or
+    ValueError is raised; the sum is then one length-M FFT of
     c_n exp(-i n phi_0) folded modulo M.  With M > 2 n_max the periodic
     rectangle quadrature of P over the period is exact up to rounding.
     """
@@ -179,8 +174,14 @@ def phase_distribution(state: FockState, phi_grid: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(grid)):
         raise ValueError("phi_grid must be finite")
     m = grid.size
+    top = float(np.max(np.abs(grid)))
+    # The tolerance grows with |phi|; from half the step on, it would pass a
+    # grid of equal or shuffled points as one period.
+    tol = _GRID_TOL * (1.0 + top)
+    if not tol < math.pi / m:
+        raise ValueError(f"phi_grid points 2 pi / {m} apart cannot be told apart at |phi| = {top:g}")
     periodic = grid[0] + (2.0 * math.pi / m) * np.arange(m)
-    if np.max(np.abs(grid - periodic)) > _GRID_TOL * (1.0 + np.max(np.abs(grid))):
+    if np.max(np.abs(grid - periodic)) > tol:
         raise ValueError("phi_grid must be phi_0 + 2 pi j / M for j = 0..M-1 (one period)")
     a = state.amplitudes * np.exp(-1j * grid[0] * np.arange(state.amplitudes.size))
     amp = np.fft.fft(np.pad(a, (0, -a.size % m)).reshape(-1, m).sum(axis=0))

@@ -2,8 +2,8 @@
 
 Two small families of routines live here: modified Bessel functions of
 integer order for complex argument, evaluated by direct power series with a
-controlled stopping rule, and closed-form determinant/eigenvalue routines
-for 3x3 Hermitian matrices (the Gram matrices of three state vectors).
+controlled stopping rule, and the 3x3 Hermitian matrix type with its
+closed-form determinant (the Gram matrices of three state vectors).
 
 ``Hermitian3(mat)`` validates an arbitrary matrix (shape, finiteness,
 Hermitian to rounding level) and stores its Hermitian average.
@@ -15,7 +15,6 @@ diagonal and conjugated upper entries is exactly Hermitian already.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,63 +112,14 @@ class Hermitian3:
         return g
 
 
-def _det3_raw(rows) -> complex:
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
-    return (
+def det3(g: Hermitian3) -> float:
+    """Determinant by cofactor expansion on Python scalars; real for Hermitian input."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = g.mat.tolist()
+    d = (
         m00 * (m11 * m22 - m12 * m21)
         - m01 * (m10 * m22 - m12 * m20)
         + m02 * (m10 * m21 - m11 * m20)
     )
-
-
-def det3(g: Hermitian3) -> float:
-    """Determinant by cofactor expansion on Python scalars; real for Hermitian input."""
-    d = _det3_raw(g.mat.tolist())
     if abs(d.imag) > 1e-12:
         raise ArithmeticError(f"Hermitian determinant came out non-real (imag {d.imag:g})")
     return float(d.real)
-
-
-def eigvals3(g: Hermitian3) -> tuple[float, float, float]:
-    """All three eigenvalues, ascending, via the trigonometric cubic solution.
-
-    A Hermitian matrix has a characteristic cubic with three real roots, so
-    after shifting by the mean eigenvalue and rescaling, the roots are
-    2*cos of three equally spaced angles.  Branch-free, and accurate to a
-    few ulp when the roots are separated; like any method that recovers
-    roots from scalar invariants it degrades to ~sqrt(eps) * norm on
-    (near-)multiple roots, which :func:`min_eig3` compensates for.
-    """
-    m = g.mat
-    off = abs(m[0, 1]) ** 2 + abs(m[0, 2]) ** 2 + abs(m[1, 2]) ** 2
-    d0, d1, d2 = m[0, 0].real, m[1, 1].real, m[2, 2].real
-    q = (d0 + d1 + d2) / 3.0
-    if off == 0.0:
-        lo, mid, hi = sorted((d0, d1, d2))
-        return (lo, mid, hi)
-    p2 = (d0 - q) ** 2 + (d1 - q) ** 2 + (d2 - q) ** 2 + 2.0 * off
-    p = math.sqrt(p2 / 6.0)
-    b = (m - q * np.eye(3)) / p
-    r = _det3_raw(b).real / 2.0
-    r = min(1.0, max(-1.0, r))
-    phi = math.acos(r) / 3.0
-    hi = q + 2.0 * p * math.cos(phi)
-    lo = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    mid = 3.0 * q - hi - lo
-    return (lo, mid, hi)
-
-
-def min_eig3(g: Hermitian3) -> float:
-    """Smallest eigenvalue, accurate to 1e-10 relative to the matrix norm.
-
-    The positive-semidefiniteness oracle for Gram matrices.  Uses the
-    closed-form cubic, except when the lowest roots cluster (relative gap
-    below 1e-4, where the cubic's conditioning would cost more than the
-    contract allows); the clustered case defers to the LAPACK Hermitian
-    solver, which works on the matrix rather than its invariants.
-    """
-    lo, mid, hi = eigvals3(g)
-    scale = max(abs(lo), abs(hi), 1e-30)
-    if min(mid - lo, hi - mid) < 1e-4 * scale:
-        return float(np.linalg.eigvalsh(g.mat)[0])
-    return lo

@@ -12,8 +12,8 @@ for all integers k, l, which is what every check in this module leans on.
 
 shift^k acts on amplitudes as a signed cyclic roll, so every quantity for
 one (k, l) pair costs O(d) with no dense operator matrices and no caches;
-``shift_op`` and ``clock_op`` build matrices only for callers that ask for
-them.  :func:`char_table` covers all d^2 pairs of one state at once in
+dense shift and clock matrices exist only as the oracles of :mod:`verify`.
+:func:`char_table` covers all d^2 pairs of one state at once in
 O(d^3): d rolls and one d x d matrix product.
 
 Characteristic sets are :class:`reports.CharSet` records whose Weyl phase is
@@ -31,13 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reports
-from .numerics import Hermitian3, det3
+from .numerics import det3
 from .reports import CharSet, UncertaintyReport, functionals, gram_pair, unit_amplitudes
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class SpinSystem:
@@ -111,37 +106,6 @@ def phase_state(system: SpinSystem, m_tilde: float) -> QuditState:
     d = system.dim
     num = ((2 * np.arange(d) - (d - 1)) * (2 * int(ti) - (d - 1))) % (4 * d)
     return QuditState(system, np.exp(-0.5j * math.pi * num / d) / math.sqrt(d))
-
-
-def clock_op(system: SpinSystem) -> np.ndarray:
-    """Diagonal unitary exp(i 2pi j3 / d)."""
-    return np.diag(_unit_phases(system.dim, 1))
-
-
-def shift_op(system: SpinSystem) -> np.ndarray:
-    """Unitary with the phase states as eigenvectors, eigenvalues exp(i 2pi m_tilde / d).
-
-    In the m basis this acts as a cyclic shift m -> m+1 with a wrap phase
-    exp(-i 2pi j), i.e. a sign flip on wraparound when d is even.
-    """
-    return _apply_shift(system.dim, 1, np.eye(system.dim, dtype=complex))
-
-
-def pauli_ops() -> tuple[np.ndarray, np.ndarray]:
-    """The d=2 pair relabeled to the Pauli convention: (shift, clock) = (sigma_x, sigma_z).
-
-    The relabeling multiplies both raw operators by the global phase i and
-    conjugates by diag(1, -i); its residual is verified here before the
-    exact Pauli matrices are returned.
-    """
-    sys2 = SpinSystem(2)
-    u = np.diag([1.0 + 0.0j, -1.0j])
-    e = 1j * (u @ shift_op(sys2) @ u.conj().T)
-    f = 1j * (u @ clock_op(sys2) @ u.conj().T)
-    resid = max(float(np.max(np.abs(e - SIGMA_X))), float(np.max(np.abs(f - SIGMA_Z))))
-    if resid > 1e-12:
-        raise ArithmeticError(f"Pauli relabeling residual {resid:g} exceeds 1e-12")
-    return SIGMA_X.copy(), SIGMA_Z.copy()
 
 
 def _weyl_phase(dim: int, k, ell):
@@ -238,13 +202,6 @@ def cyclic_phase(state: QuditState, k: int, ell: int) -> complex:
     w = _apply_shift(d, k, _unit_phases(d, ell) * state.amplitudes)
     w = _apply_shift(d, -k, _unit_phases(d, -ell) * w)
     return complex(np.vdot(state.amplitudes, w))
-
-
-def gram_matrix(cs: CharSet) -> Hermitian3:
-    """Gram matrix of the vectors {psi, clock^l psi, shift^k psi}."""
-    return Hermitian3.from_upper(
-        (1.0, 1.0, 1.0), (cs.number_char, cs.phase_char, cs.cross_char)
-    )
 
 
 def gram_dets(state: QuditState, k: int, ell: int) -> tuple[float, float]:

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy import optimize, special
 
-from weyl_uncert import analysis, families, fock, spin
-from weyl_uncert.numerics import min_eig3
+from test_spin import SIGMA_X, SIGMA_Y, SIGMA_Z
+from weyl_uncert import analysis, families, fock, reports, spin
 
 BIG_CAP = 20000
 
@@ -74,7 +74,7 @@ def test_criterion_02_gram_positivity():
             failures.append(f"spin d={d} k={k} l={ell}: dets {dp:.2e} {dm:.2e}")
         if i < 100:
             for kk, ll in ((k, ell), (-k, -ell)):
-                ev = min_eig3(spin.gram_matrix(spin.char_set(st, kk, ll)))
+                ev = np.linalg.eigvalsh(reports.gram_pair(spin.char_set(st, kk, ll))[0].mat)[0]
                 if ev < -1e-10:
                     failures.append(f"spin d={d}: min eigenvalue {ev:.2e}")
     nmaxes = (8, 32, 128)
@@ -84,13 +84,14 @@ def test_criterion_02_gram_positivity():
         k = ks[(i // 3) % 3]
         st = fock.random_state(n_max, rng)
         phi = math.pi / k
-        dp, dm = fock.gram_dets(st, k, phi)
+        rep = fock.report(st, k, phi)
+        dp, dm = rep.det_plus, rep.det_minus
         low = min(low, dp, dm)
         if dp < -1e-10 or dm < -1e-10:
             failures.append(f"fock n_max={n_max} k={k}: dets {dp:.2e} {dm:.2e}")
         if i < 100:
             gp, gm = fock.gram_matrices(fock.char_set(st, k, phi))
-            if min_eig3(gp) < -1e-10 or min_eig3(gm) < -1e-10:
+            if min(np.linalg.eigvalsh(gp.mat)[0], np.linalg.eigvalsh(gm.mat)[0]) < -1e-10:
                 failures.append(f"fock n_max={n_max} k={k}: negative min eigenvalue")
     conclude("2 Gram positivity", failures, f"most negative determinant {low:.1e}")
 
@@ -309,7 +310,7 @@ def test_criterion_10_qubit():
     failures = []
     rng = np.random.default_rng(1010)
     eye = np.eye(2, dtype=complex)
-    sx, sy, sz = spin.SIGMA_X, spin.SIGMA_Y, spin.SIGMA_Z
+    sx, sy, sz = SIGMA_X, SIGMA_Y, SIGMA_Z
     for i in range(1000):
         s = rng.standard_normal(3)
         s *= (1.0 if i % 2 else float(rng.uniform(0.1, 1.0))) / np.linalg.norm(s)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from weyl_uncert import families, fock, reports
+from weyl_uncert import families, fock, reports, verify
 from weyl_uncert.numerics import det3
 from weyl_uncert.reports import CharSet, gram_pair
 from weyl_uncert.fock import (
@@ -15,7 +15,6 @@ from weyl_uncert.fock import (
     apply_phase_shift,
     apply_raising,
     char_set,
-    gram_dets,
     mean_photon,
     phase_distribution,
     random_state,
@@ -28,13 +27,6 @@ def number_state(n, n_max=None):
     c = np.zeros(size, dtype=complex)
     c[n] = 1.0
     return FockState(c)
-
-
-def dense_lower(n_dim):
-    m = np.zeros((n_dim, n_dim), dtype=complex)
-    for i in range(n_dim - 1):
-        m[i, i + 1] = 1.0
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +104,9 @@ def test_state_validation():
         FockState(np.array([np.nan, 0.0]))
     with pytest.raises(ValueError, match="1-D"):
         FockState(np.eye(2))
+    for bad in (-1e-300, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tail_bound"):
+            FockState([1.0, 0.0], bad)
     given = np.array([0.6, 0.8j])
     st = FockState(given)
     given[0] = 0.0
@@ -181,7 +176,7 @@ def test_char_set_against_dense_oracle():
     for n_max in (8, 32):
         st = random_state(n_max, rng)
         c = st.amplitudes
-        e = dense_lower(n_max + 1)
+        e = verify._dense_fock_lower(n_max + 1)
         for k in (1, 2, 4):
             phi = float(rng.uniform(-math.pi, math.pi))
             cs = char_set(st, k, phi)
@@ -254,20 +249,17 @@ def test_number_char_modulus_one_iff_concentrated():
 
 
 def test_gram_det_plus_zero_for_number_state():
-    dp, _ = gram_dets(number_state(5, n_max=8), 1, math.pi)
-    assert dp == pytest.approx(0.0, abs=1e-12)
+    assert report(number_state(5, n_max=8), 1, math.pi).det_plus == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gram_det_minus_zero_for_vacuum():
-    _, dm = gram_dets(number_state(0, n_max=3), 1, math.pi)
-    assert dm == pytest.approx(0.0, abs=1e-12)
+    assert report(number_state(0, n_max=3), 1, math.pi).det_minus == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gram_det_plus_zero_at_phi_zero():
     rng = np.random.default_rng(37)
     st = random_state(30, rng)
-    dp, _ = gram_dets(st, 2, 0.0)
-    assert dp == pytest.approx(0.0, abs=1e-12)
+    assert report(st, 2, 0.0).det_plus == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gram_dets_match_explicit_formulas():
@@ -286,9 +278,9 @@ def test_gram_dets_match_explicit_formulas():
         ref_plus = 1 - p2 - t2 - o2 + 2 * theta.real
         w = np.exp(1j * k * phi)
         ref_minus = 1 - p2 - t2 - o2 + 2 * (w * theta).real - cs.pi_k * (1 - p2)
-        dp, dm = gram_dets(st, k, phi)
-        assert dp == pytest.approx(ref_plus, abs=1e-12)
-        assert dm == pytest.approx(ref_minus, abs=1e-12)
+        rep = report(st, k, phi)
+        assert rep.det_plus == pytest.approx(ref_plus, abs=1e-12)
+        assert rep.det_minus == pytest.approx(ref_minus, abs=1e-12)
 
 
 def test_closed_form_gram_dets_match_det3_with_pi_k():
@@ -332,9 +324,9 @@ def test_gram_positivity_random_sample():
         for _ in range(40):
             st = random_state(n_max, rng)
             for k in (1, 2, 4):
-                dp, dm = gram_dets(st, k, math.pi / k)
-                assert dp >= -1e-10
-                assert dm >= -1e-10
+                rep = report(st, k, math.pi / k)
+                assert rep.det_plus >= -1e-10
+                assert rep.det_minus >= -1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +440,11 @@ def test_phase_distribution_grid_validation():
         grid = np.linspace(-math.pi, math.pi, 64, endpoint=False)
         grid[index] = value
         with pytest.raises(ValueError, match="finite"):
+            phase_distribution(st, grid)
+    # At |phi| = 1e17 the tolerance exceeds the step: equal points would pass.
+    st = families.build(families.PhaseCoherent(0.5))
+    for grid in (np.full(64, 1e17), np.linspace(1e17, 1e17 + 2.0 * math.pi, 64, endpoint=False)):
+        with pytest.raises(ValueError, match="cannot be told apart"):
             phase_distribution(st, grid)
 
 

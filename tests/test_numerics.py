@@ -1,6 +1,6 @@
 """Kernel tests: Bessel series against an extended-precision oracle, and
-3x3 Hermitian determinant/eigenvalue routines against numpy and direct
-Gram constructions."""
+the 3x3 Hermitian type and its determinant against numpy and direct Gram
+constructions."""
 
 import math
 
@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from weyl_uncert import Hermitian3, bessel_i, det3, eigvals3, min_eig3
+from weyl_uncert import Hermitian3, bessel_i, det3
 
 
 def oracle_bessel(order, z, terms=80):
@@ -105,6 +105,13 @@ def test_det3_unit_diagonal_one_offdiag():
     assert det3(g) == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("upper", [(1.0, 1.0, 1.0), (-1.0, -1.0, 1.0)])
+def test_det3_collinear_gram_is_singular(upper):
+    # Gram of three collinear unit vectors, in the second case with the last
+    # two sign-flipped: spectrum {3, 0, 0}.
+    assert abs(det3(Hermitian3.from_upper((1.0, 1.0, 1.0), upper))) <= 1e-12
+
+
 def test_det3_matches_numpy_on_random_hermitians():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -113,39 +120,12 @@ def test_det3_matches_numpy_on_random_hermitians():
         assert det3(g) == pytest.approx(float(np.linalg.det(g.mat).real), abs=1e-10)
 
 
-def test_min_eig3_identity_and_diagonal():
-    assert min_eig3(Hermitian3(np.eye(3))) == 1.0
-    assert min_eig3(Hermitian3(np.diag([1.0, 1.0, 0.0]))) == 0.0
-
-
-def test_min_eig3_all_ones():
-    # The all-ones matrix has spectrum {3, 0, 0}.
-    g = Hermitian3.from_upper((1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
-    lo, mid, hi = eigvals3(g)
-    assert lo == pytest.approx(0.0, abs=1e-12)
-    assert mid == pytest.approx(0.0, abs=1e-12)
-    assert hi == pytest.approx(3.0, abs=1e-12)
-
-
-def test_eigvals3_match_numpy():
-    rng = np.random.default_rng(12)
-    for _ in range(200):
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        g = Hermitian3((a + a.conj().T) / 2)
-        ref = np.linalg.eigvalsh(g.mat)
-        got = eigvals3(g)
-        scale = 1.0 + float(np.max(np.abs(ref)))
-        assert np.allclose(got, ref, atol=1e-10 * scale)
-
-
 def test_det3_equals_product_of_eigvals():
     rng = np.random.default_rng(13)
     for _ in range(100):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         g = Hermitian3((a + a.conj().T) / 2)
-        lo, mid, hi = eigvals3(g)
-        prod = lo * mid * hi
-        assert det3(g) == pytest.approx(prod, rel=1e-9, abs=1e-9)
+        assert det3(g) == pytest.approx(float(np.prod(np.linalg.eigvalsh(g.mat))), rel=1e-9, abs=1e-9)
 
 
 def test_vector_grams_are_psd():
@@ -155,7 +135,7 @@ def test_vector_grams_are_psd():
         vecs = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(3)]
         vecs = [v / np.linalg.norm(v) for v in vecs]
         g = gram_from_vectors(vecs)
-        assert min_eig3(g) >= -1e-10
+        assert np.linalg.eigvalsh(g.mat)[0] >= -1e-10
         assert det3(g) >= -1e-10
 
 
@@ -231,11 +211,3 @@ def test_det3_equals_numpy_cofactor_expansion_exactly():
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         for g in (Hermitian3.from_upper(diag, upper), Hermitian3((a + a.conj().T) / 2)):
             assert det3(g) == float(numpy_cofactor_det(g.mat).real)
-
-
-def test_min_eig3_degenerate_double_zero():
-    # Gram of three collinear unit vectors (signs flipped): spectrum {3, 0, 0};
-    # the clustered-root path must stay within the 1e-10 contract.
-    g = Hermitian3.from_upper((1.0, 1.0, 1.0), (-1.0, -1.0, 1.0))
-    assert min_eig3(g) >= -1e-10
-    assert abs(min_eig3(g)) < 1e-12

@@ -10,44 +10,36 @@ import numpy as np
 import pytest
 
 from weyl_uncert import reports, spin, verify
-from weyl_uncert.numerics import det3, min_eig3
+from weyl_uncert.numerics import det3
 from weyl_uncert.reports import CharSet, gram_pair
 from weyl_uncert.spin import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     QuditState,
     SpinSystem,
     certainty_bound,
     char_set,
-    clock_op,
     cyclic_phase,
     gram_dets,
-    gram_matrix,
-    pauli_ops,
     phase_state,
     qubit_char,
     random_state,
     report,
-    shift_op,
     weyl_angle,
     weyl_defect,
 )
 
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-def dense_shift(d):
-    """Independent construction: cyclic shift with wrap phase exp(-i 2pi j)."""
-    j = (d - 1) / 2.0
-    m = np.zeros((d, d), dtype=complex)
-    for i in range(d - 1):
-        m[i + 1, i] = 1.0
-    m[0, d - 1] = np.exp(-2j * math.pi * j)
-    return m
+# The d = 2 pair in the raw basis to the Pauli convention: global phase i and
+# conjugation by diag(1, -i) (test_pauli_relabeling_exact).
+PAULI_FRAME = np.diag([1.0 + 0.0j, -1.0j])
 
 
-def dense_clock(d):
-    j = (d - 1) / 2.0
-    return np.diag(np.exp(2j * math.pi * (np.arange(d) - j) / d))
+def production_ops(d):
+    """shift and clock as the production code applies them: the signed roll
+    of the identity and the diagonal of clock phases."""
+    return spin._apply_shift(d, 1, np.eye(d, dtype=complex)), np.diag(spin._unit_phases(d, 1))
 
 
 def assert_closed_form_matches_det3(cs):
@@ -59,13 +51,12 @@ def assert_closed_form_matches_det3(cs):
 
 def qudit_from_bloch(s):
     """Pure qubit with Bloch vector s in the Pauli convention, mapped back to
-    the raw basis (inverse of the relabeling checked by pauli_ops)."""
+    the raw basis through PAULI_FRAME."""
     sx, sy, sz = s
     theta = math.acos(max(-1.0, min(1.0, sz)))
     phi = math.atan2(sy, sx)
     chi = np.array([math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2)], dtype=complex)
-    u = np.diag([1.0 + 0.0j, -1.0j])
-    return QuditState(SpinSystem(2), u.conj().T @ chi)
+    return QuditState(SpinSystem(2), PAULI_FRAME.conj().T @ chi)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +76,7 @@ def test_phase_state_d3_center_is_uniform():
 def test_phase_state_is_shift_eigenvector():
     system = SpinSystem(5)
     st = phase_state(system, 2)
-    resid = shift_op(system) @ st.amplitudes - np.exp(2j * math.pi * 2 / 5) * st.amplitudes
+    resid = spin._apply_shift(5, 1, st.amplitudes) - np.exp(2j * math.pi * 2 / 5) * st.amplitudes
     assert np.linalg.norm(resid) < 1e-12
 
 
@@ -98,8 +89,7 @@ def test_phase_state_label_out_of_range():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
 def test_operators_unitary(d):
-    system = SpinSystem(d)
-    for op in (shift_op(system), clock_op(system)):
+    for op in production_ops(d):
         assert np.max(np.abs(op @ op.conj().T - np.eye(d))) < 1e-12
 
 
@@ -107,9 +97,8 @@ def test_operators_unitary(d):
 def test_operator_dth_power_parity(d):
     # Half-integer labels make the d-th power (-1)^(d-1) times the identity,
     # established with the matrix-power oracle.
-    system = SpinSystem(d)
     sign = (-1.0) ** (d - 1)
-    for op in (shift_op(system), clock_op(system)):
+    for op in production_ops(d):
         powered = np.linalg.matrix_power(op, d)
         assert np.max(np.abs(powered - sign * np.eye(d))) < 1e-12
 
@@ -117,11 +106,13 @@ def test_operator_dth_power_parity(d):
 @pytest.mark.parametrize("d", [2, 3, 4, 7, 16, 33])
 def test_shift_matches_direct_construction(d):
     system = SpinSystem(d)
-    e, f = dense_shift(d), dense_clock(d)
-    assert np.max(np.abs(shift_op(system) - e)) < 1e-12
+    e, f = verify._dense_shift(d), verify._dense_clock(d)
+    shift, clock = production_ops(d)
+    assert np.max(np.abs(shift - e)) < 1e-12
+    assert np.max(np.abs(clock - f)) < 1e-12
     st = random_state(system, np.random.default_rng(d))
     c = st.amplitudes
-    # A d x 3 block takes the 2-D path of the roll, as shift_op does.
+    # A d x 3 block takes the 2-D path of the roll, as the identity does.
     block = np.stack([c, c.conj(), np.roll(c, 1)], axis=1)
     # k over two full periods each way reaches every roll r and both signs
     # of the per-period factor (-1)^(d-1) on every wrapped entry.
@@ -142,9 +133,12 @@ def test_shift_matches_direct_construction(d):
 
 
 def test_pauli_relabeling_exact():
-    e, f = pauli_ops()
-    assert np.array_equal(e, SIGMA_X)
-    assert np.array_equal(f, SIGMA_Z)
+    frame = PAULI_FRAME.conj().T
+    e = 1j * (PAULI_FRAME @ verify._dense_shift(2) @ frame)
+    f = 1j * (PAULI_FRAME @ verify._dense_clock(2) @ frame)
+    assert np.max(np.abs(e - SIGMA_X)) <= 1e-12
+    assert np.max(np.abs(f - SIGMA_Z)) <= 1e-12
+    assert np.array_equal(-1j * SIGMA_Z @ SIGMA_X, SIGMA_Y)
 
 
 def test_weyl_defect_qubit_anticommutation():
@@ -160,7 +154,7 @@ def test_weyl_defect_small(d, k, ell):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 7, 16])
 def test_weyl_defect_matches_dense_oracle(d):
-    e, f = dense_shift(d), dense_clock(d)
+    e, f = verify._dense_shift(d), verify._dense_clock(d)
     for k in range(-d, 2 * d + 1):
         for ell in (-d - 1, 1, d // 2 + 1, 2 * d - 1):
             ek = np.linalg.matrix_power(e, k)
@@ -231,7 +225,7 @@ def test_char_set_against_dense_oracle():
     rng = np.random.default_rng(21)
     for d in (2, 3, 5, 8):
         system = SpinSystem(d)
-        e, f = dense_shift(d), dense_clock(d)
+        e, f = verify._dense_shift(d), verify._dense_clock(d)
         for _ in range(5):
             st = random_state(system, rng)
             c = st.amplitudes
@@ -291,8 +285,8 @@ def test_gram_dets_minus_pair_matches_direct_char_set():
         for k in range(1, d + 1):
             for ell in range(1, d + 1):
                 dp, dm = gram_dets(st, k, ell)
-                assert dp == pytest.approx(det3(gram_matrix(char_set(st, k, ell))), abs=1e-12)
-                assert dm == pytest.approx(det3(gram_matrix(char_set(st, -k, -ell))), abs=1e-12)
+                assert dp == pytest.approx(det3(gram_pair(char_set(st, k, ell))[0]), abs=1e-12)
+                assert dm == pytest.approx(det3(gram_pair(char_set(st, -k, -ell))[0]), abs=1e-12)
 
 
 def test_gram_positivity_random_sample():
@@ -307,7 +301,7 @@ def test_gram_positivity_random_sample():
                 dp, dm = gram_dets(st, k, ell)
                 assert dp >= -1e-10
                 assert dm >= -1e-10
-                assert min_eig3(gram_matrix(char_set(st, k, ell))) >= -1e-10
+                assert np.linalg.eigvalsh(gram_pair(char_set(st, k, ell))[0].mat)[0] >= -1e-10
 
 
 def test_report_bounds_hold_d5_all_pairs():
