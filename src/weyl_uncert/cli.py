@@ -40,15 +40,19 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".weyl-uncert-")
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".weyl-uncert-")
+        try:
+            with os.fdopen(fd, "w", newline="") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as err:
+        # err names the temporary file, or both files; report the user's path.
+        raise OSError(f"cannot write {path!r}: {err.strerror or err}") from None
 
 
 def _envelope(command: str, parameters: dict, payload: dict, notes: list[str] | None = None) -> str:
@@ -208,11 +212,21 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _int_at_least(least: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def _add_range_args(p: argparse.ArgumentParser) -> None:
@@ -241,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run randomized property suites")
     p.add_argument("--suite", choices=("spin", "fock", "families", "all"), required=True)
     p.add_argument("--samples", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_non_negative_int, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("scan", help="sweep a family parameter and tabulate functionals")

@@ -13,7 +13,9 @@ matrices of {psi, exp(+-i phi n) psi, Edag^k / E^k psi} differ because E is
 not unitary: the second carries exp(-i k phi) (the Weyl phase) on its cross
 entry and the weight of the subspace with fewer than k photons (pi_k) on
 its diagonal.  Their determinants and the derived certainty functionals
-U, U', U'', V are produced by :func:`report`.
+U, U', U'', V are produced by :func:`report`, which builds the matrices with
+:func:`gram_matrices` and evaluates them with ``det3``, the closed form that
+``reports.gram_dets`` also uses.
 """
 
 from __future__ import annotations

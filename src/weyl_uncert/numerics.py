@@ -3,13 +3,11 @@
 Two small families of routines live here: modified Bessel functions of
 integer order for complex argument, evaluated by direct power series with a
 controlled stopping rule, and the 3x3 Hermitian matrix type with its
-closed-form determinant (the Gram matrices of three state vectors).
+determinant (the Gram matrices of three state vectors).
 
-``Hermitian3(mat)`` validates an arbitrary matrix (shape, finiteness,
-Hermitian to rounding level) and stores its Hermitian average.
-``Hermitian3.from_upper``, the constructor on every report's Gram step,
-checks only that its six scalars are finite: a matrix assembled from a real
-diagonal and conjugated upper entries is exactly Hermitian already.
+:func:`hermitian_det` is the package's one Gram-determinant formula;
+:func:`det3` applies it to the six entries a :class:`Hermitian3` keeps, and
+``reports.gram_dets`` to the fields of a characteristic set or table.
 """
 
 from __future__ import annotations
@@ -59,30 +57,23 @@ def bessel_i(order: int, z: complex) -> complex:
     return total
 
 
-@dataclass(frozen=True)
+def hermitian_det(d0, d1, d2, ar, ai, br, bi, cr, ci):
+    """det [[d0, a, b], [a*, d1, c], [b*, c*, d2]], a = ar + i ai and so on:
+    d2 (d0 d1 - |a|^2) - d1 |b|^2 - d0 |c|^2 + 2 Re(a c conj(b)), in real
+    products and sums only, which round alike on Python floats and numpy
+    arrays; a unit d0 or d1 enters through exact products by 1.0."""
+    re_acb = (ar * cr - ai * ci) * br + (ar * ci + ai * cr) * bi
+    abs_a2, abs_b2, abs_c2 = ar * ar + ai * ai, br * br + bi * bi, cr * cr + ci * ci
+    return d2 * (d0 * d1 - abs_a2) - d1 * abs_b2 - d0 * abs_c2 + 2.0 * re_acb
+
+
+@dataclass(frozen=True, init=False)
 class Hermitian3:
-    """3x3 Hermitian matrix with symmetry exact by construction.
+    """3x3 Hermitian matrix kept as its real diagonal (d0, d1, d2) and upper
+    entries (a01, a02, a12); :meth:`from_upper` is the only constructor."""
 
-    The stored matrix is the Hermitian average of the input with an exactly
-    real diagonal; construction fails if the input deviates from Hermitian
-    by more than a rounding-level amount.
-    """
-
-    mat: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.mat, dtype=complex)
-        if a.shape != (3, 3):
-            raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a.view(float))):
-            raise ValueError("matrix entries must be finite")
-        scale = 1.0 + float(np.max(np.abs(a)))
-        if float(np.max(np.abs(a - a.conj().T))) > 1e-9 * scale:
-            raise ValueError("matrix is not Hermitian")
-        h = (a + a.conj().T) / 2.0
-        np.fill_diagonal(h, np.diag(h).real)
-        h.flags.writeable = False
-        object.__setattr__(self, "mat", h)
+    diag: tuple[float, float, float]
+    upper: tuple[complex, complex, complex]
 
     @classmethod
     def from_upper(
@@ -90,36 +81,27 @@ class Hermitian3:
         diag: tuple[float, float, float],
         upper: tuple[complex, complex, complex],
     ) -> "Hermitian3":
-        """Build from real diagonal (d0, d1, d2) and upper entries (a01, a02, a12).
-
-        Hermitian by construction, so only finiteness is checked.
-        """
+        """Build from real diagonal (d0, d1, d2) and upper entries (a01, a02, a12),
+        checked finite."""
         d0, d1, d2 = (float(x) for x in diag)
         a01, a02, a12 = (complex(x) for x in upper)
         if not all(map(cmath.isfinite, (d0, d1, d2, a01, a02, a12))):
             raise ValueError("matrix entries must be finite")
-        m = np.array(
-            [
-                [d0, a01, a02],
-                [a01.conjugate(), d1, a12],
-                [a02.conjugate(), a12.conjugate(), d2],
-            ],
-            dtype=complex,
-        )
-        m.flags.writeable = False
         g = object.__new__(cls)
-        object.__setattr__(g, "mat", m)
+        object.__setattr__(g, "diag", (d0, d1, d2))
+        object.__setattr__(g, "upper", (a01, a02, a12))
         return g
+
+    @property
+    def mat(self) -> np.ndarray:
+        """The full matrix as a read-only complex array, built on each access."""
+        (d0, d1, d2), (a, b, c) = self.diag, self.upper
+        m = np.array([[d0, a, b], [a.conjugate(), d1, c], [b.conjugate(), c.conjugate(), d2]])
+        m.flags.writeable = False
+        return m
 
 
 def det3(g: Hermitian3) -> float:
-    """Determinant by cofactor expansion on Python scalars; real for Hermitian input."""
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = g.mat.tolist()
-    d = (
-        m00 * (m11 * m22 - m12 * m21)
-        - m01 * (m10 * m22 - m12 * m20)
-        + m02 * (m10 * m21 - m11 * m20)
-    )
-    if abs(d.imag) > 1e-12:
-        raise ArithmeticError(f"Hermitian determinant came out non-real (imag {d.imag:g})")
-    return float(d.real)
+    """Determinant of g: :func:`hermitian_det` on its six entries."""
+    (d0, d1, d2), (a, b, c) = g.diag, g.upper
+    return hermitian_det(d0, d1, d2, a.real, a.imag, b.real, b.imag, c.real, c.imag)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Hermitian3
+from .numerics import Hermitian3, hermitian_det
 
 
 def unit_amplitudes(amps) -> np.ndarray:
@@ -80,29 +80,22 @@ def gram_pair(cs: CharSet) -> tuple[Hermitian3, Hermitian3]:
     return g_plus, g_minus
 
 
-def _det(diag, ar, ai, br, bi, cr, ci):
-    # det [[1, a, b], [a*, 1, c], [b*, c*, diag]] from the real and imaginary
-    # parts of a, b, c, in real products and sums only, which round alike on
-    # Python floats and numpy arrays.
-    re_acb = (ar * cr - ai * ci) * br + (ar * ci + ai * cr) * bi
-    abs_a2, abs_b2, abs_c2 = ar * ar + ai * ai, br * br + bi * bi, cr * cr + ci * ci
-    return diag * (1.0 - abs_a2) - abs_b2 - abs_c2 + 2.0 * re_acb
-
-
 def gram_dets(cs: CharSet) -> tuple:
     """Determinants of both :func:`gram_pair` matrices, in closed form.
 
     Each matrix has unit diagonal except D last and upper entries (a, b, c),
-    so its determinant is D (1 - |a|^2) - |b|^2 - |c|^2 + 2 Re(a c conj(b)):
-    D = 1 with (number, phase, cross) for the first, D = 1 - pi_k with
+    so :func:`numerics.hermitian_det` gives its determinant
+    D (1 - |a|^2) - |b|^2 - |c|^2 + 2 Re(a c conj(b)): D = 1 with
+    (number, phase, cross) for the first, D = 1 - pi_k with
     (conj number, conj phase, weyl * conj cross) for the second.  Array
     fields give arrays of determinants, each equal to the one its scalar
-    entries give.
+    entries give, and scalar fields give exactly ``det3`` of the
+    :func:`gram_pair` matrices.
     """
     a, b, c, w = cs.number_char, cs.phase_char, cs.cross_char, cs.weyl
-    det_plus = _det(1.0, a.real, a.imag, b.real, b.imag, c.real, c.imag)
-    det_minus = _det(
-        1.0 - cs.pi_k, a.real, -a.imag, b.real, -b.imag,
+    det_plus = hermitian_det(1.0, 1.0, 1.0, a.real, a.imag, b.real, b.imag, c.real, c.imag)
+    det_minus = hermitian_det(
+        1.0, 1.0, 1.0 - cs.pi_k, a.real, -a.imag, b.real, -b.imag,
         w.real * c.real + w.imag * c.imag, w.imag * c.real - w.real * c.imag,
     )
     return det_plus, det_minus

@@ -18,9 +18,9 @@ O(d^3): d rolls and one d x d matrix product.
 
 Characteristic sets are :class:`reports.CharSet` records whose Weyl phase is
 exp(-i 2pi k l / d) and whose pi_k is 0, since shift^k is unitary.
-:func:`report` takes its Gram determinants from the closed form
-:func:`reports.gram_dets`; :func:`gram_dets` here builds the Gram matrices
-and expands them with ``det3``, as an independent cross-check.
+:func:`report` takes its Gram determinants from :func:`reports.gram_dets`;
+:func:`gram_dets` here builds the Gram matrices and applies ``det3`` to
+them, which evaluates the same closed form and gives the same numbers.
 """
 
 from __future__ import annotations
@@ -208,8 +208,8 @@ def gram_dets(state: QuditState, k: int, ell: int) -> tuple[float, float]:
     """Determinants of the Gram matrices for (k, l) and (-k, -l); the second
     comes from the (k, l) set through unitarity and the Weyl phase.
 
-    Built as matrices and expanded by ``det3``, independently of the closed
-    form that :func:`report` and :func:`char_table` users take."""
+    Built as ``Hermitian3`` matrices and evaluated by ``det3``; equal to
+    ``reports.gram_dets`` of the same characteristic set."""
     g_plus, g_minus = gram_pair(char_set(state, k, ell))
     return det3(g_plus), det3(g_minus)
 

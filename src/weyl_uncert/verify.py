@@ -107,9 +107,9 @@ def run_spin(samples: int, seed: int) -> SuiteResult:
             v_bad = v > bound / 2 + _BOUND_TOL
             triple_bad = applicable & (u_prime > 1.0 + _BOUND_TOL)
             for i in np.flatnonzero(det_bad | u_bad | v_bad | triple_bad):
-                # A message quotes the single-pair values (spin.char_set, and
-                # the det3 cross-check spin.gram_dets) of its printed state, not
-                # the table's, which may differ from them in the last digit.
+                # A message quotes the single-pair values (spin.char_set and
+                # spin.gram_dets) of its printed state, not the table's, which
+                # may differ from them in the last digit.
                 k, l = pairs[i]
                 u_i, u_prime_i, _, v_i = reports.functionals(spin.char_set(st, k, l))
                 det_plus_i, det_minus_i = spin.gram_dets(st, k, l)

@@ -299,6 +299,34 @@ def test_usage_error_exits_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "option, value", [("--samples", "abc"), ("--samples", "2.5"), ("--seed", "-3"), ("--seed", "x")]
+)
+def test_bad_integer_option_names_the_option(option, value):
+    proc = run_cli("verify", "--suite", "all", option, value)
+    assert_one_line_error(proc, f"argument {option}: must be a ")
+    assert repr(value) in proc.stderr
+    assert "_positive_int" not in proc.stderr
+
+
+def test_out_in_a_missing_directory_names_the_given_path(tmp_path):
+    out = tmp_path / "missing-dir" / "x.csv"
+    proc = run_cli("figure", "--id", "1", "--out", str(out))
+    assert_one_line_error(proc, str(out))
+    assert ".weyl-uncert-" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_onto_a_directory_names_the_given_path(tmp_path):
+    out = tmp_path / "taken"
+    out.mkdir()
+    proc = run_cli("qubit", "--sx", "0.3", "--out", str(out))
+    assert_one_line_error(proc, str(out))
+    assert ".weyl-uncert-" not in proc.stderr
+    assert list(tmp_path.iterdir()) == [out]
+    assert list(out.iterdir()) == []
+
+
 def test_verify_run_returns_suite_results():
     from weyl_uncert import verify
 

@@ -298,8 +298,9 @@ def test_closed_form_gram_dets_match_det3_with_pi_k():
                 with_pi_k += cs.pi_k > 0.0
                 g_plus, g_minus = gram_pair(cs)
                 det_plus, det_minus = reports.gram_dets(cs)
-                assert abs(det_plus - det3(g_plus)) <= 1e-12
-                assert abs(det_minus - det3(g_minus)) <= 1e-12
+                assert (det3(g_plus), det3(g_minus)) == (det_plus, det_minus)
+                assert abs(det_plus - np.linalg.det(g_plus.mat)) <= 1e-12
+                assert abs(det_minus - np.linalg.det(g_minus.mat)) <= 1e-12
     assert with_pi_k >= len(states)
 
 

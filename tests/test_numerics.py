@@ -2,13 +2,14 @@
 the 3x3 Hermitian type and its determinant against numpy and direct Gram
 constructions."""
 
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from weyl_uncert import Hermitian3, bessel_i, det3
+from weyl_uncert import Hermitian3, bessel_i, det3, fock, reports, spin
 
 
 def oracle_bessel(order, z, terms=80):
@@ -85,13 +86,23 @@ def test_bessel_domain_errors():
         bessel_i(0, 101.0)
 
 
+def from_matrix(m):
+    """Hermitian3 from the real diagonal and upper entries of a Hermitian matrix."""
+    return Hermitian3.from_upper(np.diag(m).real, (m[0, 1], m[0, 2], m[1, 2]))
+
+
+def random_hermitian(rng):
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return from_matrix((a + a.conj().T) / 2)
+
+
 def gram_from_vectors(vectors):
     m = np.array([[np.vdot(a, b) for b in vectors] for a in vectors])
-    return Hermitian3(m)
+    return from_matrix(m)
 
 
 def test_det3_identity():
-    assert det3(Hermitian3(np.eye(3))) == 1.0
+    assert det3(from_matrix(np.eye(3))) == 1.0
 
 
 def test_det3_unit_diagonal_zero_offdiag():
@@ -115,16 +126,14 @@ def test_det3_collinear_gram_is_singular(upper):
 def test_det3_matches_numpy_on_random_hermitians():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        g = Hermitian3((a + a.conj().T) / 2)
+        g = random_hermitian(rng)
         assert det3(g) == pytest.approx(float(np.linalg.det(g.mat).real), abs=1e-10)
 
 
 def test_det3_equals_product_of_eigvals():
     rng = np.random.default_rng(13)
     for _ in range(100):
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        g = Hermitian3((a + a.conj().T) / 2)
+        g = random_hermitian(rng)
         assert det3(g) == pytest.approx(float(np.prod(np.linalg.eigvalsh(g.mat))), rel=1e-9, abs=1e-9)
 
 
@@ -139,21 +148,18 @@ def test_vector_grams_are_psd():
         assert det3(g) >= -1e-10
 
 
-def test_hermitian3_rejects_bad_input():
-    with pytest.raises(ValueError, match="3x3"):
-        Hermitian3(np.eye(2))
-    bad = np.eye(3, dtype=complex)
-    bad[0, 1] = 1.0
-    with pytest.raises(ValueError, match="Hermitian"):
-        Hermitian3(bad)
-    with pytest.raises(ValueError, match="finite"):
-        Hermitian3(np.diag([1.0, np.nan, 1.0]))
+def test_hermitian3_has_no_unchecked_constructor():
+    g = Hermitian3.from_upper((1.0, 1.0, 1.0), (0.5, 0.25j, 0.1))
+    with pytest.raises(TypeError):
+        Hermitian3((1.0, math.nan, 1.0), (0.0, 0.0, 0.0))
+    with pytest.raises(TypeError):
+        dataclasses.replace(g, diag=(1.0, math.nan, 1.0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.diag = (1.0, math.nan, 1.0)
 
 
 def test_hermitian3_symmetry_exact():
-    rng = np.random.default_rng(15)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    g = Hermitian3((a + a.conj().T) / 2)
+    g = random_hermitian(np.random.default_rng(15))
     assert np.array_equal(g.mat, g.mat.conj().T)
     assert np.all(np.diag(g.mat).imag == 0.0)
 
@@ -184,30 +190,30 @@ def full_matrix(diag, upper):
     )
 
 
-def test_from_upper_equals_validated_full_matrix():
+def test_mat_is_the_read_only_full_matrix():
     rng = np.random.default_rng(16)
     for _ in range(200):
         diag, upper = random_upper(rng)
         g = Hermitian3.from_upper(diag, upper)
-        ref = Hermitian3(full_matrix(diag, upper))
-        assert g.mat.dtype == ref.mat.dtype and g.mat.shape == (3, 3)
-        assert np.array_equal(g.mat.view(float), ref.mat.view(float))
+        assert g.diag == diag and g.upper == upper
+        assert g.mat.dtype == complex and g.mat.shape == (3, 3)
+        assert np.array_equal(g.mat.view(float), full_matrix(diag, upper).view(float))
+        assert np.array_equal(g.mat, g.mat.conj().T)
         assert not g.mat.flags.writeable
 
 
-def numpy_cofactor_det(m):
-    """Cofactor expansion on 0-d numpy entries: the reference det3 must match bit for bit."""
-    return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
-
-
-def test_det3_equals_numpy_cofactor_expansion_exactly():
+def test_det3_of_gram_pair_equals_closed_form_gram_dets_exactly():
+    # Scalar records of both systems, pi_k > 0 included: det3 on the
+    # Hermitian3 entries and reports.gram_dets on the CharSet fields round
+    # alike.
     rng = np.random.default_rng(17)
-    for _ in range(500):
-        diag, upper = random_upper(rng)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        for g in (Hermitian3.from_upper(diag, upper), Hermitian3((a + a.conj().T) / 2)):
-            assert det3(g) == float(numpy_cofactor_det(g.mat).real)
+    for _ in range(250):
+        st = fock.random_state(int(rng.integers(3, 40)), rng)
+        qs = spin.random_state(spin.SpinSystem(int(rng.integers(2, 12))), rng)
+        d = qs.system.dim
+        for cs in (
+            fock.char_set(st, int(rng.integers(1, 4)), float(rng.uniform(-4.0, 4.0))),
+            spin.char_set(qs, int(rng.integers(1, 2 * d)), int(rng.integers(-d, 2 * d))),
+        ):
+            g_plus, g_minus = reports.gram_pair(cs)
+            assert (det3(g_plus), det3(g_minus)) == reports.gram_dets(cs)

@@ -43,10 +43,13 @@ def production_ops(d):
 
 
 def assert_closed_form_matches_det3(cs):
+    # det3 shares the closed form, so it must agree exactly; numpy's LU
+    # determinant of the full matrices is the independent oracle.
     g_plus, g_minus = gram_pair(cs)
     det_plus, det_minus = reports.gram_dets(cs)
-    assert abs(det_plus - det3(g_plus)) <= 1e-12
-    assert abs(det_minus - det3(g_minus)) <= 1e-12
+    assert (det3(g_plus), det3(g_minus)) == (det_plus, det_minus)
+    assert abs(det_plus - np.linalg.det(g_plus.mat)) <= 1e-12
+    assert abs(det_minus - np.linalg.det(g_minus.mat)) <= 1e-12
 
 
 def qudit_from_bloch(s):
