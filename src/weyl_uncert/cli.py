@@ -12,6 +12,7 @@ import math
 import operator
 import os
 import re
+import stat
 import sys
 import tempfile
 from dataclasses import asdict, fields, replace
@@ -39,13 +40,27 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".weyl-uncert-")
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            # A new file gets the mode open() would give it; umask can only be read by setting it.
+            mask = os.umask(0)
+            os.umask(mask)
+            mode = stat.S_IFREG | (0o666 & ~mask)
+        if not stat.S_ISREG(mode):
+            # A FIFO or device node is written in place: replacing it would destroy it.
+            with open(path, "w", newline="") as handle:
+                handle.write(text)
+            return
+        # A regular file is replaced whole, at the end of any symlinks, keeping its mode.
+        target = os.path.realpath(path)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".weyl-uncert-")
         try:
             with os.fdopen(fd, "w", newline="") as handle:
+                os.fchmod(handle.fileno(), stat.S_IMODE(mode))
                 handle.write(text)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)

@@ -119,7 +119,8 @@ FamilySpec = Union[NumberState, PhaseCoherent, GaussianNumber, BesselEigenstate,
 
 @dataclass(frozen=True)
 class CharMagnitudes:
-    """Closed-form characteristic-function magnitudes (phases unspecified)."""
+    """Closed-form characteristic-function magnitudes (phases unspecified), as
+    the Gaussian family's continuum forms give them."""
 
     abs_number_char: float
     abs_phase_char: float
@@ -246,10 +247,13 @@ def build(spec: FamilySpec, max_nmax: int | None = None) -> FockState:
 def closed_form_char(spec: FamilySpec, k: int, phi: float) -> CharSet | CharMagnitudes:
     """Closed-form characteristic functions where the family admits them.
 
-    Number and phase-coherent states have exact complex closed forms; the
-    intermediate family has asymptotic ones (|xi| -> 1).  The Gaussian and
-    Bessel families are described by magnitude formulas only, so a
-    CharMagnitudes record is returned for them.  Outside a family's valid
+    Number, phase-coherent and Bessel states have exact complex closed
+    forms, the last in modified Bessel functions with z = 2 lambda
+    exp(i phi / 2): number = I_0(z) / I_0(2 lambda), phase = i^k I_k(2 lambda)
+    / I_0(2 lambda) and cross = i^k exp(-i k phi / 2) I_k(conj z) / I_0(2 lambda).
+    The intermediate family has asymptotic forms (|xi| -> 1).  The
+    Gaussian family is described by magnitude formulas only, so a
+    CharMagnitudes record is returned for it.  Outside a family's valid
     regime this raises ClosedFormUnavailable instead of returning numbers
     that do not mean anything.
     """
@@ -298,17 +302,19 @@ def closed_form_char(spec: FamilySpec, k: int, phi: float) -> CharSet | CharMagn
     if isinstance(spec, BesselEigenstate):
         lam = spec.lam
         i0 = bessel_i(0, 2.0 * lam).real
-        w = 2.0 * lam * np.exp(1j * phi / 2.0)
+        z = 2.0 * lam * np.exp(0.5j * phi)
+        ik = 1j**k / i0
         pi_k = 0.0
         term = 1.0
         for m in range(k):
             if m > 0:
                 term *= (lam / m) ** 2
             pi_k += term
-        return CharMagnitudes(
-            abs_number_char=abs(bessel_i(0, w)) / i0,
-            abs_phase_char=bessel_i(k, 2.0 * lam).real / i0,
-            abs_cross_char=abs(bessel_i(k, w)) / i0,
+        return CharSet(
+            number_char=complex(bessel_i(0, z) / i0),
+            phase_char=complex(ik * bessel_i(k, 2.0 * lam).real),
+            cross_char=complex(ik * np.exp(-0.5j * k * phi) * bessel_i(k, z.conjugate())),
+            weyl=weyl,
             pi_k=pi_k / i0,
         )
 
@@ -355,10 +361,10 @@ def oracle_check(spec: FamilySpec, k: int, phi: float, max_nmax: int | None = No
     """Deviation between amplitude-sum and closed-form characteristic functions.
 
     Exact and asymptotic families compare complex values entrywise; the
-    magnitude-only families compare moduli (relative in squared magnitude
-    for the Gaussian, whose non-representable or alias-dominated components
-    are excluded).  Raises ClosedFormUnavailable when no closed form
-    applies.
+    Gaussian family, whose closed forms give magnitudes only, compares
+    squared moduli relatively, excluding non-representable or
+    alias-dominated components.  Raises ClosedFormUnavailable when no closed
+    form applies.
     """
     cf = closed_form_char(spec, k, phi)
     num = fock.char_set(build(spec, max_nmax), k, phi)
@@ -369,14 +375,7 @@ def oracle_check(spec: FamilySpec, k: int, phi: float, max_nmax: int | None = No
             abs(num.cross_char - cf.cross_char),
             abs(num.pi_k - cf.pi_k),
         )
-    if isinstance(spec, GaussianNumber):
-        return _gaussian_deviation(spec, phi, num, cf)
-    return max(
-        abs(abs(num.number_char) - cf.abs_number_char),
-        abs(abs(num.phase_char) - cf.abs_phase_char),
-        abs(abs(num.cross_char) - cf.abs_cross_char),
-        abs(num.pi_k - cf.pi_k),
-    )
+    return _gaussian_deviation(spec, phi, num, cf)
 
 
 def gaussian_product_certainty(a: float, b: float, k: float) -> float:

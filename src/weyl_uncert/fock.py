@@ -14,8 +14,8 @@ not unitary: the second carries exp(-i k phi) (the Weyl phase) on its cross
 entry and the weight of the subspace with fewer than k photons (pi_k) on
 its diagonal.  Their determinants and the derived certainty functionals
 U, U', U'', V are produced by :func:`report`, which builds the matrices with
-:func:`gram_matrices` and evaluates them with ``det3``, the closed form that
-``reports.gram_dets`` also uses.
+:func:`gram_matrices` (``reports.gram_pair``) and evaluates them with
+``det3``.
 """
 
 from __future__ import annotations
@@ -55,22 +55,21 @@ class FockState:
         return self.amplitudes.size - 1
 
 
-def _check_k(state: FockState, k: int) -> int:
+def _check_k(k: int) -> int:
     k = int(k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > state.n_max:
-        raise ValueError(f"k = {k} exceeds the state's n_max = {state.n_max}")
     return k
 
 
 def apply_lowering(state: FockState, k: int) -> np.ndarray:
-    """Amplitudes of E^k psi: c'_n = c_{n+k}, top k entries zero.
+    """Amplitudes of E^k psi: c'_n = c_{n+k}, top k entries zero (all of
+    them for k > n_max).
 
     The result is generally unnormalized, so a raw vector is returned
     rather than a FockState.
     """
-    k = _check_k(state, k)
+    k = _check_k(k)
     c = state.amplitudes
     out = np.zeros_like(c)
     out[:-k] = c[k:]
@@ -81,13 +80,9 @@ def apply_raising(state: FockState, k: int) -> np.ndarray:
     """Amplitudes of Edag^k psi: c'_n = c_{n-k}, bottom k entries zero.
 
     The adjoint shift is an exact isometry, so the returned vector grows by
-    k slots instead of pushing the top amplitudes past the truncation;
-    unlike the lowering direction the action never outgrows the state, so
-    any k >= 1 is accepted.
+    k slots instead of pushing the top amplitudes past the truncation.
     """
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _check_k(k)
     c = state.amplitudes
     out = np.zeros(c.size + k, dtype=complex)
     out[k:] = c
@@ -109,7 +104,7 @@ def char_set(state: FockState, k: int, phi: float) -> CharSet:
     sums: the cross sum reads its conjugate from n = k on, which is bitwise
     exp(-i phi n) since cos is even and sin odd.
     """
-    k = _check_k(state, k)
+    k = _check_k(k)
     c = state.amplitudes
     phases = np.exp(1j * phi * np.arange(c.size))
     probs = np.abs(c) ** 2
@@ -118,7 +113,7 @@ def char_set(state: FockState, k: int, phi: float) -> CharSet:
         complex(probs @ phases),
         complex(pair.sum()),
         complex(pair @ phases[k:].conj()),
-        np.exp(-1j * k * phi),
+        complex(np.exp(-1j * k * phi)),
         float(probs[:k].sum()),
     )
 

@@ -3,11 +3,9 @@
 Two small families of routines live here: modified Bessel functions of
 integer order for complex argument, evaluated by direct power series with a
 controlled stopping rule, and the 3x3 Hermitian matrix type with its
-determinant (the Gram matrices of three state vectors).
-
-:func:`hermitian_det` is the package's one Gram-determinant formula;
-:func:`det3` applies it to the six entries a :class:`Hermitian3` keeps, and
-``reports.gram_dets`` to the fields of a characteristic set or table.
+determinant (the Gram matrices of three state vectors).  :func:`det3` is
+the package's one Gram-determinant formula, for one matrix and for a table
+of them alike.
 """
 
 from __future__ import annotations
@@ -57,51 +55,53 @@ def bessel_i(order: int, z: complex) -> complex:
     return total
 
 
-def hermitian_det(d0, d1, d2, ar, ai, br, bi, cr, ci):
-    """det [[d0, a, b], [a*, d1, c], [b*, c*, d2]], a = ar + i ai and so on:
-    d2 (d0 d1 - |a|^2) - d1 |b|^2 - d0 |c|^2 + 2 Re(a c conj(b)), in real
-    products and sums only, which round alike on Python floats and numpy
-    arrays; a unit d0 or d1 enters through exact products by 1.0."""
-    re_acb = (ar * cr - ai * ci) * br + (ar * ci + ai * cr) * bi
-    abs_a2, abs_b2, abs_c2 = ar * ar + ai * ai, br * br + bi * bi, cr * cr + ci * ci
-    return d2 * (d0 * d1 - abs_a2) - d1 * abs_b2 - d0 * abs_c2 + 2.0 * re_acb
-
-
 @dataclass(frozen=True, init=False)
 class Hermitian3:
     """3x3 Hermitian matrix kept as its real diagonal (d0, d1, d2) and upper
-    entries (a01, a02, a12); :meth:`from_upper` is the only constructor."""
+    entries (a01, a02, a12); :meth:`from_upper` is the only constructor.
 
-    diag: tuple[float, float, float]
-    upper: tuple[complex, complex, complex]
+    Entries may be numpy arrays that broadcast against each other, so that
+    one record holds a whole table of matrices.
+    """
+
+    diag: tuple
+    upper: tuple
 
     @classmethod
-    def from_upper(
-        cls,
-        diag: tuple[float, float, float],
-        upper: tuple[complex, complex, complex],
-    ) -> "Hermitian3":
+    def from_upper(cls, diag, upper) -> "Hermitian3":
         """Build from real diagonal (d0, d1, d2) and upper entries (a01, a02, a12),
-        checked finite."""
-        d0, d1, d2 = (float(x) for x in diag)
-        a01, a02, a12 = (complex(x) for x in upper)
-        if not all(map(cmath.isfinite, (d0, d1, d2, a01, a02, a12))):
+        checked finite.
+
+        Scalars become float and complex without a numpy call, which keeps a
+        single matrix cheap; arrays are kept as given.
+        """
+        entries = (*diag, *upper)
+        if np.ndarray in map(type, entries):
+            finite = all([np.isfinite(x).all() if type(x) is np.ndarray else cmath.isfinite(x)
+                          for x in entries])
+        else:
+            diag, upper = tuple(map(float, diag)), tuple(map(complex, upper))
+            finite = all(map(cmath.isfinite, diag + upper))
+        if not finite:
             raise ValueError("matrix entries must be finite")
         g = object.__new__(cls)
-        object.__setattr__(g, "diag", (d0, d1, d2))
-        object.__setattr__(g, "upper", (a01, a02, a12))
+        object.__setattr__(g, "diag", tuple(diag))
+        object.__setattr__(g, "upper", tuple(upper))
         return g
 
-    @property
-    def mat(self) -> np.ndarray:
-        """The full matrix as a read-only complex array, built on each access."""
-        (d0, d1, d2), (a, b, c) = self.diag, self.upper
-        m = np.array([[d0, a, b], [a.conjugate(), d1, c], [b.conjugate(), c.conjugate(), d2]])
-        m.flags.writeable = False
-        return m
 
+def det3(g: Hermitian3):
+    """Determinant of g, the package's one Gram-determinant formula.
 
-def det3(g: Hermitian3) -> float:
-    """Determinant of g: :func:`hermitian_det` on its six entries."""
+    With upper entries (a, b, c) it is
+    d2 (d0 d1 - |a|^2) - d1 |b|^2 - d0 |c|^2 + 2 Re(a c conj(b)), in real
+    products and sums only, which round alike on Python scalars and numpy
+    arrays: a table of matrices gives the array of the determinants its
+    entries give one by one.  A unit d0 or d1 enters through exact products
+    by 1.0.
+    """
     (d0, d1, d2), (a, b, c) = g.diag, g.upper
-    return hermitian_det(d0, d1, d2, a.real, a.imag, b.real, b.imag, c.real, c.imag)
+    ar, ai, br, bi, cr, ci = a.real, a.imag, b.real, b.imag, c.real, c.imag
+    re_acb = (ar * cr - ai * ci) * br + (ar * ci + ai * cr) * bi
+    abs_a2, abs_b2, abs_c2 = ar * ar + ai * ai, br * br + bi * bi, cr * cr + ci * ci
+    return d2 * (d0 * d1 - abs_a2) - d1 * abs_b2 - d0 * abs_c2 + 2.0 * re_acb

@@ -1,11 +1,10 @@
-"""Unit amplitudes, characteristic set, Gram pair and determinants, certainty
-functionals and report record of both systems, which differ only in the Weyl
-phase on the inverse-power cross term and in pi_k (0 for the unitary
-clock/shift pair).
+"""Unit amplitudes, characteristic set, Gram pair, certainty functionals and
+report record of both systems, which differ only in the Weyl phase on the
+inverse-power cross term and in pi_k (0 for the unitary clock/shift pair).
 
-:func:`gram_dets` and :func:`functionals` are closed forms in the fields of
-a :class:`CharSet`, so they take Python scalars and numpy arrays alike: the
-same code serves one configuration and a whole table of them.
+:func:`gram_pair` and :func:`functionals` take a :class:`CharSet` of Python
+scalars or of numpy arrays alike: the same code serves one configuration
+and a whole table of them.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Hermitian3, hermitian_det
+from .numerics import Hermitian3
 
 
 def unit_amplitudes(amps) -> np.ndarray:
@@ -69,36 +68,29 @@ def gram_pair(cs: CharSet) -> tuple[Hermitian3, Hermitian3]:
 
     The second conjugates the number and phase characters, multiplies the
     conjugated cross character by the Weyl phase and has 1 - pi_k last on
-    its diagonal.
+    its diagonal.  A table of characteristic sets gives tables of matrices,
+    whose ``det3`` equals entry by entry the one of each scalar set.
     """
-    number, phase, cross = cs.number_char, cs.phase_char, cs.cross_char
+    number, phase, cross, w = cs.number_char, cs.phase_char, cs.cross_char, cs.weyl
     g_plus = Hermitian3.from_upper((1.0, 1.0, 1.0), (number, phase, cross))
+    # weyl * conj(cross) in real products and sums, as Python's complex
+    # product forms it, so that arrays round alike.
+    weyl_cross = _complex(
+        w.real * cross.real + w.imag * cross.imag, w.imag * cross.real - w.real * cross.imag
+    )
     g_minus = Hermitian3.from_upper(
-        (1.0, 1.0, 1.0 - cs.pi_k),
-        (number.conjugate(), phase.conjugate(), cs.weyl * cross.conjugate()),
+        (1.0, 1.0, 1.0 - cs.pi_k), (number.conjugate(), phase.conjugate(), weyl_cross)
     )
     return g_plus, g_minus
 
 
-def gram_dets(cs: CharSet) -> tuple:
-    """Determinants of both :func:`gram_pair` matrices, in closed form.
-
-    Each matrix has unit diagonal except D last and upper entries (a, b, c),
-    so :func:`numerics.hermitian_det` gives its determinant
-    D (1 - |a|^2) - |b|^2 - |c|^2 + 2 Re(a c conj(b)): D = 1 with
-    (number, phase, cross) for the first, D = 1 - pi_k with
-    (conj number, conj phase, weyl * conj cross) for the second.  Array
-    fields give arrays of determinants, each equal to the one its scalar
-    entries give, and scalar fields give exactly ``det3`` of the
-    :func:`gram_pair` matrices.
-    """
-    a, b, c, w = cs.number_char, cs.phase_char, cs.cross_char, cs.weyl
-    det_plus = hermitian_det(1.0, 1.0, 1.0, a.real, a.imag, b.real, b.imag, c.real, c.imag)
-    det_minus = hermitian_det(
-        1.0, 1.0, 1.0 - cs.pi_k, a.real, -a.imag, b.real, -b.imag,
-        w.real * c.real + w.imag * c.imag, w.imag * c.real - w.real * c.imag,
-    )
-    return det_plus, det_minus
+def _complex(re, im):
+    # Exact for scalars and arrays; re + 1j * im would turn a -0.0 part into +0.0.
+    if isinstance(re, np.ndarray):
+        z = re.astype(complex)
+        z.imag = im
+        return z
+    return complex(re, im)
 
 
 def functionals(cs: CharSet) -> tuple[float, float, float, float]:

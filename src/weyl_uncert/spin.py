@@ -18,9 +18,8 @@ O(d^3): d rolls and one d x d matrix product.
 
 Characteristic sets are :class:`reports.CharSet` records whose Weyl phase is
 exp(-i 2pi k l / d) and whose pi_k is 0, since shift^k is unitary.
-:func:`report` takes its Gram determinants from :func:`reports.gram_dets`;
-:func:`gram_dets` here builds the Gram matrices and applies ``det3`` to
-them, which evaluates the same closed form and gives the same numbers.
+:func:`report` and :func:`gram_dets` take their Gram determinants from
+``reports.gram_pair`` and ``det3``, as ``fock.report`` does.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import reports
 from .numerics import det3
 from .reports import CharSet, UncertaintyReport, functionals, gram_pair, unit_amplitudes
 
@@ -142,17 +140,12 @@ def weyl_angle(system: SpinSystem, k: int, ell: int) -> float:
 def certainty_bound(gamma: float) -> float:
     """Upper bound for the sum of squared characteristic moduli at angle gamma.
 
-    Evaluates 2*sqrt(2) * (sqrt(2) - sqrt(1 - cos g)) / (1 + cos g), which
-    is 0/0 at g = pi; the removable singularity is replaced by its limit 1
-    when |1 + cos g| < 1e-8.  Ranges over [1, 2] on (-pi, pi].
+    2 sqrt(2) (sqrt(2) - sqrt(1 - cos g)) / (1 + cos g) is 0/0 at g = pi;
+    with 1 - cos g = 2 sin^2(g/2) and 1 + cos g = 2 cos^2(g/2) it reduces
+    to 2 / (1 + |sin(g/2)|), which has no singularity.  Ranges over [1, 2]
+    on (-pi, pi], from exactly 2 at g = 0 to exactly 1 at g = pi.
     """
-    # Half-angle forms avoid cancellation in 1 -+ cos(gamma).
-    s = abs(math.sin(gamma / 2.0))
-    one_plus_cos = 2.0 * math.cos(gamma / 2.0) ** 2
-    if one_plus_cos < 1e-8:
-        return 1.0
-    one_minus_cos = 2.0 * s * s
-    return 2.0 * math.sqrt(2.0) * (math.sqrt(2.0) - math.sqrt(one_minus_cos)) / one_plus_cos
+    return 2.0 / (1.0 + abs(math.sin(gamma / 2.0)))
 
 
 def char_set(state: QuditState, k: int, ell: int) -> CharSet:
@@ -206,10 +199,7 @@ def cyclic_phase(state: QuditState, k: int, ell: int) -> complex:
 
 def gram_dets(state: QuditState, k: int, ell: int) -> tuple[float, float]:
     """Determinants of the Gram matrices for (k, l) and (-k, -l); the second
-    comes from the (k, l) set through unitarity and the Weyl phase.
-
-    Built as ``Hermitian3`` matrices and evaluated by ``det3``; equal to
-    ``reports.gram_dets`` of the same characteristic set."""
+    comes from the (k, l) set through unitarity and the Weyl phase."""
     g_plus, g_minus = gram_pair(char_set(state, k, ell))
     return det3(g_plus), det3(g_minus)
 
@@ -226,7 +216,8 @@ def report(state: QuditState, k: int, ell: int) -> UncertaintyReport:
     bound = certainty_bound(gamma)
     u, u_prime, _, v = functionals(cs)
     applicable = abs(gamma - math.pi) <= 1e-9
-    det_plus, det_minus = reports.gram_dets(cs)
+    g_plus, g_minus = gram_pair(cs)
+    det_plus, det_minus = det3(g_plus), det3(g_minus)
     return UncertaintyReport(
         u=u,
         v=v,
@@ -254,8 +245,8 @@ def qubit_char(bloch, k: int = 1, ell: int = 1) -> CharSet:
     if s.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got shape {s.shape}")
     norm = float(np.linalg.norm(s))
-    if norm > 1.0 + 1e-12:
-        raise ValueError(f"Bloch vector must satisfy |s| <= 1, got |s| = {norm!r}")
+    if not norm <= 1.0 + 1e-12:
+        raise ValueError(f"Bloch vector must be finite with |s| <= 1, got |s| = {norm!r}")
     z_odd, x_odd = ell % 2 == 1, k % 2 == 1
     number_char = complex(s[2]) if z_odd else complex(1.0)
     phase_char = complex(s[0]) if x_odd else complex(1.0)

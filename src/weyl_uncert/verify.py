@@ -7,7 +7,7 @@ independently constructed dense operators, not the production fast paths.
 
 The spin suite checks the Gram determinants, the certainty bounds and the
 triple sum of each random state on all its drawn (k, l) pairs at once: one
-``spin.char_table`` per state, the closed-form ``reports.gram_dets`` and
+``spin.char_table`` per state, ``reports.gram_pair`` with ``det3`` and
 ``reports.functionals`` on the table, and array comparisons.  Failures are
 listed per pair in the drawn order and quote that pair's single-pair values.
 """
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import families, fock, reports, spin
+from .numerics import det3
 
 _DET_TOL = -1e-10
 _BOUND_TOL = 1e-9
@@ -98,7 +99,7 @@ def run_spin(samples: int, seed: int) -> SuiteResult:
         for _ in range(per):
             st = spin.random_state(system, rng)
             table = spin.char_table(st)
-            det_plus, det_minus = (x[at] for x in reports.gram_dets(table))
+            det_plus, det_minus = (det3(g)[at] for g in reports.gram_pair(table))
             u, u_prime, _, v = (x[at] for x in reports.functionals(table))
             res.checks += len(pairs)
             min_det = min(min_det, float(det_plus.min()), float(det_minus.min()))

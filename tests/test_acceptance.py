@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import optimize, special
 
+from test_numerics import full_matrix
 from test_spin import SIGMA_X, SIGMA_Y, SIGMA_Z
 from weyl_uncert import analysis, families, fock, reports, spin
 
@@ -74,7 +75,8 @@ def test_criterion_02_gram_positivity():
             failures.append(f"spin d={d} k={k} l={ell}: dets {dp:.2e} {dm:.2e}")
         if i < 100:
             for kk, ll in ((k, ell), (-k, -ell)):
-                ev = np.linalg.eigvalsh(reports.gram_pair(spin.char_set(st, kk, ll))[0].mat)[0]
+                g = reports.gram_pair(spin.char_set(st, kk, ll))[0]
+                ev = np.linalg.eigvalsh(full_matrix(g.diag, g.upper))[0]
                 if ev < -1e-10:
                     failures.append(f"spin d={d}: min eigenvalue {ev:.2e}")
     nmaxes = (8, 32, 128)
@@ -91,7 +93,7 @@ def test_criterion_02_gram_positivity():
             failures.append(f"fock n_max={n_max} k={k}: dets {dp:.2e} {dm:.2e}")
         if i < 100:
             gp, gm = fock.gram_matrices(fock.char_set(st, k, phi))
-            if min(np.linalg.eigvalsh(gp.mat)[0], np.linalg.eigvalsh(gm.mat)[0]) < -1e-10:
+            if min(np.linalg.eigvalsh(full_matrix(g.diag, g.upper))[0] for g in (gp, gm)) < -1e-10:
                 failures.append(f"fock n_max={n_max} k={k}: negative min eigenvalue")
     conclude("2 Gram positivity", failures, f"most negative determinant {low:.1e}")
 

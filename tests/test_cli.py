@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -325,6 +328,79 @@ def test_out_onto_a_directory_names_the_given_path(tmp_path):
     assert ".weyl-uncert-" not in proc.stderr
     assert list(tmp_path.iterdir()) == [out]
     assert list(out.iterdir()) == []
+
+
+def figure_csv():
+    return run_cli("figure", "--id", "1").stdout
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path):
+    target = tmp_path / "real.csv"
+    target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to("real.csv")
+    dangling = tmp_path / "dangling.csv"
+    dangling.symlink_to("new.csv")
+    for out in (link, dangling):
+        assert run_cli("figure", "--id", "1", "--out", str(out)).returncode == 0
+        assert out.is_symlink()
+    assert target.read_text() == (tmp_path / "new.csv").read_text() == figure_csv()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dangling.csv", "link.csv", "new.csv", "real.csv"]
+
+
+def test_out_to_a_fifo_writes_in_place(tmp_path):
+    from weyl_uncert import cli
+
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert cli.main(["figure", "--id", "1", "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [figure_csv()]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_out_gives_a_new_file_the_umask_mode(tmp_path, umask):
+    from weyl_uncert import cli
+
+    out = tmp_path / "new.csv"
+    old = os.umask(umask)
+    try:
+        assert cli.main(["figure", "--id", "1", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+
+def test_out_keeps_an_existing_files_mode(tmp_path):
+    from weyl_uncert import cli
+
+    out = tmp_path / "old.csv"
+    out.write_text("old\n")
+    out.chmod(0o644)
+    old = os.umask(0o077)
+    try:
+        assert cli.main(["figure", "--id", "1", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
+    assert out.read_text() == figure_csv()
+
+
+def test_scan_evaluates_k_above_a_states_own_truncation():
+    # At xi = 0.1 the family keeps levels up to 16 only; E^20 psi = 0 there.
+    proc = run_cli("scan", "--family", "phase-coherent:xi=0.5", "--param", "xi",
+                   "--from", "0.1", "--to", "0.9", "--steps", "9", "--k", "20")
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[1:]
+    assert len(rows) == 9
+    first = dict(zip(CSV_HEADER.split(","), map(float, rows[0].split(","))))
+    assert (first["absPhiTilde"], first["absOmega"], first["Pik"]) == (0.0, 0.0, 1.0)
 
 
 def test_verify_run_returns_suite_results():

@@ -11,7 +11,6 @@ from scipy import optimize, special
 from weyl_uncert import families, fock
 from weyl_uncert.families import (
     BesselEigenstate,
-    CharMagnitudes,
     ClosedFormUnavailable,
     FamilySpecError,
     GaussianNumber,
@@ -27,6 +26,7 @@ from weyl_uncert.families import (
     truncation_cap,
     with_param,
 )
+from weyl_uncert.reports import CharSet
 
 BIG_CAP = 20000  # |xi| = 0.999 needs ~16k photon numbers for the tail target
 
@@ -151,17 +151,22 @@ def test_oracle_check_phase_coherent():
 def test_oracle_check_bessel():
     assert oracle_check(BesselEigenstate(0.77), 1, math.pi) <= 1e-8
     assert oracle_check(BesselEigenstate(2.0), 2, math.pi / 2) <= 1e-8
+    # The closed forms are complex: each character, phase included.
+    for lam in (0.05, 1.0, 7.5, 30.0):
+        for k in range(1, 6):
+            for phi in (-2.5, 0.0, 1.0, math.pi / k):
+                assert oracle_check(BesselEigenstate(lam), k, phi) <= 1e-14
 
 
 def test_bessel_closed_form_reduces_to_ordinary_bessel_at_pi():
-    # I_0(2 lambda e^{i pi/2}) has modulus |J_0(2 lambda)|.
+    # I_0(2i lambda) = J_0(2 lambda) and I_1(-2i lambda) = -i J_1(2 lambda).
     for lam in (0.4, 0.77, 1.3):
         cf = closed_form_char(BesselEigenstate(lam), 1, math.pi)
-        assert isinstance(cf, CharMagnitudes)
+        assert isinstance(cf, CharSet)
         i0 = special.i0(2 * lam)
-        assert cf.abs_number_char == pytest.approx(abs(special.j0(2 * lam)) / i0, rel=1e-10)
-        assert cf.abs_phase_char == pytest.approx(special.i1(2 * lam) / i0, rel=1e-10)
-        assert cf.abs_cross_char == pytest.approx(abs(special.j1(2 * lam)) / i0, rel=1e-10)
+        assert abs(cf.number_char - special.j0(2 * lam) / i0) <= 1e-12
+        assert abs(cf.phase_char - 1j * special.i1(2 * lam) / i0) <= 1e-12
+        assert abs(cf.cross_char + 1j * special.j1(2 * lam) / i0) <= 1e-12
 
 
 def test_oracle_check_gaussian_within_window():

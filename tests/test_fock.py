@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from weyl_uncert import families, fock, reports, verify
+from test_numerics import full_matrix
+from weyl_uncert import families, fock, verify
 from weyl_uncert.numerics import det3
 from weyl_uncert.reports import CharSet, gram_pair
 from weyl_uncert.fock import (
@@ -89,12 +90,14 @@ def test_single_mode_weyl_relation():
 
 def test_shift_domain_errors():
     st = number_state(2, n_max=4)
-    with pytest.raises(ValueError, match="n_max"):
-        apply_lowering(st, 5)
+    for shift in (apply_lowering, apply_raising):
+        with pytest.raises(ValueError, match="k must be"):
+            shift(st, 0)
     with pytest.raises(ValueError, match="k must be"):
-        apply_lowering(st, 0)
-    with pytest.raises(ValueError, match="n_max"):
-        char_set(st, 5, math.pi)
+        char_set(st, 0, math.pi)
+    # A k above n_max is in the domain: E^k psi = 0.
+    assert np.array_equal(apply_lowering(st, 5), np.zeros(5))
+    assert apply_lowering(st, 5).dtype == complex
 
 
 def test_state_validation():
@@ -186,6 +189,26 @@ def test_char_set_against_dense_oracle():
             assert abs(cs.phase_char - np.vdot(c, edk @ c)) < 1e-12
             assert abs(cs.cross_char - np.vdot(c, rot.conj().T @ edk @ c)) < 1e-12
             assert abs(cs.pi_k - np.linalg.norm(c[:k]) ** 2) < 1e-12
+
+
+def test_char_set_beyond_n_max_against_padded_dense_oracle():
+    # For k > n_max, E^k psi = 0: the set must be what the dense operators
+    # give on the same state padded with zero amplitudes.
+    rng = np.random.default_rng(35)
+    st = random_state(4, rng)
+    c = np.pad(st.amplitudes, (0, 8))
+    e = verify._dense_fock_lower(c.size)
+    rot = np.diag(np.exp(1j * 0.9 * np.arange(c.size)))
+    for k in range(1, c.size + 2):
+        cs = char_set(st, k, 0.9)
+        edk = np.linalg.matrix_power(e.conj().T, k)
+        assert abs(cs.number_char - np.vdot(c, rot @ c)) < 1e-12
+        assert abs(cs.phase_char - np.vdot(c, edk @ c)) < 1e-12
+        assert abs(cs.cross_char - np.vdot(c, rot.conj().T @ edk @ c)) < 1e-12
+        assert abs(cs.pi_k - np.linalg.norm(c[:k]) ** 2) < 1e-12
+        if k > st.n_max:
+            assert (cs.phase_char, cs.cross_char, cs.pi_k) == (0.0, 0.0, 1.0)
+        assert np.array_equal(apply_lowering(st, k), (np.linalg.matrix_power(e, k) @ c)[:5])
 
 
 def two_exponential_char_set(state, k, phi):
@@ -296,11 +319,8 @@ def test_closed_form_gram_dets_match_det3_with_pi_k():
             for phi in (math.pi / k, 0.7, 0.0):
                 cs = char_set(st, k, phi)
                 with_pi_k += cs.pi_k > 0.0
-                g_plus, g_minus = gram_pair(cs)
-                det_plus, det_minus = reports.gram_dets(cs)
-                assert (det3(g_plus), det3(g_minus)) == (det_plus, det_minus)
-                assert abs(det_plus - np.linalg.det(g_plus.mat)) <= 1e-12
-                assert abs(det_minus - np.linalg.det(g_minus.mat)) <= 1e-12
+                for g in gram_pair(cs):
+                    assert abs(det3(g) - np.linalg.det(full_matrix(g.diag, g.upper))) <= 1e-12
     assert with_pi_k >= len(states)
 
 
@@ -313,10 +333,10 @@ def test_array_char_set_gives_the_scalar_dets_exactly():
     ]
     names = ("number_char", "phase_char", "cross_char", "weyl", "pi_k")
     stacked = CharSet(*(np.array([getattr(cs, name) for cs in sets]) for name in names))
-    det_plus, det_minus = reports.gram_dets(stacked)
+    det_plus, det_minus = map(det3, gram_pair(stacked))
     assert det_plus.shape == det_minus.shape == (60,)
     for i, cs in enumerate(sets):
-        assert (det_plus[i], det_minus[i]) == reports.gram_dets(cs)
+        assert (det_plus[i], det_minus[i]) == tuple(map(det3, gram_pair(cs)))
 
 
 def test_gram_positivity_random_sample():

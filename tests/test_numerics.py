@@ -1,6 +1,6 @@
 """Kernel tests: Bessel series against an extended-precision oracle, and
-the 3x3 Hermitian type and its determinant against numpy and direct Gram
-constructions."""
+the 3x3 Hermitian type, its tables and its determinant against numpy and
+direct Gram constructions."""
 
 import dataclasses
 import math
@@ -127,14 +127,15 @@ def test_det3_matches_numpy_on_random_hermitians():
     rng = np.random.default_rng(11)
     for _ in range(50):
         g = random_hermitian(rng)
-        assert det3(g) == pytest.approx(float(np.linalg.det(g.mat).real), abs=1e-10)
+        assert det3(g) == pytest.approx(float(np.linalg.det(full_matrix(g.diag, g.upper)).real), abs=1e-10)
 
 
 def test_det3_equals_product_of_eigvals():
     rng = np.random.default_rng(13)
     for _ in range(100):
         g = random_hermitian(rng)
-        assert det3(g) == pytest.approx(float(np.prod(np.linalg.eigvalsh(g.mat))), rel=1e-9, abs=1e-9)
+        eigs = np.linalg.eigvalsh(full_matrix(g.diag, g.upper))
+        assert det3(g) == pytest.approx(float(np.prod(eigs)), rel=1e-9, abs=1e-9)
 
 
 def test_vector_grams_are_psd():
@@ -144,7 +145,7 @@ def test_vector_grams_are_psd():
         vecs = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(3)]
         vecs = [v / np.linalg.norm(v) for v in vecs]
         g = gram_from_vectors(vecs)
-        assert np.linalg.eigvalsh(g.mat)[0] >= -1e-10
+        assert np.linalg.eigvalsh(full_matrix(g.diag, g.upper))[0] >= -1e-10
         assert det3(g) >= -1e-10
 
 
@@ -159,9 +160,12 @@ def test_hermitian3_has_no_unchecked_constructor():
 
 
 def test_hermitian3_symmetry_exact():
+    # The diagonal is kept real, so the matrix the entries stand for is
+    # exactly Hermitian.
     g = random_hermitian(np.random.default_rng(15))
-    assert np.array_equal(g.mat, g.mat.conj().T)
-    assert np.all(np.diag(g.mat).imag == 0.0)
+    assert all(type(x) is float for x in g.diag)
+    m = full_matrix(g.diag, g.upper)
+    assert np.array_equal(m, m.conj().T)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -190,30 +194,67 @@ def full_matrix(diag, upper):
     )
 
 
-def test_mat_is_the_read_only_full_matrix():
+def test_from_upper_keeps_the_entries():
     rng = np.random.default_rng(16)
     for _ in range(200):
         diag, upper = random_upper(rng)
         g = Hermitian3.from_upper(diag, upper)
         assert g.diag == diag and g.upper == upper
-        assert g.mat.dtype == complex and g.mat.shape == (3, 3)
-        assert np.array_equal(g.mat.view(float), full_matrix(diag, upper).view(float))
-        assert np.array_equal(g.mat, g.mat.conj().T)
-        assert not g.mat.flags.writeable
+        assert all(type(x) is float for x in g.diag) and all(type(x) is complex for x in g.upper)
+    a, b = np.array([[0.5, 0.25j]]), np.array([[0.1], [-0.2j]])
+    g = Hermitian3.from_upper((1.0, 1.0, 0.5), (a, b, 0.3))
+    assert g.diag == (1.0, 1.0, 0.5) and g.upper[0] is a and g.upper[1] is b
 
 
-def test_det3_of_gram_pair_equals_closed_form_gram_dets_exactly():
-    # Scalar records of both systems, pi_k > 0 included: det3 on the
-    # Hermitian3 entries and reports.gram_dets on the CharSet fields round
-    # alike.
-    rng = np.random.default_rng(17)
-    for _ in range(250):
-        st = fock.random_state(int(rng.integers(3, 40)), rng)
-        qs = spin.random_state(spin.SpinSystem(int(rng.integers(2, 12))), rng)
-        d = qs.system.dim
-        for cs in (
-            fock.char_set(st, int(rng.integers(1, 4)), float(rng.uniform(-4.0, 4.0))),
-            spin.char_set(qs, int(rng.integers(1, 2 * d)), int(rng.integers(-d, 2 * d))),
-        ):
-            g_plus, g_minus = reports.gram_pair(cs)
-            assert (det3(g_plus), det3(g_minus)) == reports.gram_dets(cs)
+def random_table(rng, shape):
+    diag = tuple(rng.standard_normal(shape) for _ in range(3))
+    upper = tuple(rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(3))
+    return diag, upper
+
+
+def test_det3_of_a_table_equals_the_scalar_det3_exactly():
+    rng = np.random.default_rng(18)
+    diag, upper = random_table(rng, (4, 5))
+    # Entries that broadcast: a scalar, a row and a column among them.
+    diag = (1.0, diag[1][:1, :], diag[2])
+    upper = (upper[0][:, :1], upper[1], complex(upper[2][0, 0]))
+    dets = det3(Hermitian3.from_upper(diag, upper))
+    assert dets.shape == (4, 5)
+    d_full = np.broadcast_arrays(*diag, *upper)
+    for i, j in np.ndindex(4, 5):
+        g = Hermitian3.from_upper([x[i, j] for x in d_full[:3]], [x[i, j] for x in d_full[3:]])
+        assert dets[i, j] == det3(g)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_from_upper_rejects_a_non_finite_table_entry(bad):
+    diag, upper = random_table(np.random.default_rng(19), (3, 4))
+    Hermitian3.from_upper(diag, upper)
+    for i in range(6):
+        entries = [x.copy() for x in diag + upper]
+        if i < 3:
+            entries[i][1, 2] = bad
+        else:
+            entries[i][2, 1] = complex(0.1, bad) if i % 2 else complex(bad, 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            Hermitian3.from_upper(entries[:3], entries[3:])
+    with pytest.raises(ValueError, match="finite"):
+        Hermitian3.from_upper((1.0, bad, 1.0), upper)
+
+
+def test_gram_pair_cross_entry_is_pythons_complex_product():
+    # weyl * conj(cross) of each scalar set, signed zeros included, and the
+    # same numbers entry by entry from a table of sets.
+    parts = (0.0, -0.0, 1.0, -1.0, 0.6, -0.8)
+    values = [complex(x, y) for x in parts for y in parts if abs(complex(x, y)) <= 1.0]
+    weyl = np.array(values)[:, None]
+    cross = np.array(values)[None, :]
+    table = reports.gram_pair(reports.CharSet(0.5, 0.5, cross, weyl))[1].upper[2]
+    for i, w in enumerate(values):
+        for j, c in enumerate(values):
+            got = reports.gram_pair(reports.CharSet(0.5, 0.5, c, w))[1].upper[2]
+            want = w * c.conjugate()
+            for z in (got, complex(table[i, j])):
+                assert (z.real, z.imag) == (want.real, want.imag)
+                assert math.copysign(1.0, z.real) == math.copysign(1.0, want.real)
+                assert math.copysign(1.0, z.imag) == math.copysign(1.0, want.imag)

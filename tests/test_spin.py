@@ -6,10 +6,12 @@ import dataclasses
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
-from weyl_uncert import reports, spin, verify
+from test_numerics import full_matrix
+from weyl_uncert import spin, verify
 from weyl_uncert.numerics import det3
 from weyl_uncert.reports import CharSet, gram_pair
 from weyl_uncert.spin import (
@@ -42,14 +44,10 @@ def production_ops(d):
     return spin._apply_shift(d, 1, np.eye(d, dtype=complex)), np.diag(spin._unit_phases(d, 1))
 
 
-def assert_closed_form_matches_det3(cs):
-    # det3 shares the closed form, so it must agree exactly; numpy's LU
-    # determinant of the full matrices is the independent oracle.
-    g_plus, g_minus = gram_pair(cs)
-    det_plus, det_minus = reports.gram_dets(cs)
-    assert (det3(g_plus), det3(g_minus)) == (det_plus, det_minus)
-    assert abs(det_plus - np.linalg.det(g_plus.mat)) <= 1e-12
-    assert abs(det_minus - np.linalg.det(g_minus.mat)) <= 1e-12
+def assert_det3_matches_numpy(cs):
+    # numpy's LU determinant of the full matrices is the independent oracle.
+    for g in gram_pair(cs):
+        assert abs(det3(g) - np.linalg.det(full_matrix(g.diag, g.upper))) <= 1e-12
 
 
 def qudit_from_bloch(s):
@@ -187,7 +185,26 @@ def test_certainty_bound_values():
     assert certainty_bound(math.pi) == 1.0
     assert certainty_bound(1e-6) == pytest.approx(2.0, abs=1e-6)
     assert certainty_bound(math.pi / 2) == pytest.approx(4.0 - 2.0 * math.sqrt(2.0), rel=1e-12)
-    assert certainty_bound(0.0) == pytest.approx(2.0, rel=1e-12)
+    assert certainty_bound(0.0) == 2.0
+
+
+def mp_certainty_bound(gamma):
+    # The defining form 2 sqrt(2) (sqrt(2) - sqrt(1 - cos g)) / (1 + cos g)
+    # at the float gamma given.  The float nearest pi leaves 1 + cos g near
+    # 1e-32, so 80 digits keep about 48 of them.
+    with mpmath.workdps(80):
+        g = mpmath.mpf(gamma)
+        s2 = mpmath.sqrt(2)
+        return float(2 * s2 * (s2 - mpmath.sqrt(1 - mpmath.cos(g))) / (1 + mpmath.cos(g)))
+
+
+def test_certainty_bound_matches_mpmath():
+    assert certainty_bound(0.0) == 2.0 and certainty_bound(math.pi) == 1.0
+    for d in (2, 3, 5, 8, 64, 511, 512, 1024):
+        system = SpinSystem(d)
+        for q in range(d):
+            gamma = weyl_angle(system, 1, q)
+            assert abs(certainty_bound(gamma) - mp_certainty_bound(gamma)) <= 1e-15
 
 
 def test_certainty_bound_monotone():
@@ -276,7 +293,7 @@ def test_gram_dets_trivial_powers_singular():
         dp, dm = gram_dets(st, d, d)
         assert dp == pytest.approx(0.0, abs=1e-10)
         assert dm == pytest.approx(0.0, abs=1e-10)
-        assert_closed_form_matches_det3(char_set(st, d, d))
+        assert_det3_matches_numpy(char_set(st, d, d))
 
 
 def test_gram_dets_minus_pair_matches_direct_char_set():
@@ -304,7 +321,8 @@ def test_gram_positivity_random_sample():
                 dp, dm = gram_dets(st, k, ell)
                 assert dp >= -1e-10
                 assert dm >= -1e-10
-                assert np.linalg.eigvalsh(gram_pair(char_set(st, k, ell))[0].mat)[0] >= -1e-10
+                g = gram_pair(char_set(st, k, ell))[0]
+                assert np.linalg.eigvalsh(full_matrix(g.diag, g.upper))[0] >= -1e-10
 
 
 def test_report_bounds_hold_d5_all_pairs():
@@ -391,7 +409,7 @@ def test_closed_form_gram_dets_number_and_phase_states(d):
     for st in states:
         for k in range(1, d + 1):
             for ell in range(1, d + 1):
-                assert_closed_form_matches_det3(char_set(st, k, ell))
+                assert_det3_matches_numpy(char_set(st, k, ell))
 
 
 @pytest.mark.parametrize(
@@ -403,17 +421,16 @@ def test_closed_form_gram_dets_number_and_phase_states(d):
 def test_closed_form_gram_dets_bloch_surface(bloch):
     st = qudit_from_bloch(bloch)
     for k, ell in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1)):
-        assert_closed_form_matches_det3(char_set(st, k, ell))
-        assert_closed_form_matches_det3(qubit_char(bloch, k, ell))
+        assert_det3_matches_numpy(char_set(st, k, ell))
+        assert_det3_matches_numpy(qubit_char(bloch, k, ell))
 
 
 def test_report_takes_the_closed_form_dets():
     st = random_state(SpinSystem(5), np.random.default_rng(31))
     for k, ell in ((1, 1), (2, 3), (5, 5)):
         rep = report(st, k, ell)
-        assert (rep.det_plus, rep.det_minus) == reports.gram_dets(char_set(st, k, ell))
-        dp, dm = gram_dets(st, k, ell)  # the det3 cross-check
-        assert abs(rep.det_plus - dp) <= 1e-12 and abs(rep.det_minus - dm) <= 1e-12
+        dets = tuple(map(det3, gram_pair(char_set(st, k, ell))))
+        assert (rep.det_plus, rep.det_minus) == dets == gram_dets(st, k, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +472,14 @@ def test_char_table_matches_dense_oracle(d):
 
 
 def test_char_table_dets_equal_the_scalar_kernel_exactly():
-    st = random_state(SpinSystem(8), np.random.default_rng(32))
-    table = spin.char_table(st)
-    fields = table_fields(table)
-    det_plus, det_minus = reports.gram_dets(table)
-    for i, j in np.ndindex(8, 8):
-        cs = CharSet(*(complex(x[i, j]) for x in fields))
-        assert (det_plus[i, j], det_minus[i, j]) == reports.gram_dets(cs)
+    rng = np.random.default_rng(32)
+    for d in (2, 3, 8, 33):
+        table = spin.char_table(random_state(SpinSystem(d), rng))
+        fields = table_fields(table)
+        det_plus, det_minus = map(det3, gram_pair(table))
+        for i, j in np.ndindex(d, d):
+            cs = CharSet(*(complex(x[i, j]) for x in fields))
+            assert (det_plus[i, j], det_minus[i, j]) == tuple(map(det3, gram_pair(cs)))
 
 
 def test_array_char_set_rejects_an_entry_above_one():
@@ -561,6 +579,17 @@ def test_qubit_char_against_trace_oracle():
 def test_qubit_char_rejects_long_bloch():
     with pytest.raises(ValueError, match="Bloch"):
         qubit_char((1.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_qubit_char_rejects_non_finite_bloch(bad):
+    for i in range(3):
+        s = [0.5, 0.5, 0.5]
+        s[i] = bad
+        for k in (1, 2):
+            for ell in (1, 2):
+                with pytest.raises(ValueError, match="finite"):
+                    qubit_char(s, k, ell)
 
 
 def test_spin_char_magnitudes_match_qubit_closed_form():
