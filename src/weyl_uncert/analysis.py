@@ -72,11 +72,11 @@ def _row_at(
     value: float,
     k: int,
     phi: float,
-    max_nmax: int | None,
+    cap: int,
 ) -> ScanRow:
     try:
         spec = families.with_param(template, param_name, value)
-        state = families.build(spec, max_nmax)
+        state = families.build(spec, cap)
     except ValueError as err:
         raise ValueError(f"family build failed at {param_name} = {float(value)!r}: {err}") from err
     cs = fock.char_set(state, k, phi)
@@ -117,8 +117,11 @@ def scan(
     max_nmax: int | None = None,
 ) -> ScanTable:
     """Uniform sweep (linear, or log-spaced on request) with one row per grid point."""
+    # The environment override is read once, before any row, so a bad value
+    # is reported as itself and not as the failure of the first row.
+    cap = families.truncation_cap(max_nmax)
     grid = _grid(lo, hi, steps, log_spaced)
-    rows = tuple(_row_at(family_template, param_name, x, k, phi, max_nmax) for x in grid)
+    rows = tuple(_row_at(family_template, param_name, x, k, phi, cap) for x in grid)
     return ScanTable(
         family=families.format_spec(family_template),
         swept_parameter=param_name,
@@ -154,6 +157,7 @@ def find_extremum(
     1e-6.  An extremum sitting on the interval boundary is reported with
     the boundary flag set instead of failing.
     """
+    cap = families.truncation_cap(max_nmax)
     if functional not in _FIELD_OF_FUNCTIONAL:
         raise ValueError(f"functional must be one of {FUNCTIONALS}, got {functional!r}")
     if kind not in ("min", "max"):
@@ -163,7 +167,7 @@ def find_extremum(
     sign = 1.0 if kind == "min" else -1.0
 
     def f(x: float) -> float:
-        return sign * getattr(_row_at(family_template, param_name, x, k, phi, max_nmax), field)
+        return sign * getattr(_row_at(family_template, param_name, x, k, phi, cap), field)
 
     values = [f(x) for x in grid]
     best = int(np.argmin(values))

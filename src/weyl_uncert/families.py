@@ -7,8 +7,8 @@ cross-validation against the generic amplitude sums:
 * number states |n>,
 * normalized shift-operator eigenstates (geometric amplitudes xi^n),
 * Gaussian number statistics exp(-(a+ib)(n-nbar)^2) in the wide, smooth
-  regime (a << 1, nbar >> 1), where the closed forms are continuum
-  approximations and give magnitudes only,
+  regime (a << 1, nbar >> 1), where the closed forms are the leading
+  order of Poisson summation,
 * eigenstates of (n + i lambda Edag) with eigenvalue 0, whose amplitudes
   are (-i lambda)^n / n! normalized by a modified Bessel function,
 * coherent superpositions of a number state and a near-ideal phase state
@@ -17,6 +17,7 @@ cross-validation against the generic amplitude sums:
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from dataclasses import dataclass, replace
@@ -117,19 +118,11 @@ class Intermediate:
 FamilySpec = Union[NumberState, PhaseCoherent, GaussianNumber, BesselEigenstate, Intermediate]
 
 
-@dataclass(frozen=True)
-class CharMagnitudes:
-    """Closed-form characteristic-function magnitudes (phases unspecified), as
-    the Gaussian family's continuum forms give them."""
-
-    abs_number_char: float
-    abs_phase_char: float
-    abs_cross_char: float
-    pi_k: float
-
-
-def truncation_cap() -> int:
-    """Active n_max cap: the override environment variable or the default."""
+def truncation_cap(max_nmax: int | None = None) -> int:
+    """Active n_max cap: max_nmax if given, else the override environment
+    variable or the default."""
+    if max_nmax is not None:
+        return int(max_nmax)
     env = os.environ.get(TRUNCATION_CAP_ENV)
     if env:
         try:
@@ -140,10 +133,6 @@ def truncation_cap() -> int:
             raise ValueError(f"{TRUNCATION_CAP_ENV} must be an integer >= {_MIN_NMAX}, got {env!r}")
         return cap
     return DEFAULT_TRUNCATION_CAP
-
-
-def _resolve_cap(max_nmax: int | None) -> int:
-    return truncation_cap() if max_nmax is None else int(max_nmax)
 
 
 def _cap_error(need: int, cap: int) -> ValueError:
@@ -177,7 +166,7 @@ def build(spec: FamilySpec, max_nmax: int | None = None) -> FockState:
     in an extended space); amplitudes are renormalized exactly on the
     truncated lattice.  Exceeding the n_max cap is an error.
     """
-    cap = _resolve_cap(max_nmax)
+    cap = truncation_cap(max_nmax)
     if isinstance(spec, NumberState):
         n_max = max(spec.n, 8)
         if n_max > cap:
@@ -244,18 +233,24 @@ def build(spec: FamilySpec, max_nmax: int | None = None) -> FockState:
     raise TypeError(f"unknown family spec {spec!r}")
 
 
-def closed_form_char(spec: FamilySpec, k: int, phi: float) -> CharSet | CharMagnitudes:
+def closed_form_char(spec: FamilySpec, k: int, phi: float) -> CharSet:
     """Closed-form characteristic functions where the family admits them.
 
     Number, phase-coherent and Bessel states have exact complex closed
     forms, the last in modified Bessel functions with z = 2 lambda
     exp(i phi / 2): number = I_0(z) / I_0(2 lambda), phase = i^k I_k(2 lambda)
     / I_0(2 lambda) and cross = i^k exp(-i k phi / 2) I_k(conj z) / I_0(2 lambda).
-    The intermediate family has asymptotic forms (|xi| -> 1).  The
-    Gaussian family is described by magnitude formulas only, so a
-    CharMagnitudes record is returned for it.  Outside a family's valid
-    regime this raises ClosedFormUnavailable instead of returning numbers
-    that do not mean anything.
+    The intermediate family has asymptotic forms (|xi| -> 1).
+
+    The Gaussian forms are the leading order of Poisson summation in
+    m = n - nbar: number = exp(i phi nbar - phi^2/(8a)), phase =
+    exp(-(a^2 + b^2) k^2/(2a)) > 0 and cross = exp(e_c - i phi (nbar + k/2)),
+    with e_c = -phi^2/(8a) - (a^2 + b^2) k^2/(2a) + b k phi/(2a) = -a k^2/2 -
+    (phi - 2bk)^2/(8a) < 0.  Dropped are the lattice images at phi -+ 2 pi,
+    of size exp(-(2 pi - |phi|)^2/(8a)), and the k-shifted sums' cut at n_max.
+
+    Outside a family's valid regime this raises ClosedFormUnavailable
+    instead of returning numbers that do not mean anything.
     """
     k = int(k)
     if k < 1:
@@ -288,15 +283,15 @@ def closed_form_char(spec: FamilySpec, k: int, phi: float) -> CharSet | CharMagn
             raise ClosedFormUnavailable(
                 f"continuum forms need k <= sqrt(nbar): k = {k}, nbar = {spec.nbar!r}"
             )
-        a, b = spec.a, spec.b
+        a, b, nbar = spec.a, spec.b, spec.nbar
         e_number = -phi * phi / (8.0 * a)
         e_phase = -(a * a + b * b) * k * k / (2.0 * a)
         e_cross = e_number + e_phase + b * k * phi / (2.0 * a)
-        return CharMagnitudes(
-            abs_number_char=math.exp(e_number),
-            abs_phase_char=math.exp(e_phase),
-            abs_cross_char=math.exp(min(e_cross, 0.0)),
-            pi_k=0.0,
+        return CharSet(
+            number_char=cmath.exp(complex(e_number, phi * nbar)),
+            phase_char=complex(math.exp(e_phase)),
+            cross_char=cmath.exp(complex(e_cross, -phi * (nbar + 0.5 * k))),
+            weyl=weyl,
         )
 
     if isinstance(spec, BesselEigenstate):
@@ -335,54 +330,19 @@ def closed_form_char(spec: FamilySpec, k: int, phi: float) -> CharSet | CharMagn
     raise TypeError(f"unknown family spec {spec!r}")
 
 
-# Aliasing guard for the Gaussian number-characteristic closed form: the
-# continuum formula ignores the periodic images at phi +- 2pi, whose leading
-# relative weight is exp(-pi (pi - |phi|) / a).
-_ALIAS_LIMIT = 1e-4
-_REPRESENTABLE = 1e-250
-
-
-def _gaussian_deviation(spec: GaussianNumber, phi: float, num: CharSet, cf: CharMagnitudes) -> float:
-    phir = abs(math.remainder(phi, 2.0 * math.pi))
-    alias = math.exp(-math.pi * (math.pi - phir) / spec.a) if phir < math.pi else 1.0
-
-    def rel(x: float, y: float) -> float:
-        return abs(x - y) / y
-
-    devs = [rel(abs(num.phase_char) ** 2, cf.abs_phase_char**2), abs(num.pi_k - cf.pi_k)]
-    if alias < _ALIAS_LIMIT and cf.abs_number_char**2 >= _REPRESENTABLE:
-        devs.append(rel(abs(num.number_char) ** 2, cf.abs_number_char**2))
-        if cf.abs_cross_char**2 >= _REPRESENTABLE:
-            devs.append(rel(abs(num.cross_char) ** 2, cf.abs_cross_char**2))
-    return max(devs)
-
-
 def oracle_check(spec: FamilySpec, k: int, phi: float, max_nmax: int | None = None) -> float:
-    """Deviation between amplitude-sum and closed-form characteristic functions.
-
-    Exact and asymptotic families compare complex values entrywise; the
-    Gaussian family, whose closed forms give magnitudes only, compares
-    squared moduli relatively, excluding non-representable or
-    alias-dominated components.  Raises ClosedFormUnavailable when no closed
-    form applies.
+    """Largest entrywise deviation between the amplitude-sum and the closed-form
+    characteristic set: the three complex characters, phases included, and
+    pi_k.  Raises ClosedFormUnavailable when no closed form applies.
     """
     cf = closed_form_char(spec, k, phi)
     num = fock.char_set(build(spec, max_nmax), k, phi)
-    if isinstance(cf, CharSet):
-        return max(
-            abs(num.number_char - cf.number_char),
-            abs(num.phase_char - cf.phase_char),
-            abs(num.cross_char - cf.cross_char),
-            abs(num.pi_k - cf.pi_k),
-        )
-    return _gaussian_deviation(spec, phi, num, cf)
-
-
-def gaussian_product_certainty(a: float, b: float, k: float) -> float:
-    """Closed-form certainty product |number_char| * |phase_char| for the
-    Gaussian family at the stringent phase phi = pi/k, with k treated as a
-    continuous parameter (used to locate the product's stationary point)."""
-    return math.exp(-math.pi**2 / (8.0 * a * k * k)) * math.exp(-(a * a + b * b) * k * k / (2.0 * a))
+    return max(
+        abs(num.number_char - cf.number_char),
+        abs(num.phase_char - cf.phase_char),
+        abs(num.cross_char - cf.cross_char),
+        abs(num.pi_k - cf.pi_k),
+    )
 
 
 def _weights(alpha2: float) -> dict:

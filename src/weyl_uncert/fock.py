@@ -102,7 +102,8 @@ def char_set(state: FockState, k: int, phi: float) -> CharSet:
 
     One phase table exp(i phi n), n = 0..n_max, serves both phase-weighted
     sums: the cross sum reads its conjugate from n = k on, which is bitwise
-    exp(-i phi n) since cos is even and sin odd.
+    exp(-i phi n) since cos is even and sin odd.  pi_k is clamped to 1, which
+    its sum exceeds by rounding when the whole support lies below k.
     """
     k = _check_k(k)
     c = state.amplitudes
@@ -114,7 +115,7 @@ def char_set(state: FockState, k: int, phi: float) -> CharSet:
         complex(pair.sum()),
         complex(pair @ phases[k:].conj()),
         complex(np.exp(-1j * k * phi)),
-        float(probs[:k].sum()),
+        min(1.0, float(probs[:k].sum())),
     )
 
 

@@ -351,7 +351,7 @@ def run_families(samples: int, seed: int) -> SuiteResult:
         spec = families.GaussianNumber(400.0, a, b)
         dev = families.oracle_check(spec, 1, 4.0 * math.sqrt(a))
         res.checks += 1
-        if dev > 1e-2:
+        if dev > 1e-10:
             res.failures.append(f"families gaussian a={a!r} b={b!r}: deviation {dev:.3e}")
 
     for a2 in (0.25, 0.5, 0.75):

@@ -202,8 +202,9 @@ def test_criterion_07_gaussian_regime():
         phi = 4.0 * math.sqrt(a)
         cs = fock.char_set(families.build(spec), 1, phi)
         cf = families.closed_form_char(spec, 1, phi)
-        rel_n = abs(abs(cs.number_char) ** 2 - cf.abs_number_char**2) / cf.abs_number_char**2
-        rel_p = abs(abs(cs.phase_char) ** 2 - cf.abs_phase_char**2) / cf.abs_phase_char**2
+        cf_n, cf_p = abs(cf.number_char) ** 2, abs(cf.phase_char) ** 2
+        rel_n = abs(abs(cs.number_char) ** 2 - cf_n) / cf_n
+        rel_p = abs(abs(cs.phase_char) ** 2 - cf_p) / cf_p
         if rel_n > 1e-2:
             failures.append(f"a={a}: |number char|^2 off by {rel_n:.2e}")
         if rel_p > 1e-2:
@@ -231,7 +232,8 @@ def test_criterion_07_gaussian_regime():
     for b in (0.5, 1.0):
         a = 0.02
         opt = optimize.minimize_scalar(
-            lambda kk: -families.gaussian_product_certainty(a, b, kk),
+            # |number_char| * |phase_char| at phi = pi/k, k continuous
+            lambda kk: -math.exp(-math.pi**2 / (8 * a * kk * kk) - (a * a + b * b) * kk * kk / (2 * a)),
             bounds=(0.5, 12.0), method="bounded", options={"xatol": 1e-10},
         )
         target = (math.pi / 2.0) * math.sqrt(a * a / (a * a + b * b))

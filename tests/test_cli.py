@@ -401,6 +401,24 @@ def test_scan_evaluates_k_above_a_states_own_truncation():
     assert len(rows) == 9
     first = dict(zip(CSV_HEADER.split(","), map(float, rows[0].split(","))))
     assert (first["absPhiTilde"], first["absOmega"], first["Pik"]) == (0.0, 0.0, 1.0)
+    # Rounding of a sum of probabilities must not print a Pik above 1 (it did at xi = 0.2).
+    assert all(float(row.split(",")[CSV_HEADER.split(",").index("Pik")]) <= 1.0 for row in rows)
+
+
+@pytest.mark.parametrize("command", [
+    ("figure", "--id", "1"),
+    ("extremum", "--family", "phase-coherent:xi=0.5", "--param", "xi",
+     "--functional", "V", "--kind", "max", "--from", "0.1", "--to", "0.9"),
+])
+def test_bad_truncation_cap_override_is_not_blamed_on_a_row(command):
+    proc = subprocess.run(
+        [sys.executable, "-m", "weyl_uncert", *command],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "WEYL_UNCERT_MAX_NMAX": "abc"},
+    )
+    assert_one_line_error(proc, "WEYL_UNCERT_MAX_NMAX")
+    assert proc.stderr.startswith("error: WEYL_UNCERT_MAX_NMAX must be an integer >= 16")
 
 
 def test_verify_run_returns_suite_results():

@@ -20,7 +20,6 @@ from weyl_uncert.families import (
     build,
     closed_form_char,
     format_spec,
-    gaussian_product_certainty,
     oracle_check,
     parse_spec,
     truncation_cap,
@@ -172,13 +171,30 @@ def test_bessel_closed_form_reduces_to_ordinary_bessel_at_pi():
 def test_oracle_check_gaussian_within_window():
     for a in (0.005, 0.02, 0.05):
         spec = GaussianNumber(400.0, a, 0.0)
-        assert oracle_check(spec, 1, 4.0 * math.sqrt(a)) <= 1e-2
-    assert oracle_check(GaussianNumber(100.0, 0.005, 0.0), 1, math.pi) <= 1e-2
+        assert oracle_check(spec, 1, 4.0 * math.sqrt(a)) <= 1e-10
+    assert oracle_check(GaussianNumber(100.0, 0.005, 0.0), 1, math.pi) <= 1e-10
 
 
 def test_oracle_check_gaussian_with_correlations():
     spec = GaussianNumber(400.0, 0.02, 0.3)
-    assert oracle_check(spec, 1, 4.0 * math.sqrt(0.02)) <= 1e-2
+    assert oracle_check(spec, 1, 4.0 * math.sqrt(0.02)) <= 1e-10
+
+
+@pytest.mark.parametrize("b", [0.0, 0.3])
+@pytest.mark.parametrize("k", [1, 4, 16])
+def test_gaussian_closed_form_matches_amplitude_sums_with_phases(b, k):
+    # Complex entries, phases included; k = 16 at a >= 0.02 would reach the
+    # cut at n_max, which the leading-order forms do not see.
+    for a in (0.005, 0.01):
+        spec = GaussianNumber(400.0, a, b)
+        st = build(spec)
+        for phi in (4.0 * math.sqrt(a), math.pi / k):
+            cf = closed_form_char(spec, k, phi)
+            num = fock.char_set(st, k, phi)
+            assert isinstance(cf, CharSet)
+            assert cf.phase_char.imag == 0.0 and cf.phase_char.real >= 0.0
+            for name in ("number_char", "phase_char", "cross_char", "pi_k"):
+                assert abs(getattr(num, name) - getattr(cf, name)) <= 1e-12, (a, phi, name)
 
 
 def test_oracle_check_intermediate():
@@ -229,7 +245,8 @@ def test_gaussian_product_stationary_in_k():
     # a k^2 = (pi/2) sqrt(a^2 / (a^2 + b^2)).
     for a, b in ((0.02, 0.5), (0.02, 1.0), (0.05, 0.0)):
         res = optimize.minimize_scalar(
-            lambda k: -gaussian_product_certainty(a, b, k),
+            # |number_char| * |phase_char| at phi = pi/k, k continuous
+            lambda k: -math.exp(-math.pi**2 / (8 * a * k * k) - (a * a + b * b) * k * k / (2 * a)),
             bounds=(0.5, 12.0),
             method="bounded",
             options={"xatol": 1e-10},

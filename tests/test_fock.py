@@ -159,6 +159,13 @@ def test_char_set_vacuum():
     assert (cs.number_char, cs.phase_char, cs.cross_char, cs.pi_k) == (1.0, 0.0, 0.0, 1.0)
 
 
+def test_char_set_pi_k_never_exceeds_one():
+    # The whole support lies below k = 20, and its sum rounds to 1 + 2^-52.
+    st = families.build(families.PhaseCoherent(0.2))
+    assert float(np.sum(np.abs(st.amplitudes) ** 2)) > 1.0
+    assert char_set(st, 20, math.pi / 20).pi_k == 1.0
+
+
 def test_char_set_phase_coherent_closed_forms():
     xi = 0.7 * np.exp(0.3j)
     t = abs(xi) ** 2
