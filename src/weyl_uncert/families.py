@@ -54,7 +54,7 @@ class NumberState:
     n: int
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 0:
+        if self.n % 1 != 0 or self.n < 0:
             raise ValueError(f"n must be an integer >= 0, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
 
@@ -65,7 +65,7 @@ class PhaseCoherent:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "xi", complex(self.xi))
-        if abs(self.xi) > 1.0 - 1e-6:
+        if not abs(self.xi) <= 1.0 - 1e-6:
             raise ValueError(f"normalizability needs |xi| <= 1 - 1e-6, got |xi| = {abs(self.xi)!r}")
 
 
@@ -78,10 +78,16 @@ class GaussianNumber:
     def __post_init__(self) -> None:
         if not 0.0 < self.a <= 0.1:
             raise ValueError(f"validity window needs 0 < a <= 0.1, got a = {self.a!r}")
-        if self.nbar < 5.0 / math.sqrt(self.a):
+        if not 5.0 / math.sqrt(self.a) <= self.nbar < math.inf:
             raise ValueError(
-                f"validity window needs nbar >= 5/sqrt(a) = {5.0 / math.sqrt(self.a):.3g}, "
+                f"validity window needs finite nbar >= 5/sqrt(a) = {5.0 / math.sqrt(self.a):.3g}, "
                 f"got nbar = {self.nbar!r}"
+            )
+        # In the window, build's n_max - nbar stays below nbar, so b (n - nbar)^2
+        # peaks at n = 0; it is formed here as build forms it.  b = 0 has no phase.
+        if self.b and not math.isfinite(self.b * (self.nbar * self.nbar)):
+            raise ValueError(
+                f"phase b (n - nbar)^2 must be finite, got b = {self.b!r} at nbar = {self.nbar!r}"
             )
 
 
@@ -105,13 +111,13 @@ class Intermediate:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "xi", complex(self.xi))
-        if int(self.n) != self.n or self.n < 1:
+        if self.n % 1 != 0 or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
         s = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(s - 1.0) > 1e-6:
+        if not abs(s - 1.0) <= 1e-6:
             raise ValueError(f"weights must satisfy |alpha|^2 + |beta|^2 = 1, got {s!r}")
-        if abs(self.xi) > 1.0 - 1e-6:
+        if not abs(self.xi) <= 1.0 - 1e-6:
             raise ValueError(f"normalizability needs |xi| <= 1 - 1e-6, got |xi| = {abs(self.xi)!r}")
 
 
@@ -252,9 +258,7 @@ def closed_form_char(spec: FamilySpec, k: int, phi: float) -> CharSet:
     Outside a family's valid regime this raises ClosedFormUnavailable
     instead of returning numbers that do not mean anything.
     """
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = fock._check_k(k)
     weyl = np.exp(-1j * k * phi)
 
     if isinstance(spec, NumberState):

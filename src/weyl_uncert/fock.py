@@ -8,14 +8,14 @@ functions are O(n_max) sums over amplitudes, and the phase density on a
 periodic grid of M points is one length-M FFT (other grids are rejected);
 dense operator matrices exist only in the test oracles.
 
-Characteristic sets are :class:`reports.CharSet` records.  The two Gram
-matrices of {psi, exp(+-i phi n) psi, Edag^k / E^k psi} differ because E is
-not unitary: the second carries exp(-i k phi) (the Weyl phase) on its cross
-entry and the weight of the subspace with fewer than k photons (pi_k) on
-its diagonal.  Their determinants and the derived certainty functionals
-U, U', U'', V are produced by :func:`report`, which builds the matrices with
-:func:`gram_matrices` (``reports.gram_pair``) and evaluates them with
-``det3``.
+Characteristic sets are :class:`reports.CharSet` records, checked once
+when made.  The two Gram matrices of {psi, exp(+-i phi n) psi, Edag^k /
+E^k psi} differ because E is not unitary: the second carries exp(-i k phi)
+(the Weyl phase) on its cross entry and the weight of the subspace with
+fewer than k photons (pi_k) on its diagonal.  :func:`report` builds them
+with :func:`gram_matrices` (``reports.gram_pair``), as records that check
+nothing, and returns their ``det3`` determinants with the certainty
+functionals U, U', U'', V.
 """
 
 from __future__ import annotations

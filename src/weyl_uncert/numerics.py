@@ -2,18 +2,15 @@
 
 Two small families of routines live here: modified Bessel functions of
 integer order for complex argument, evaluated by direct power series with a
-controlled stopping rule, and the 3x3 Hermitian matrix type with its
-determinant (the Gram matrices of three state vectors).  :func:`det3` is
-the package's one Gram-determinant formula, for one matrix and for a table
-of them alike.
+controlled stopping rule, and the 3x3 Hermitian matrix record, which
+checks nothing, with its determinant (the Gram matrices of three state
+vectors).  :func:`det3` is the package's one Gram-determinant formula, for
+one matrix and for a table of them alike.
 """
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 MAX_BESSEL_ORDER = 64
 MAX_BESSEL_ARG = 100.0
@@ -55,39 +52,19 @@ def bessel_i(order: int, z: complex) -> complex:
     return total
 
 
-@dataclass(frozen=True, init=False)
-class Hermitian3:
-    """3x3 Hermitian matrix kept as its real diagonal (d0, d1, d2) and upper
-    entries (a01, a02, a12); :meth:`from_upper` is the only constructor.
-
-    Entries may be numpy arrays that broadcast against each other, so that
-    one record holds a whole table of matrices.
-    """
+class Hermitian3(NamedTuple):
+    """3x3 Hermitian matrix as its real diagonal (d0, d1, d2) and upper entries
+    (a01, a02, a12), held as given: ``reports.CharSet`` has checked every value
+    they are formed from.  Entries may be numpy arrays that broadcast, so that
+    one record holds a whole table of matrices."""
 
     diag: tuple
     upper: tuple
 
     @classmethod
     def from_upper(cls, diag, upper) -> "Hermitian3":
-        """Build from real diagonal (d0, d1, d2) and upper entries (a01, a02, a12),
-        checked finite.
-
-        Scalars become float and complex without a numpy call, which keeps a
-        single matrix cheap; arrays are kept as given.
-        """
-        entries = (*diag, *upper)
-        if np.ndarray in map(type, entries):
-            finite = all([np.isfinite(x).all() if type(x) is np.ndarray else cmath.isfinite(x)
-                          for x in entries])
-        else:
-            diag, upper = tuple(map(float, diag)), tuple(map(complex, upper))
-            finite = all(map(cmath.isfinite, diag + upper))
-        if not finite:
-            raise ValueError("matrix entries must be finite")
-        g = object.__new__(cls)
-        object.__setattr__(g, "diag", tuple(diag))
-        object.__setattr__(g, "upper", tuple(upper))
-        return g
+        """The record of diagonal (d0, d1, d2) and upper entries (a01, a02, a12)."""
+        return cls(tuple(diag), tuple(upper))
 
 
 def det3(g: Hermitian3):

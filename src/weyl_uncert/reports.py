@@ -4,7 +4,7 @@ inverse-power cross term and in pi_k (0 for the unitary clock/shift pair).
 
 :func:`gram_pair` and :func:`functionals` take a :class:`CharSet` of Python
 scalars or of numpy arrays alike: the same code serves one configuration
-and a whole table of them.
+and a whole table of them.  Values are checked once, by :class:`CharSet`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,9 @@ class CharSet:
 
     Any field may be a numpy array, the fields broadcasting against each
     other to a table of configurations; scalar fields are checked without a
-    numpy reduction, which keeps a single record cheap.
+    numpy reduction, which keeps a single record cheap.  This is the one
+    check before the Gram step: moduli at most 1 and pi_k in [0, 1], up to
+    1e-12, which rejects NaN and +-inf in all five fields.
     """
 
     number_char: complex
@@ -50,7 +52,7 @@ class CharSet:
     pi_k: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("number_char", "phase_char", "cross_char"):
+        for name in ("number_char", "phase_char", "cross_char", "weyl"):
             size = abs(getattr(self, name))
             if isinstance(size, np.ndarray):
                 size = float(np.max(size))

@@ -169,10 +169,11 @@ def char_table(state: QuditState) -> CharSet:
 
     The fields broadcast to d x d, and entry [k-1, l-1] equals
     ``char_set(state, k, l)`` up to rounding (weyl exactly): number_char has
-    shape (1, d), phase_char (d, 1), cross_char and weyl (d, d).  Both powers have period d up to a sign (shift^d and
-    clock^d are -1 for even d), so these d^2 entries give every pair.  The
-    rows of clock phases and the d signed rolls shift^k psi are each formed
-    once; the cross characters are one matrix product of the two.
+    shape (1, d), phase_char (d, 1), cross_char and weyl (d, d).  Both
+    powers have period d up to a sign (shift^d and clock^d are -1 for even
+    d), so these d^2 entries give every pair.  The rows of clock phases and
+    the d signed rolls shift^k psi are each formed once; the cross
+    characters are one matrix product of the two.
     """
     d = state.system.dim
     c = state.amplitudes

@@ -164,6 +164,21 @@ def test_infinite_family_value_exits_2():
     assert_one_line_error(proc, "non-finite")
 
 
+def test_overflowing_gaussian_phase_exits_2_in_one_line():
+    # b (n - nbar)^2 overflows on the lattice: rejected with the spec, not as
+    # numpy warnings followed by a message about amplitudes.
+    proc = run_cli(
+        "scan", "--family", "gaussian:nbar=100,a=0.01,b=1e306", "--param", "a",
+        "--from", "0.01", "--to", "0.02", "--steps", "2",
+    )
+    assert_one_line_error(proc, "invalid family spec: phase b (n - nbar)^2 must be finite")
+    proc = run_cli(
+        "extremum", "--family", "gaussian:nbar=100,a=0.01", "--param", "b",
+        "--functional", "V", "--kind", "max", "--from", "0", "--to", "1e306",
+    )
+    assert_one_line_error(proc, "phase b (n - nbar)^2 must be finite")
+
+
 def test_phi_over_pi_nan_exits_2():
     proc = run_cli(
         "scan", "--family", "phase-coherent:xi=0.5", "--param", "xi",

@@ -105,6 +105,42 @@ def test_invariant_violations():
         BesselEigenstate(-1.0)
 
 
+@pytest.mark.parametrize(
+    "cls, args, needle",
+    [
+        pytest.param(GaussianNumber, (math.nan, 0.01), "finite nbar", id="nbar-nan"),
+        pytest.param(GaussianNumber, (math.inf, 0.01), "finite nbar", id="nbar-inf"),
+        pytest.param(GaussianNumber, (100.0, 0.01, math.nan), "phase b", id="b-nan"),
+        pytest.param(GaussianNumber, (100.0, 0.01, -math.inf), "phase b", id="b-inf"),
+        pytest.param(GaussianNumber, (100.0, 0.01, 1e306), "must be finite, got b", id="b-phase"),
+        pytest.param(GaussianNumber, (100.0, 0.01, -1e306), "must be finite, got b", id="b-phase-neg"),
+        pytest.param(PhaseCoherent, (math.nan,), "xi", id="phase-coherent-xi-nan"),
+        pytest.param(PhaseCoherent, (complex(0.1, math.inf),), "xi", id="phase-coherent-xi-inf"),
+        pytest.param(Intermediate, (0.6, 0.8, 3, math.nan), "xi", id="intermediate-xi-nan"),
+        pytest.param(Intermediate, (math.nan, 0.8, 3, 0.5), "alpha", id="alpha-nan"),
+        pytest.param(Intermediate, (0.6, complex(0.8, math.nan), 3, 0.5), "alpha", id="beta-nan"),
+        pytest.param(NumberState, (math.nan,), "n must be an integer", id="number-n-nan"),
+        pytest.param(NumberState, (math.inf,), "n must be an integer", id="number-n-inf"),
+        pytest.param(Intermediate, (0.6, 0.8, math.inf, 0.5), "n must be an integer", id="intermediate-n-inf"),
+    ],
+)
+def test_non_finite_or_overflowing_parameters_are_rejected(cls, args, needle):
+    # Each would otherwise fail later in build, as a numpy warning, an
+    # OverflowError or an unrelated message.
+    with pytest.raises(ValueError, match=needle):
+        cls(*args)
+
+
+def test_gaussian_phase_check_spares_a_zero_b_at_any_nbar():
+    # A zero b has no phase to overflow, so an nbar whose square overflows
+    # still meets the truncation cap; a b just inside the bound builds.
+    spec = GaussianNumber(1e308, 0.01)
+    with pytest.raises(ValueError, match="truncation cap"):
+        build(spec)
+    st = build(GaussianNumber(100.0, 0.01, 1e300))
+    assert np.all(np.isfinite(st.amplitudes))
+
+
 def test_truncation_cap_enforced():
     with pytest.raises(ValueError, match="truncation cap"):
         build(PhaseCoherent(0.999))

@@ -143,7 +143,7 @@ def test_char_set_record_validation():
     for pi_k in (-1e-11, 1.0 + 1e-11, math.nan):
         with pytest.raises(ValueError, match="pi_k out of"):
             CharSet(**ok, pi_k=pi_k)
-    for name in ("number_char", "phase_char", "cross_char"):
+    for name in ("number_char", "phase_char", "cross_char", "weyl"):
         for bad in (complex(math.nan, 0.0), complex(0.0, math.nan), np.array([0.5, math.nan])):
             with pytest.raises(ValueError, match=rf"\|{name}\| exceeds 1 or is NaN"):
                 CharSet(**{**ok, name: bad})

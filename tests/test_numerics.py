@@ -1,8 +1,7 @@
-"""Kernel tests: Bessel series against an extended-precision oracle, and
-the 3x3 Hermitian type, its tables and its determinant against numpy and
-direct Gram constructions."""
+"""Kernel tests: Bessel series against an extended-precision oracle; the
+3x3 Hermitian record, its tables and its determinant against numpy and
+direct Gram constructions; and the CharSet check that guards every entry."""
 
-import dataclasses
 import math
 
 import mpmath
@@ -149,35 +148,65 @@ def test_vector_grams_are_psd():
         assert det3(g) >= -1e-10
 
 
-def test_hermitian3_has_no_unchecked_constructor():
-    g = Hermitian3.from_upper((1.0, 1.0, 1.0), (0.5, 0.25j, 0.1))
-    with pytest.raises(TypeError):
-        Hermitian3((1.0, math.nan, 1.0), (0.0, 0.0, 0.0))
-    with pytest.raises(TypeError):
-        dataclasses.replace(g, diag=(1.0, math.nan, 1.0))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        g.diag = (1.0, math.nan, 1.0)
-
-
 def test_hermitian3_symmetry_exact():
-    # The diagonal is kept real, so the matrix the entries stand for is
-    # exactly Hermitian.
-    g = random_hermitian(np.random.default_rng(15))
-    assert all(type(x) is float for x in g.diag)
-    m = full_matrix(g.diag, g.upper)
-    assert np.array_equal(m, m.conj().T)
+    # The Gram matrices the package builds keep a Python-float diagonal, so
+    # the matrix their entries stand for is exactly Hermitian.
+    rng = np.random.default_rng(15)
+    fock_state = fock.random_state(12, rng)
+    qudit = spin.random_state(spin.SpinSystem(5), rng)
+    sets = [fock.char_set(fock_state, k, phi) for k in (1, 3, 14) for phi in (math.pi, 0.7)]
+    sets += [spin.char_set(qudit, k, ell) for k in (1, 2, 4) for ell in (1, 3)]
+    for cs in sets:
+        for g in reports.gram_pair(cs):
+            assert all(type(x) is float for x in g.diag)
+            m = full_matrix(g.diag, g.upper)
+            assert np.array_equal(m, m.conj().T)
+
+
+def test_reports_carry_python_float_determinants():
+    # No numpy scalar type reaches messages or JSON through a determinant.
+    rng = np.random.default_rng(17)
+    fock_state = fock.random_state(9, rng)
+    qudit = spin.random_state(spin.SpinSystem(4), rng)
+    reps = [fock.report(fock_state, k, math.pi / k) for k in (1, 2, 11)]
+    reps += [spin.report(qudit, k, ell) for k in (1, 2) for ell in (1, 3)]
+    for rep in reps:
+        assert type(rep.det_plus) is float and type(rep.det_minus) is float
+
+
+CHAR_FIELDS = ("number_char", "phase_char", "cross_char", "weyl")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_from_upper_rejects_non_finite_entries(bad):
-    diag, upper = (1.0, 1.0, 1.0), (0.5, 0.25j, 0.1 - 0.2j)
-    for i in range(3):
-        cases = [(diag[:i] + (bad,) + diag[i + 1:], upper)]
-        for z in (complex(bad, 0.3), complex(0.3, bad)):
-            cases.append((diag, upper[:i] + (z,) + upper[i + 1:]))
-        for d, u in cases:
-            with pytest.raises(ValueError, match="finite"):
-                Hermitian3.from_upper(d, u)
+def test_char_set_rejects_non_finite_fields(bad):
+    # CharSet is the one check before the Gram step: every value gram_pair
+    # puts into a matrix is a field, or a product or difference of fields.
+    ok = {"number_char": 0.5, "phase_char": 0.25j, "cross_char": 0.1 - 0.2j, "weyl": -1j, "pi_k": 0.25}
+    reports.CharSet(**ok)
+    cases = [{**ok, name: z} for name in CHAR_FIELDS for z in (complex(bad, 0.3), complex(0.3, bad))]
+    cases.append({**ok, "pi_k": bad})
+    for fields in cases:
+        with pytest.raises(ValueError):
+            reports.CharSet(**fields)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_char_set_rejects_a_non_finite_table_entry(bad):
+    d = 4
+    table = spin.char_table(spin.random_state(spin.SpinSystem(d), np.random.default_rng(19)))
+    full = {name: np.array(np.broadcast_to(getattr(table, name), (d, d))) for name in CHAR_FIELDS}
+    full["pi_k"] = np.zeros((d, d))
+    reports.CharSet(**full)
+    for name in CHAR_FIELDS:
+        for z in (complex(bad, 0.1), complex(0.1, bad)):
+            fields = {**full, name: full[name].copy()}
+            fields[name][1, 2] = z
+            with pytest.raises(ValueError):
+                reports.CharSet(**fields)
+    fields = {**full, "pi_k": full["pi_k"].copy()}
+    fields["pi_k"][2, 1] = bad
+    with pytest.raises(ValueError):
+        reports.CharSet(**fields)
 
 
 def random_upper(rng):
@@ -224,22 +253,6 @@ def test_det3_of_a_table_equals_the_scalar_det3_exactly():
     for i, j in np.ndindex(4, 5):
         g = Hermitian3.from_upper([x[i, j] for x in d_full[:3]], [x[i, j] for x in d_full[3:]])
         assert dets[i, j] == det3(g)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_from_upper_rejects_a_non_finite_table_entry(bad):
-    diag, upper = random_table(np.random.default_rng(19), (3, 4))
-    Hermitian3.from_upper(diag, upper)
-    for i in range(6):
-        entries = [x.copy() for x in diag + upper]
-        if i < 3:
-            entries[i][1, 2] = bad
-        else:
-            entries[i][2, 1] = complex(0.1, bad) if i % 2 else complex(bad, 0.1)
-        with pytest.raises(ValueError, match="finite"):
-            Hermitian3.from_upper(entries[:3], entries[3:])
-    with pytest.raises(ValueError, match="finite"):
-        Hermitian3.from_upper((1.0, bad, 1.0), upper)
 
 
 def test_gram_pair_cross_entry_is_pythons_complex_product():
