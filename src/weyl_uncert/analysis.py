@@ -3,8 +3,8 @@
 Scans evaluate the certainty functionals row by row over a family
 parameter grid; extrema are located by a coarse grid followed by
 golden-section refinement (the functionals are smooth but no derivative
-formulas are assumed).  The figure datasets fix the grids and
-configurations behind the four standard sweeps.
+formulas are assumed).  Each standard figure is one row of a table: the
+family template, swept parameter, grid and k of its scan.
 """
 
 from __future__ import annotations
@@ -202,58 +202,33 @@ def find_extremum(
     )
 
 
-FIGURE_IDS = (1, 2, 3, 4)
-
 # Figure 2 sweeps the dimensionless product a*k^2.  Realizing it at k = 16
 # with nbar = 400 keeps a <= 20/256 inside the family's validity window over
 # the whole axis; at k = 1 the upper half of the axis would leave the wide,
 # smooth regime the closed forms (and the figure) describe.
 _FIG2_K = 16
-_FIG2_NBAR = 400.0
+_FIG2_K2 = float(_FIG2_K * _FIG2_K)
 _FIG3_A = 1.0 / 40.0  # number variance 10 = 1/(4a)
-_FIG3_NBAR = 400.0
+
+# figure id -> (template, swept parameter, lo, hi, steps, k, log-spaced);
+# every figure is taken at phi = pi / k.
+_FIGURES = {
+    1: (families.PhaseCoherent(0.5), "xi", 0.01, 0.995, 199, 1, False),
+    2: (families.GaussianNumber(400.0, 0.01), "a", 0.05 / _FIG2_K2, 20.0 / _FIG2_K2, 160, _FIG2_K, True),
+    3: (families.GaussianNumber(400.0, _FIG3_A), "b", -0.5, 2.5, 151, 1, False),
+    4: (families.BesselEigenstate(1.0), "lambda", 0.1, 3.0, 146, 1, False),
+}
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def figure_dataset(figure_id: int, max_nmax: int | None = None) -> ScanTable:
-    """The dataset behind one of the four standard figures.
-
-    1: phase-coherent sweep of |xi| in [0.01, 0.995], k=1, phi=pi.
-    2: Gaussian b=0 sweep of a*k^2, log-spaced in [0.05, 20].
-    3: Gaussian with number variance 10, sweep of b in [-0.5, 2.5], k=1.
-    4: Bessel-eigenstate sweep of lambda in [0.1, 3], k=1, phi=pi.
-    """
-    if figure_id == 1:
-        return scan(
-            families.PhaseCoherent(0.5), "xi", 0.01, 0.995, 199, 1, math.pi, max_nmax=max_nmax
-        )
-    if figure_id == 2:
-        kk = float(_FIG2_K * _FIG2_K)
-        table = scan(
-            families.GaussianNumber(_FIG2_NBAR, 0.01, 0.0),
-            "a",
-            0.05 / kk,
-            20.0 / kk,
-            160,
-            _FIG2_K,
-            math.pi / _FIG2_K,
-            log_spaced=True,
-            max_nmax=max_nmax,
-        )
-        rows = tuple(replace(r, param=r.param * kk) for r in table.rows)
-        return replace(table, swept_parameter="ak2", rows=rows)
-    if figure_id == 3:
-        return scan(
-            families.GaussianNumber(_FIG3_NBAR, _FIG3_A, 0.0),
-            "b",
-            -0.5,
-            2.5,
-            151,
-            1,
-            math.pi,
-            max_nmax=max_nmax,
-        )
-    if figure_id == 4:
-        return scan(
-            families.BesselEigenstate(1.0), "lambda", 0.1, 3.0, 146, 1, math.pi, max_nmax=max_nmax
-        )
-    raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
+    """The scan behind one of the standard figures, as its _FIGURES row sets it;
+    figure 2's parameter column is a*k^2, swept log-spaced in [0.05, 20]."""
+    if figure_id not in FIGURE_IDS:
+        raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
+    template, name, lo, hi, steps, k, log_spaced = _FIGURES[figure_id]
+    table = scan(template, name, lo, hi, steps, k, math.pi / k, log_spaced, max_nmax)
+    if figure_id != 2:
+        return table
+    rows = tuple(replace(r, param=r.param * _FIG2_K2) for r in table.rows)
+    return replace(table, swept_parameter="ak2", rows=rows)

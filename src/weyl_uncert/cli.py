@@ -98,6 +98,8 @@ def _emit_table(args, command: str, parameters: dict, table: ScanTable) -> None:
 
 
 def _resolve_phi(phi_over_pi: float | None, k: int) -> tuple[float, float]:
+    if k > sys.float_info.max:  # 1/k and k*phi would raise OverflowError
+        raise ValueError(f"--k out of range: k must be at most 1.8e308, got a {len(str(k))}-digit k")
     x = phi_over_pi if phi_over_pi is not None else 1.0 / k
     phi = x * math.pi
     # k >= 1, so a finite k*phi means a finite phi too.

@@ -13,6 +13,11 @@ cross-validation against the generic amplitude sums:
   are (-i lambda)^n / n! normalized by a modified Bessel function,
 * coherent superpositions of a number state and a near-ideal phase state
   (asymptotic closed forms, |xi| -> 1).
+
+Each family is one frozen dataclass holding its checks, its spec-grammar
+tag and keys (TAG, KEYS), its state (_build) and its closed forms
+(_closed_form).  The functions below only look these up, so a new family
+is one new class, listed in FamilySpec.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import cmath
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple, Union, get_args
 
 import numpy as np
 
@@ -49,81 +54,6 @@ class FamilySpecError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class NumberState:
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n % 1 != 0 or self.n < 0:
-            raise ValueError(f"n must be an integer >= 0, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
-
-
-@dataclass(frozen=True)
-class PhaseCoherent:
-    xi: complex
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "xi", complex(self.xi))
-        if not abs(self.xi) <= 1.0 - 1e-6:
-            raise ValueError(f"normalizability needs |xi| <= 1 - 1e-6, got |xi| = {abs(self.xi)!r}")
-
-
-@dataclass(frozen=True)
-class GaussianNumber:
-    nbar: float
-    a: float
-    b: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.a <= 0.1:
-            raise ValueError(f"validity window needs 0 < a <= 0.1, got a = {self.a!r}")
-        if not 5.0 / math.sqrt(self.a) <= self.nbar < math.inf:
-            raise ValueError(
-                f"validity window needs finite nbar >= 5/sqrt(a) = {5.0 / math.sqrt(self.a):.3g}, "
-                f"got nbar = {self.nbar!r}"
-            )
-        # In the window, build's n_max - nbar stays below nbar, so b (n - nbar)^2
-        # peaks at n = 0; it is formed here as build forms it.  b = 0 has no phase.
-        if self.b and not math.isfinite(self.b * (self.nbar * self.nbar)):
-            raise ValueError(
-                f"phase b (n - nbar)^2 must be finite, got b = {self.b!r} at nbar = {self.nbar!r}"
-            )
-
-
-@dataclass(frozen=True)
-class BesselEigenstate:
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.lam <= 50.0:
-            raise ValueError(f"lambda must be in (0, 50], got {self.lam!r}")
-
-
-@dataclass(frozen=True)
-class Intermediate:
-    alpha: complex
-    beta: complex
-    n: int
-    xi: complex
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        object.__setattr__(self, "xi", complex(self.xi))
-        if self.n % 1 != 0 or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
-        s = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if not abs(s - 1.0) <= 1e-6:
-            raise ValueError(f"weights must satisfy |alpha|^2 + |beta|^2 = 1, got {s!r}")
-        if not abs(self.xi) <= 1.0 - 1e-6:
-            raise ValueError(f"normalizability needs |xi| <= 1 - 1e-6, got |xi| = {abs(self.xi)!r}")
-
-
-FamilySpec = Union[NumberState, PhaseCoherent, GaussianNumber, BesselEigenstate, Intermediate]
-
-
 def truncation_cap(max_nmax: int | None = None) -> int:
     """Active n_max cap: max_nmax if given, else the override environment
     variable or the default."""
@@ -141,14 +71,17 @@ def truncation_cap(max_nmax: int | None = None) -> int:
     return DEFAULT_TRUNCATION_CAP
 
 
-def _cap_error(need: int, cap: int) -> ValueError:
+def _within_cap(need: int, cap: int) -> int:
+    """need itself, if the n_max cap allows it."""
+    if need <= cap:
+        return need
     # A spec such as gaussian:nbar=1e308 needs an n_max of hundreds of digits.
     # Decimal rounds it to three digits as float would, without overflowing;
     # it is imported on this error path only, which keeps it out of every run.
     from decimal import Context, Decimal
 
     shown = need if need < 10**15 else format(Context(prec=3).normalize(Decimal(need)), "g")
-    return ValueError(
+    raise ValueError(
         f"truncation cap exceeded: family needs n_max = {shown} but the cap is {cap} "
         f"(raise it via {TRUNCATION_CAP_ENV} or the max_nmax argument)"
     )
@@ -158,41 +91,116 @@ def _geometric_nmax(t: float, cap: int) -> tuple[int, float]:
     # Smallest n_max with truncated mass t^(n_max+1) below the tail target.
     if t == 0.0:
         return _MIN_NMAX, 0.0
-    need = max(_MIN_NMAX, math.ceil(math.log(_TAIL_TARGET) / math.log(t)))
-    if need > cap:
-        raise _cap_error(need, cap)
+    need = _within_cap(max(_MIN_NMAX, math.ceil(math.log(_TAIL_TARGET) / math.log(t))), cap)
     return need, t ** (need + 1)
 
 
-def build(spec: FamilySpec, max_nmax: int | None = None) -> FockState:
-    """Normalized truncated state for a family spec, tail certified.
+class _Key(NamedTuple):
+    """One key of the spec grammar: spec -> value, value -> fields, text -> non-integer value."""
 
-    Truncation points are chosen so the discarded probability mass is below
-    1e-14 (the Bessel family aims far lower so its eigen-residual survives
-    in an extended space); amplitudes are renormalized exactly on the
-    truncated lattice.  Exceeding the n_max cap is an error.
-    """
-    cap = truncation_cap(max_nmax)
-    if isinstance(spec, NumberState):
-        n_max = max(spec.n, 8)
-        if n_max > cap:
-            raise _cap_error(n_max, cap)
-        c = np.zeros(n_max + 1, dtype=complex)
-        c[spec.n] = 1.0
+    read: Callable[[FamilySpec], complex | float | int]
+    write: Callable[[complex | float], dict]
+    required: bool = True
+    literal: Callable[[str], complex | float] = float
+
+
+def _field(name: str, convert: Callable = lambda v: v, required: bool = True,
+           literal: Callable = float) -> _Key:
+    return _Key(lambda spec: getattr(spec, name), lambda v: {name: convert(v)}, required, literal)
+
+
+def _weights(alpha2: float) -> dict:
+    if not 0.0 <= alpha2 <= 1.0:
+        raise ValueError(f"alpha2 must lie in [0, 1], got {float(alpha2)!r}")
+    return {"alpha": math.sqrt(alpha2), "beta": math.sqrt(1.0 - alpha2)}
+
+
+@dataclass(frozen=True)
+class NumberState:
+    n: int
+
+    TAG = "number"
+    KEYS = {"n": _field("n")}
+
+    def __post_init__(self) -> None:
+        if self.n % 1 != 0 or self.n < 0:
+            raise ValueError(f"n must be an integer >= 0, got {self.n}")
+        object.__setattr__(self, "n", int(self.n))
+
+    def _build(self, cap: int) -> FockState:
+        c = np.zeros(_within_cap(max(self.n, 8), cap) + 1, dtype=complex)
+        c[self.n] = 1.0
         return FockState(c, 0.0)
 
-    if isinstance(spec, PhaseCoherent):
-        t = abs(spec.xi) ** 2
+    def _closed_form(self, k: int, phi: float, weyl: complex) -> CharSet:
+        return CharSet(
+            number_char=complex(np.exp(1j * phi * self.n)),
+            phase_char=0.0j,
+            cross_char=0.0j,
+            weyl=weyl,
+            pi_k=1.0 if self.n < k else 0.0,
+        )
+
+
+@dataclass(frozen=True)
+class PhaseCoherent:
+    xi: complex
+
+    TAG = "phase-coherent"
+    KEYS = {"xi": _field("xi", literal=complex)}
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "xi", complex(self.xi))
+        if not abs(self.xi) <= 1.0 - 1e-6:
+            raise ValueError(f"normalizability needs |xi| <= 1 - 1e-6, got |xi| = {abs(self.xi)!r}")
+
+    def _build(self, cap: int) -> FockState:
+        t = abs(self.xi) ** 2
         n_max, tail = _geometric_nmax(t, cap)
         idx = np.arange(n_max + 1)
-        c = np.power(spec.xi, idx) * math.sqrt(1.0 - t)
+        c = np.power(self.xi, idx) * math.sqrt(1.0 - t)
         return FockState(c / np.linalg.norm(c), tail)
 
-    if isinstance(spec, GaussianNumber):
-        a, b, nbar = spec.a, spec.b, spec.nbar
-        n_max = max(_MIN_NMAX, math.ceil(nbar + 6.0 / math.sqrt(2.0 * a)))
-        if n_max > cap:
-            raise _cap_error(n_max, cap)
+    def _closed_form(self, k: int, phi: float, weyl: complex) -> CharSet:
+        t = abs(self.xi) ** 2
+        number = (1.0 - t) / (1.0 - t * np.exp(1j * phi))
+        phase = np.conj(self.xi) ** k
+        return CharSet(
+            number_char=complex(number),
+            phase_char=complex(phase),
+            cross_char=complex(weyl * phase * np.conj(number)),
+            weyl=weyl,
+            pi_k=1.0 - t**k,
+        )
+
+
+@dataclass(frozen=True)
+class GaussianNumber:
+    nbar: float
+    a: float
+    b: float = 0.0
+
+    TAG = "gaussian"
+    KEYS = {"nbar": _field("nbar", float), "a": _field("a", float), "b": _field("b", float, False)}
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.a <= 0.1:
+            raise ValueError(f"validity window needs 0 < a <= 0.1, got a = {self.a!r}")
+        if not 5.0 / math.sqrt(self.a) <= self.nbar < math.inf:
+            raise ValueError(
+                f"validity window needs finite nbar >= 5/sqrt(a) = {5.0 / math.sqrt(self.a):.3g}, "
+                f"got nbar = {self.nbar!r}"
+            )
+        # In the window, build's n_max - nbar stays below nbar, so b (n - nbar)^2
+        # peaks at n = 0; it is formed here as build forms it.  b = 0 has no phase.
+        if self.b and not math.isfinite(self.b * (self.nbar * self.nbar)):
+            raise ValueError(
+                f"phase b (n - nbar)^2 must be finite, got b = {self.b!r} at nbar = {self.nbar!r}"
+            )
+
+    def _build(self, cap: int) -> FockState:
+        a, b, nbar = self.a, self.b, self.nbar
+        n_max = _within_cap(max(_MIN_NMAX, math.ceil(nbar + 6.0 / math.sqrt(2.0 * a))), cap)
         n = np.arange(n_max + 1)
         c = np.exp(-(a + 1j * b) * (n - nbar) ** 2)
         tail = 0.5 * math.erfc(math.sqrt(2.0 * a) * (n_max - nbar)) + 0.5 * math.erfc(
@@ -200,8 +208,36 @@ def build(spec: FamilySpec, max_nmax: int | None = None) -> FockState:
         )
         return FockState(c / np.linalg.norm(c), tail)
 
-    if isinstance(spec, BesselEigenstate):
-        lam = spec.lam
+    def _closed_form(self, k: int, phi: float, weyl: complex) -> CharSet:
+        if k > math.sqrt(self.nbar):
+            raise ClosedFormUnavailable(
+                f"continuum forms need k <= sqrt(nbar): k = {k}, nbar = {self.nbar!r}"
+            )
+        a, b, nbar = self.a, self.b, self.nbar
+        e_number = -phi * phi / (8.0 * a)
+        e_phase = -(a * a + b * b) * k * k / (2.0 * a)
+        e_cross = e_number + e_phase + b * k * phi / (2.0 * a)
+        return CharSet(
+            number_char=cmath.exp(complex(e_number, phi * nbar)),
+            phase_char=complex(math.exp(e_phase)),
+            cross_char=cmath.exp(complex(e_cross, -phi * (nbar + 0.5 * k))),
+            weyl=weyl,
+        )
+
+
+@dataclass(frozen=True)
+class BesselEigenstate:
+    lam: float
+
+    TAG = "bessel"
+    KEYS = {"lambda": _field("lam", float)}
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.lam <= 50.0:
+            raise ValueError(f"lambda must be in (0, 50], got {self.lam!r}")
+
+    def _build(self, cap: int) -> FockState:
+        lam = self.lam
         # Factorial decay is fast; push the tail far below the generic
         # target so the eigen-residual check keeps its 1e-8 headroom.
         target = 1e-22
@@ -219,24 +255,108 @@ def build(spec: FamilySpec, max_nmax: int | None = None) -> FockState:
                 if rem < target * total:
                     tail = rem / total
                     break
-            if n > cap:
-                raise _cap_error(n, cap)
+            _within_cap(n, cap)
         c = np.asarray(coeffs)
         return FockState(c / np.linalg.norm(c), tail)
 
-    if isinstance(spec, Intermediate):
-        t = abs(spec.xi) ** 2
+    def _closed_form(self, k: int, phi: float, weyl: complex) -> CharSet:
+        lam = self.lam
+        i0 = bessel_i(0, 2.0 * lam).real
+        z = 2.0 * lam * np.exp(0.5j * phi)
+        ik = 1j**k / i0
+        pi_k = 0.0
+        term = 1.0
+        for m in range(k):
+            if m > 0:
+                term *= (lam / m) ** 2
+            pi_k += term
+        return CharSet(
+            number_char=complex(bessel_i(0, z) / i0),
+            phase_char=complex(ik * bessel_i(k, 2.0 * lam).real),
+            cross_char=complex(ik * np.exp(-0.5j * k * phi) * bessel_i(k, z.conjugate())),
+            weyl=weyl,
+            pi_k=pi_k / i0,
+        )
+
+
+@dataclass(frozen=True)
+class Intermediate:
+    alpha: complex
+    beta: complex
+    n: int
+    xi: complex
+
+    TAG = "intermediate"
+    KEYS = {
+        "alpha2": _Key(lambda spec: abs(spec.alpha) ** 2, _weights),
+        "n": _field("n"),
+        "xi": _field("xi", literal=complex),
+    }
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", complex(self.alpha))
+        object.__setattr__(self, "beta", complex(self.beta))
+        object.__setattr__(self, "xi", complex(self.xi))
+        if self.n % 1 != 0 or self.n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {self.n}")
+        object.__setattr__(self, "n", int(self.n))
+        s = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        if not abs(s - 1.0) <= 1e-6:
+            raise ValueError(f"weights must satisfy |alpha|^2 + |beta|^2 = 1, got {s!r}")
+        if not abs(self.xi) <= 1.0 - 1e-6:
+            raise ValueError(f"normalizability needs |xi| <= 1 - 1e-6, got |xi| = {abs(self.xi)!r}")
+
+    def _build(self, cap: int) -> FockState:
+        t = abs(self.xi) ** 2
         n_max, geo_tail = _geometric_nmax(t, cap)
-        n_max = max(n_max, spec.n + 1)
-        if n_max > cap:
-            raise _cap_error(n_max, cap)
+        n_max = _within_cap(max(n_max, self.n + 1), cap)
         idx = np.arange(n_max + 1)
-        c = spec.beta * math.sqrt(1.0 - t) * np.power(spec.xi, idx)
-        c[spec.n] += spec.alpha
-        tail = abs(spec.beta) ** 2 * geo_tail
+        c = self.beta * math.sqrt(1.0 - t) * np.power(self.xi, idx)
+        c[self.n] += self.alpha
+        tail = abs(self.beta) ** 2 * geo_tail
         return FockState(c / np.linalg.norm(c), tail)
 
-    raise TypeError(f"unknown family spec {spec!r}")
+    def _closed_form(self, k: int, phi: float, weyl: complex) -> CharSet:
+        if abs(self.xi) < 0.99:
+            raise ClosedFormUnavailable(
+                f"asymptotic forms need |xi| >= 0.99, got |xi| = {abs(self.xi)!r}"
+            )
+        wa = abs(self.alpha) ** 2
+        wb = abs(self.beta) ** 2
+        return CharSet(
+            number_char=complex(wa * np.exp(1j * phi * self.n)),
+            phase_char=complex(wb * np.conj(self.xi) ** k),
+            cross_char=0.0j,
+            weyl=weyl,
+        )
+
+
+FamilySpec = Union[NumberState, PhaseCoherent, GaussianNumber, BesselEigenstate, Intermediate]
+_FAMILIES = get_args(FamilySpec)
+
+# The textual spec grammar: tag -> family class.
+_GRAMMAR: dict[str, type] = {cls.TAG: cls for cls in _FAMILIES}
+
+# Family tags and their keys, in canonical order.
+SPEC_KEYS: dict[str, tuple[str, ...]] = {tag: tuple(cls.KEYS) for tag, cls in _GRAMMAR.items()}
+
+
+def _family(spec: FamilySpec) -> FamilySpec:
+    """spec itself, if it is an instance of one of the family classes."""
+    if type(spec) not in _FAMILIES:
+        raise TypeError(f"unknown family spec {spec!r}")
+    return spec
+
+
+def build(spec: FamilySpec, max_nmax: int | None = None) -> FockState:
+    """Normalized truncated state for a family spec, tail certified.
+
+    Truncation points are chosen so the discarded probability mass is below
+    1e-14 (the Bessel family aims far lower so its eigen-residual survives
+    in an extended space); amplitudes are renormalized exactly on the
+    truncated lattice.  Exceeding the n_max cap is an error.
+    """
+    return _family(spec)._build(truncation_cap(max_nmax))
 
 
 def closed_form_char(spec: FamilySpec, k: int, phi: float) -> CharSet:
@@ -259,79 +379,7 @@ def closed_form_char(spec: FamilySpec, k: int, phi: float) -> CharSet:
     instead of returning numbers that do not mean anything.
     """
     k = fock._check_k(k)
-    weyl = np.exp(-1j * k * phi)
-
-    if isinstance(spec, NumberState):
-        return CharSet(
-            number_char=complex(np.exp(1j * phi * spec.n)),
-            phase_char=0.0j,
-            cross_char=0.0j,
-            weyl=weyl,
-            pi_k=1.0 if spec.n < k else 0.0,
-        )
-
-    if isinstance(spec, PhaseCoherent):
-        t = abs(spec.xi) ** 2
-        number = (1.0 - t) / (1.0 - t * np.exp(1j * phi))
-        phase = np.conj(spec.xi) ** k
-        return CharSet(
-            number_char=complex(number),
-            phase_char=complex(phase),
-            cross_char=complex(weyl * phase * np.conj(number)),
-            weyl=weyl,
-            pi_k=1.0 - t**k,
-        )
-
-    if isinstance(spec, GaussianNumber):
-        if k > math.sqrt(spec.nbar):
-            raise ClosedFormUnavailable(
-                f"continuum forms need k <= sqrt(nbar): k = {k}, nbar = {spec.nbar!r}"
-            )
-        a, b, nbar = spec.a, spec.b, spec.nbar
-        e_number = -phi * phi / (8.0 * a)
-        e_phase = -(a * a + b * b) * k * k / (2.0 * a)
-        e_cross = e_number + e_phase + b * k * phi / (2.0 * a)
-        return CharSet(
-            number_char=cmath.exp(complex(e_number, phi * nbar)),
-            phase_char=complex(math.exp(e_phase)),
-            cross_char=cmath.exp(complex(e_cross, -phi * (nbar + 0.5 * k))),
-            weyl=weyl,
-        )
-
-    if isinstance(spec, BesselEigenstate):
-        lam = spec.lam
-        i0 = bessel_i(0, 2.0 * lam).real
-        z = 2.0 * lam * np.exp(0.5j * phi)
-        ik = 1j**k / i0
-        pi_k = 0.0
-        term = 1.0
-        for m in range(k):
-            if m > 0:
-                term *= (lam / m) ** 2
-            pi_k += term
-        return CharSet(
-            number_char=complex(bessel_i(0, z) / i0),
-            phase_char=complex(ik * bessel_i(k, 2.0 * lam).real),
-            cross_char=complex(ik * np.exp(-0.5j * k * phi) * bessel_i(k, z.conjugate())),
-            weyl=weyl,
-            pi_k=pi_k / i0,
-        )
-
-    if isinstance(spec, Intermediate):
-        if abs(spec.xi) < 0.99:
-            raise ClosedFormUnavailable(
-                f"asymptotic forms need |xi| >= 0.99, got |xi| = {abs(spec.xi)!r}"
-            )
-        wa = abs(spec.alpha) ** 2
-        wb = abs(spec.beta) ** 2
-        return CharSet(
-            number_char=complex(wa * np.exp(1j * phi * spec.n)),
-            phase_char=complex(wb * np.conj(spec.xi) ** k),
-            cross_char=0.0j,
-            weyl=weyl,
-        )
-
-    raise TypeError(f"unknown family spec {spec!r}")
+    return _family(spec)._closed_form(k, phi, np.exp(-1j * k * phi))
 
 
 def oracle_check(spec: FamilySpec, k: int, phi: float, max_nmax: int | None = None) -> float:
@@ -349,48 +397,6 @@ def oracle_check(spec: FamilySpec, k: int, phi: float, max_nmax: int | None = No
     )
 
 
-def _weights(alpha2: float) -> dict:
-    if not 0.0 <= alpha2 <= 1.0:
-        raise ValueError(f"alpha2 must lie in [0, 1], got {float(alpha2)!r}")
-    return {"alpha": math.sqrt(alpha2), "beta": math.sqrt(1.0 - alpha2)}
-
-
-class _Key(NamedTuple):
-    """One key of the spec grammar: spec -> value, and value -> constructor fields."""
-
-    read: Callable[[FamilySpec], complex | float | int]
-    write: Callable[[float], dict]
-    required: bool = True
-
-
-def _field(name: str, convert: Callable = lambda v: v, required: bool = True) -> _Key:
-    return _Key(lambda spec: getattr(spec, name), lambda v: {name: convert(v)}, required)
-
-
-# The textual spec grammar: tag -> (spec class, keys in canonical order).
-_GRAMMAR: dict[str, tuple[type, dict[str, _Key]]] = {
-    "number": (NumberState, {"n": _field("n")}),
-    "phase-coherent": (PhaseCoherent, {"xi": _field("xi")}),
-    "gaussian": (
-        GaussianNumber,
-        {"nbar": _field("nbar", float), "a": _field("a", float), "b": _field("b", float, False)},
-    ),
-    "bessel": (BesselEigenstate, {"lambda": _field("lam", float)}),
-    "intermediate": (
-        Intermediate,
-        {
-            "alpha2": _Key(lambda spec: abs(spec.alpha) ** 2, _weights),
-            "n": _field("n"),
-            "xi": _field("xi"),
-        },
-    ),
-}
-_TAG = {cls: tag for tag, (cls, _) in _GRAMMAR.items()}
-
-# Family tags and their keys, in canonical order.
-SPEC_KEYS: dict[str, tuple[str, ...]] = {tag: tuple(keys) for tag, (_, keys) in _GRAMMAR.items()}
-
-
 def with_param(spec: FamilySpec, name: str, value: float) -> FamilySpec:
     """Copy of a family spec with one sweepable parameter replaced.
 
@@ -398,8 +404,7 @@ def with_param(spec: FamilySpec, name: str, value: float) -> FamilySpec:
     'lambda'); for the intermediate family 'alpha2' sets the number-state
     weight |alpha|^2 with real non-negative alpha, beta.
     """
-    _, keys = _GRAMMAR.get(_TAG.get(type(spec)), (None, {}))
-    key = keys.get("lambda" if name == "lam" else name)
+    key = _family(spec).KEYS.get("lambda" if name == "lam" else name)
     if key is None:
         raise ValueError(f"family {type(spec).__name__} has no sweepable parameter {name!r}")
     return replace(spec, **key.write(value))
@@ -409,20 +414,22 @@ def parse_spec(text: str) -> FamilySpec:
     """Parse the canonical textual form, e.g. 'phase-coherent:xi=0.49'.
 
     Grammar: a family tag, then optional comma-separated key=value pairs,
-    no spaces.  Errors carry the offending position in the string.
+    no spaces.  Values are integer or float literals; xi also reads a
+    complex literal such as 0.3+0.4j or (0.3+0.4j).  Errors carry the
+    offending position in the string.
     """
     head, sep, rest = text.partition(":")
     if head not in _GRAMMAR:
         raise FamilySpecError(f"unknown family {head!r}", 0)
-    cls, keys = _GRAMMAR[head]
-    values: dict[str, int | float] = {}
+    cls = _GRAMMAR[head]
+    values: dict[str, complex | float | int] = {}
     pos = len(head) + 1
     parts = rest.split(",") if sep else []
     for part in parts:
         key, eq, val = part.partition("=")
         if not eq or not key:
             raise FamilySpecError(f"expected key=value, got {part!r}", pos)
-        if key not in keys:
+        if key not in cls.KEYS:
             raise FamilySpecError(f"unknown key {key!r} for family {head!r}", pos)
         if key in values:
             raise FamilySpecError(f"duplicate key {key!r}", pos)
@@ -431,19 +438,19 @@ def parse_spec(text: str) -> FamilySpec:
             values[key] = int(val)
         except ValueError:
             try:
-                values[key] = float(val)
+                values[key] = cls.KEYS[key].literal(val)
             except ValueError:
                 raise FamilySpecError(f"invalid number {val!r}", pos + len(key) + 1) from None
-            if not math.isfinite(values[key]):
+            if not cmath.isfinite(values[key]):
                 raise FamilySpecError(f"non-finite number {val!r}", pos + len(key) + 1)
         pos += len(part) + 1
-    missing = sorted(k for k, entry in keys.items() if entry.required and k not in values)
+    missing = sorted(k for k, entry in cls.KEYS.items() if entry.required and k not in values)
     if missing:
         raise FamilySpecError(f"missing required key(s) {', '.join(missing)}", len(text))
     try:
         fields: dict = {}
         for key, value in values.items():
-            fields.update(keys[key].write(value))
+            fields.update(cls.KEYS[key].write(value))
         return cls(**fields)
     except (ValueError, OverflowError) as err:
         raise FamilySpecError(str(err), len(head) + 1) from None
@@ -461,8 +468,5 @@ def _fmt_value(x: complex | float | int) -> str:
 
 def format_spec(spec: FamilySpec) -> str:
     """Canonical textual form of a family spec."""
-    if type(spec) not in _TAG:
-        raise TypeError(f"unknown family spec {spec!r}")
-    tag = _TAG[type(spec)]
-    pairs = (f"{name}={_fmt_value(key.read(spec))}" for name, key in _GRAMMAR[tag][1].items())
-    return f"{tag}:{','.join(pairs)}"
+    pairs = (f"{name}={_fmt_value(key.read(spec))}" for name, key in _family(spec).KEYS.items())
+    return f"{spec.TAG}:{','.join(pairs)}"

@@ -197,6 +197,22 @@ def test_overflowing_phase_exits_2(phi_over_pi, k):
     assert_one_line_error(proc, "k*phi must be finite")
 
 
+@pytest.mark.parametrize("phi_over_pi", [None, "0.5"], ids=["default-phase", "phi-over-pi"])
+@pytest.mark.parametrize("command", [
+    ["scan", "--steps", "2"],
+    ["extremum", "--functional", "V", "--kind", "max"],
+], ids=["scan", "extremum"])
+def test_k_too_large_for_a_float_exits_2(command, phi_over_pi):
+    # 1/k or k*phi would overflow converting k to a float.
+    args = [*command, "--family", "phase-coherent:xi=0.5", "--param", "xi",
+            "--from", "0.1", "--to", "0.2", "--k", str(10**399)]
+    if phi_over_pi is not None:
+        args += ["--phi-over-pi", phi_over_pi]
+    proc = run_cli(*args)
+    assert_one_line_error(proc, "--k out of range")
+    assert "400-digit k" in proc.stderr
+
+
 def test_log_spaced_scan_with_nonpositive_start_exits_2():
     proc = run_cli(
         "scan", "--family", "phase-coherent:xi=0.5", "--param", "xi",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import optimize, special
 
-from weyl_uncert import families, fock
+from weyl_uncert import cli, families, fock
 from weyl_uncert.families import (
     BesselEigenstate,
     ClosedFormUnavailable,
@@ -316,6 +316,10 @@ def test_parse_spec_round_trips():
         ("phase-coherent:xi=0.49", PhaseCoherent(0.49)),
         ("gaussian:nbar=100,a=0.005,b=0", GaussianNumber(100.0, 0.005, 0.0)),
         ("bessel:lambda=0.77", BesselEigenstate(0.77)),
+        ("phase-coherent:xi=0.3+0.4j", PhaseCoherent(0.3 + 0.4j)),
+        ("phase-coherent:xi=(0.3+0.4j)", PhaseCoherent(0.3 + 0.4j)),
+        ("phase-coherent:xi=-0.5j", PhaseCoherent(-0.5j)),
+        ("intermediate:alpha2=0.36,n=3,xi=0.5-0.2j", Intermediate(0.6, 0.8, 3, 0.5 - 0.2j)),
     ]
     for text, spec in cases:
         assert parse_spec(text) == spec
@@ -371,6 +375,13 @@ def test_parse_spec_errors_carry_positions():
         parse_spec("number:nonsense")
     with pytest.raises(FamilySpecError, match="xi"):
         parse_spec("phase-coherent:xi=1.5")  # invariant violation surfaces as parse error
+    # Only xi reads a complex literal, and rejects a non-finite part.
+    with pytest.raises(FamilySpecError, match=re.escape("invalid number '1+2j'")):
+        parse_spec("gaussian:nbar=1+2j,a=0.01")
+    for text in ("phase-coherent:xi=nan+0.1j", "phase-coherent:xi=(0.1+infj)"):
+        with pytest.raises(FamilySpecError, match="non-finite number") as err:
+            parse_spec(text)
+        assert err.value.position == len("phase-coherent:xi=")
 
 
 def test_with_param():
@@ -398,3 +409,43 @@ def test_non_integer_n_is_rejected_not_rounded(spec):
     text = format_spec(spec).replace("n=3", "n=2.5")
     with pytest.raises(FamilySpecError, match="n must be an integer"):
         parse_spec(text)
+
+
+# ---------------------------------------------------------------------------
+# every registered family carries every piece
+
+# One example spec per tag, in the order of families.SPEC_KEYS.
+FAMILY_EXAMPLES = {
+    "number": "number:n=3",
+    "phase-coherent": "phase-coherent:xi=0.3+0.4j",
+    "gaussian": "gaussian:nbar=400,a=0.01,b=0.2",
+    "bessel": "bessel:lambda=0.77",
+    "intermediate": "intermediate:alpha2=0.36,n=3,xi=0.995",
+}
+
+
+def test_family_examples_cover_every_registered_tag():
+    assert tuple(FAMILY_EXAMPLES) == tuple(families.SPEC_KEYS)
+
+
+@pytest.mark.parametrize("tag", FAMILY_EXAMPLES)
+def test_registered_family_is_complete(tag, capsys):
+    spec = parse_spec(FAMILY_EXAMPLES[tag])
+    assert parse_spec(format_spec(spec)) == spec
+    assert format_spec(spec).startswith(f"{tag}:")
+    st = build(spec)
+    assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-12
+    try:
+        assert isinstance(closed_form_char(spec, 1, math.pi), CharSet)
+    except ClosedFormUnavailable:
+        pass
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    assert f"\n  {tag}: {', '.join(families.SPEC_KEYS[tag])}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("func", [build, format_spec, lambda spec: closed_form_char(spec, 1, 0.5)],
+                         ids=["build", "format_spec", "closed_form_char"])
+def test_non_family_objects_raise_type_error(func):
+    with pytest.raises(TypeError, match="unknown family spec"):
+        func(object())
