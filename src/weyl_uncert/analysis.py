@@ -17,8 +17,6 @@ import numpy as np
 from . import families, fock
 from .families import FamilySpec
 
-FUNCTIONALS = ("U", "Uprime", "Udoubleprime", "V")
-
 _COARSE_POINTS = 64
 _PARAM_TOL = 1e-6
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -137,6 +135,7 @@ _FIELD_OF_FUNCTIONAL = {
     "Udoubleprime": "u_double_prime",
     "V": "v",
 }
+FUNCTIONALS = tuple(_FIELD_OF_FUNCTIONAL)
 
 
 def find_extremum(

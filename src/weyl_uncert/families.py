@@ -11,13 +11,14 @@ cross-validation against the generic amplitude sums:
   order of Poisson summation,
 * eigenstates of (n + i lambda Edag) with eigenvalue 0, whose amplitudes
   are (-i lambda)^n / n! normalized by a modified Bessel function,
-* coherent superpositions of a number state and a near-ideal phase state
-  (asymptotic closed forms, |xi| -> 1).
+* coherent superpositions sqrt(alpha2) |n> + sqrt(1 - alpha2) |xi> of a
+  number state and a near-ideal phase state (asymptotic closed forms,
+  |xi| -> 1).
 
 Each family is one frozen dataclass holding its checks, its spec-grammar
-tag and keys (TAG, KEYS), its state (_build) and its closed forms
-(_closed_form).  The functions below only look these up, so a new family
-is one new class, listed in FamilySpec.
+tag (TAG), the field each spec key names (KEYS), its state (_build) and
+its closed forms (_closed_form).  The functions below only look these
+up, so a new family is one new class, listed in FamilySpec.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Union, get_args
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Union, get_args, get_type_hints
 
 import numpy as np
 
@@ -95,32 +96,12 @@ def _geometric_nmax(t: float, cap: int) -> tuple[int, float]:
     return need, t ** (need + 1)
 
 
-class _Key(NamedTuple):
-    """One key of the spec grammar: spec -> value, value -> fields, text -> non-integer value."""
-
-    read: Callable[[FamilySpec], complex | float | int]
-    write: Callable[[complex | float], dict]
-    required: bool = True
-    literal: Callable[[str], complex | float] = float
-
-
-def _field(name: str, convert: Callable = lambda v: v, required: bool = True,
-           literal: Callable = float) -> _Key:
-    return _Key(lambda spec: getattr(spec, name), lambda v: {name: convert(v)}, required, literal)
-
-
-def _weights(alpha2: float) -> dict:
-    if not 0.0 <= alpha2 <= 1.0:
-        raise ValueError(f"alpha2 must lie in [0, 1], got {float(alpha2)!r}")
-    return {"alpha": math.sqrt(alpha2), "beta": math.sqrt(1.0 - alpha2)}
-
-
 @dataclass(frozen=True)
 class NumberState:
     n: int
 
     TAG = "number"
-    KEYS = {"n": _field("n")}
+    KEYS = {"n": "n"}
 
     def __post_init__(self) -> None:
         if self.n % 1 != 0 or self.n < 0:
@@ -147,7 +128,7 @@ class PhaseCoherent:
     xi: complex
 
     TAG = "phase-coherent"
-    KEYS = {"xi": _field("xi", literal=complex)}
+    KEYS = {"xi": "xi"}
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "xi", complex(self.xi))
@@ -181,7 +162,7 @@ class GaussianNumber:
     b: float = 0.0
 
     TAG = "gaussian"
-    KEYS = {"nbar": _field("nbar", float), "a": _field("a", float), "b": _field("b", float, False)}
+    KEYS = {"nbar": "nbar", "a": "a", "b": "b"}
 
     def __post_init__(self) -> None:
         if not 0.0 < self.a <= 0.1:
@@ -230,7 +211,7 @@ class BesselEigenstate:
     lam: float
 
     TAG = "bessel"
-    KEYS = {"lambda": _field("lam", float)}
+    KEYS = {"lambda": "lam"}
 
     def __post_init__(self) -> None:
         if not 0.0 < self.lam <= 50.0:
@@ -281,28 +262,20 @@ class BesselEigenstate:
 
 @dataclass(frozen=True)
 class Intermediate:
-    alpha: complex
-    beta: complex
+    alpha2: float
     n: int
     xi: complex
 
     TAG = "intermediate"
-    KEYS = {
-        "alpha2": _Key(lambda spec: abs(spec.alpha) ** 2, _weights),
-        "n": _field("n"),
-        "xi": _field("xi", literal=complex),
-    }
+    KEYS = {"alpha2": "alpha2", "n": "n", "xi": "xi"}
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
+        if not 0.0 <= self.alpha2 <= 1.0:
+            raise ValueError(f"alpha2 must lie in [0, 1], got {self.alpha2!r}")
         object.__setattr__(self, "xi", complex(self.xi))
         if self.n % 1 != 0 or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
-        s = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if not abs(s - 1.0) <= 1e-6:
-            raise ValueError(f"weights must satisfy |alpha|^2 + |beta|^2 = 1, got {s!r}")
         if not abs(self.xi) <= 1.0 - 1e-6:
             raise ValueError(f"normalizability needs |xi| <= 1 - 1e-6, got |xi| = {abs(self.xi)!r}")
 
@@ -311,9 +284,9 @@ class Intermediate:
         n_max, geo_tail = _geometric_nmax(t, cap)
         n_max = _within_cap(max(n_max, self.n + 1), cap)
         idx = np.arange(n_max + 1)
-        c = self.beta * math.sqrt(1.0 - t) * np.power(self.xi, idx)
-        c[self.n] += self.alpha
-        tail = abs(self.beta) ** 2 * geo_tail
+        c = math.sqrt(1.0 - self.alpha2) * math.sqrt(1.0 - t) * np.power(self.xi, idx)
+        c[self.n] += math.sqrt(self.alpha2)
+        tail = (1.0 - self.alpha2) * geo_tail
         return FockState(c / np.linalg.norm(c), tail)
 
     def _closed_form(self, k: int, phi: float, weyl: complex) -> CharSet:
@@ -321,11 +294,9 @@ class Intermediate:
             raise ClosedFormUnavailable(
                 f"asymptotic forms need |xi| >= 0.99, got |xi| = {abs(self.xi)!r}"
             )
-        wa = abs(self.alpha) ** 2
-        wb = abs(self.beta) ** 2
         return CharSet(
-            number_char=complex(wa * np.exp(1j * phi * self.n)),
-            phase_char=complex(wb * np.conj(self.xi) ** k),
+            number_char=complex(self.alpha2 * np.exp(1j * phi * self.n)),
+            phase_char=complex((1.0 - self.alpha2) * np.conj(self.xi) ** k),
             cross_char=0.0j,
             weyl=weyl,
         )
@@ -339,6 +310,9 @@ _GRAMMAR: dict[str, type] = {cls.TAG: cls for cls in _FAMILIES}
 
 # Family tags and their keys, in canonical order.
 SPEC_KEYS: dict[str, tuple[str, ...]] = {tag: tuple(cls.KEYS) for tag, cls in _GRAMMAR.items()}
+
+# Each family's field types: complex fields read complex literals, float fields hold floats.
+_TYPES = {cls: get_type_hints(cls) for cls in _FAMILIES}
 
 
 def _family(spec: FamilySpec) -> FamilySpec:
@@ -397,26 +371,31 @@ def oracle_check(spec: FamilySpec, k: int, phi: float, max_nmax: int | None = No
     )
 
 
+def _typed(cls: type, name: str, value: complex | float | int) -> complex | float | int:
+    # A float field holds a float, so an integer no float can hold fails here.
+    return float(value) if _TYPES[cls][name] is float else value
+
+
 def with_param(spec: FamilySpec, name: str, value: float) -> FamilySpec:
     """Copy of a family spec with one sweepable parameter replaced.
 
     Parameter names follow the textual spec grammar ('lam' is accepted for
-    'lambda'); for the intermediate family 'alpha2' sets the number-state
-    weight |alpha|^2 with real non-negative alpha, beta.
+    'lambda'), each naming one field of the family's dataclass.
     """
-    key = _family(spec).KEYS.get("lambda" if name == "lam" else name)
-    if key is None:
+    field = _family(spec).KEYS.get("lambda" if name == "lam" else name)
+    if field is None:
         raise ValueError(f"family {type(spec).__name__} has no sweepable parameter {name!r}")
-    return replace(spec, **key.write(value))
+    return replace(spec, **{field: _typed(type(spec), field, value)})
 
 
 def parse_spec(text: str) -> FamilySpec:
     """Parse the canonical textual form, e.g. 'phase-coherent:xi=0.49'.
 
     Grammar: a family tag, then optional comma-separated key=value pairs,
-    no spaces.  Values are integer or float literals; xi also reads a
-    complex literal such as 0.3+0.4j or (0.3+0.4j).  Errors carry the
-    offending position in the string.
+    no spaces.  Each key names a field of the family's dataclass and is
+    required unless that field has a default.  Values are integer or float
+    literals; a complex field (xi) also reads 0.3+0.4j or (0.3+0.4j).
+    Errors carry the offending position in the string.
     """
     head, sep, rest = text.partition(":")
     if head not in _GRAMMAR:
@@ -438,20 +417,18 @@ def parse_spec(text: str) -> FamilySpec:
             values[key] = int(val)
         except ValueError:
             try:
-                values[key] = cls.KEYS[key].literal(val)
+                values[key] = (complex if _TYPES[cls][cls.KEYS[key]] is complex else float)(val)
             except ValueError:
                 raise FamilySpecError(f"invalid number {val!r}", pos + len(key) + 1) from None
             if not cmath.isfinite(values[key]):
                 raise FamilySpecError(f"non-finite number {val!r}", pos + len(key) + 1)
         pos += len(part) + 1
-    missing = sorted(k for k, entry in cls.KEYS.items() if entry.required and k not in values)
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    missing = sorted(k for k, name in cls.KEYS.items() if name in required and k not in values)
     if missing:
         raise FamilySpecError(f"missing required key(s) {', '.join(missing)}", len(text))
     try:
-        fields: dict = {}
-        for key, value in values.items():
-            fields.update(cls.KEYS[key].write(value))
-        return cls(**fields)
+        return cls(**{cls.KEYS[k]: _typed(cls, cls.KEYS[k], v) for k, v in values.items()})
     except (ValueError, OverflowError) as err:
         raise FamilySpecError(str(err), len(head) + 1) from None
 
@@ -468,5 +445,5 @@ def _fmt_value(x: complex | float | int) -> str:
 
 def format_spec(spec: FamilySpec) -> str:
     """Canonical textual form of a family spec."""
-    pairs = (f"{name}={_fmt_value(key.read(spec))}" for name, key in _family(spec).KEYS.items())
+    pairs = (f"{key}={_fmt_value(getattr(spec, name))}" for key, name in _family(spec).KEYS.items())
     return f"{spec.TAG}:{','.join(pairs)}"

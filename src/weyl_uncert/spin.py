@@ -251,14 +251,7 @@ def qubit_char(bloch, k: int = 1, ell: int = 1) -> CharSet:
     z_odd, x_odd = ell % 2 == 1, k % 2 == 1
     number_char = complex(s[2]) if z_odd else complex(1.0)
     phase_char = complex(s[0]) if x_odd else complex(1.0)
-    if z_odd and x_odd:
-        cross_char = 1j * s[1]
-    elif z_odd:
-        cross_char = complex(s[2])
-    elif x_odd:
-        cross_char = complex(s[0])
-    else:
-        cross_char = complex(1.0)
+    cross_char = 1j * s[1] if z_odd and x_odd else number_char * phase_char
     return CharSet(number_char, phase_char, cross_char, _weyl_phase(2, k, ell))
 
 

@@ -9,7 +9,7 @@ The spin suite checks the Gram determinants, the certainty bounds and the
 triple sum of each random state on all its drawn (k, l) pairs at once: one
 ``spin.char_table`` per state, ``reports.gram_pair`` with ``det3`` and
 ``reports.functionals`` on the table, and array comparisons.  Failures are
-listed per pair in the drawn order and quote that pair's single-pair values.
+listed per pair in the drawn order and quote the table entries the check read.
 """
 
 from __future__ import annotations
@@ -108,28 +108,23 @@ def run_spin(samples: int, seed: int) -> SuiteResult:
             v_bad = v > bound / 2 + _BOUND_TOL
             triple_bad = applicable & (u_prime > 1.0 + _BOUND_TOL)
             for i in np.flatnonzero(det_bad | u_bad | v_bad | triple_bad):
-                # A message quotes the single-pair values (spin.char_set and
-                # spin.gram_dets) of its printed state, not the table's, which
-                # may differ from them in the last digit.
                 k, l = pairs[i]
-                u_i, u_prime_i, _, v_i = reports.functionals(spin.char_set(st, k, l))
-                det_plus_i, det_minus_i = spin.gram_dets(st, k, l)
                 where = f"spin d={d} k={k} l={l}"
                 amps = _amps(st.amplitudes)
                 if det_bad[i]:
                     res.failures.append(
                         f"{where}: Gram determinant negative "
-                        f"({det_plus_i:.3e}, {det_minus_i:.3e}); amplitudes={amps}"
+                        f"({det_plus[i]:.3e}, {det_minus[i]:.3e}); amplitudes={amps}"
                     )
                 if u_bad[i]:
                     res.failures.append(
-                        f"{where}: U={u_i!r} exceeds bound {float(bound[i])!r}; amplitudes={amps}"
+                        f"{where}: U={float(u[i])!r} exceeds bound {float(bound[i])!r}; amplitudes={amps}"
                     )
                 if v_bad[i]:
-                    res.failures.append(f"{where}: V={v_i!r} exceeds bound/2; amplitudes={amps}")
+                    res.failures.append(f"{where}: V={float(v[i])!r} exceeds bound/2; amplitudes={amps}")
                 if triple_bad[i]:
                     res.failures.append(
-                        f"{where}: triple sum {u_prime_i!r} exceeds 1; amplitudes={amps}"
+                        f"{where}: triple sum {float(u_prime[i])!r} exceeds 1; amplitudes={amps}"
                     )
             k = int(rng.integers(1, 2 * d + 1))
             l = int(rng.integers(1, 2 * d + 1))
@@ -355,7 +350,7 @@ def run_families(samples: int, seed: int) -> SuiteResult:
             res.failures.append(f"families gaussian a={a!r} b={b!r}: deviation {dev:.3e}")
 
     for a2 in (0.25, 0.5, 0.75):
-        spec = families.Intermediate(math.sqrt(a2), math.sqrt(1 - a2), 3, 0.999)
+        spec = families.Intermediate(a2, 3, 0.999)
         dev = families.oracle_check(spec, 1, math.pi, max_nmax=20000)
         res.checks += 1
         if dev > 5e-2:

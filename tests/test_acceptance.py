@@ -285,7 +285,7 @@ def test_criterion_08_bessel_family():
 
 def test_criterion_09_intermediate_family():
     failures = []
-    template = families.Intermediate(1.0, 0.0, 3, 0.999)
+    template = families.Intermediate(1.0, 3, 0.999)
 
     def rep_at(a2):
         spec = families.with_param(template, "alpha2", a2)

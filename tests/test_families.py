@@ -1,8 +1,10 @@
 """Family constructors, closed-form oracles, spec-string parsing."""
 
+import dataclasses
 import math
 import os
 import re
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -80,7 +82,7 @@ def test_bessel_mean_photon_formula():
 
 
 def test_intermediate_build_normalized_with_overlap():
-    spec = Intermediate(math.sqrt(0.5), math.sqrt(0.5), 3, 0.9)
+    spec = Intermediate(0.5, 3, 0.9)
     st = build(spec)
     assert np.linalg.norm(st.amplitudes) == pytest.approx(1.0, abs=1e-14)
     # the raw superposition norm includes the number/phase-state overlap
@@ -97,10 +99,10 @@ def test_invariant_violations():
         GaussianNumber(400.0, 0.5, 0.0)
     with pytest.raises(ValueError, match="nbar"):
         GaussianNumber(10.0, 0.01, 0.0)
-    with pytest.raises(ValueError, match="alpha"):
-        Intermediate(1.0, 1.0, 3, 0.9)
+    with pytest.raises(ValueError, match="alpha2"):
+        Intermediate(1.5, 3, 0.9)
     with pytest.raises(ValueError, match="n must be"):
-        Intermediate(1.0, 0.0, 0, 0.9)
+        Intermediate(1.0, 0, 0.9)
     with pytest.raises(ValueError, match="lambda"):
         BesselEigenstate(-1.0)
 
@@ -116,12 +118,11 @@ def test_invariant_violations():
         pytest.param(GaussianNumber, (100.0, 0.01, -1e306), "must be finite, got b", id="b-phase-neg"),
         pytest.param(PhaseCoherent, (math.nan,), "xi", id="phase-coherent-xi-nan"),
         pytest.param(PhaseCoherent, (complex(0.1, math.inf),), "xi", id="phase-coherent-xi-inf"),
-        pytest.param(Intermediate, (0.6, 0.8, 3, math.nan), "xi", id="intermediate-xi-nan"),
-        pytest.param(Intermediate, (math.nan, 0.8, 3, 0.5), "alpha", id="alpha-nan"),
-        pytest.param(Intermediate, (0.6, complex(0.8, math.nan), 3, 0.5), "alpha", id="beta-nan"),
+        pytest.param(Intermediate, (0.36, 3, math.nan), "xi", id="intermediate-xi-nan"),
+        pytest.param(Intermediate, (math.nan, 3, 0.5), "alpha2", id="alpha-nan"),
         pytest.param(NumberState, (math.nan,), "n must be an integer", id="number-n-nan"),
         pytest.param(NumberState, (math.inf,), "n must be an integer", id="number-n-inf"),
-        pytest.param(Intermediate, (0.6, 0.8, math.inf, 0.5), "n must be an integer", id="intermediate-n-inf"),
+        pytest.param(Intermediate, (0.36, math.inf, 0.5), "n must be an integer", id="intermediate-n-inf"),
     ],
 )
 def test_non_finite_or_overflowing_parameters_are_rejected(cls, args, needle):
@@ -234,13 +235,13 @@ def test_gaussian_closed_form_matches_amplitude_sums_with_phases(b, k):
 
 
 def test_oracle_check_intermediate():
-    spec = Intermediate(math.sqrt(0.5), math.sqrt(0.5), 3, 0.999)
+    spec = Intermediate(0.5, 3, 0.999)
     assert oracle_check(spec, 1, math.pi, max_nmax=BIG_CAP) <= 5e-2
 
 
 def test_closed_form_unavailable():
     with pytest.raises(ClosedFormUnavailable, match="xi"):
-        closed_form_char(Intermediate(1.0, 0.0, 3, 0.9), 1, math.pi)
+        closed_form_char(Intermediate(1.0, 3, 0.9), 1, math.pi)
     with pytest.raises(ClosedFormUnavailable, match="sqrt"):
         closed_form_char(GaussianNumber(400.0, 0.01, 0.0), 25, math.pi)
 
@@ -294,7 +295,7 @@ def test_gaussian_product_stationary_in_k():
 def test_intermediate_weight_sum_behavior():
     values = {}
     for a2 in (0.0, 0.5, 1.0):
-        spec = Intermediate(math.sqrt(a2), math.sqrt(1 - a2), 3, 0.999)
+        spec = Intermediate(a2, 3, 0.999)
         st = build(spec, max_nmax=BIG_CAP)
         rep = fock.report(st, 1, math.pi)
         assert rep.u_double_prime <= 1.0 + 1e-9
@@ -319,7 +320,7 @@ def test_parse_spec_round_trips():
         ("phase-coherent:xi=0.3+0.4j", PhaseCoherent(0.3 + 0.4j)),
         ("phase-coherent:xi=(0.3+0.4j)", PhaseCoherent(0.3 + 0.4j)),
         ("phase-coherent:xi=-0.5j", PhaseCoherent(-0.5j)),
-        ("intermediate:alpha2=0.36,n=3,xi=0.5-0.2j", Intermediate(0.6, 0.8, 3, 0.5 - 0.2j)),
+        ("intermediate:alpha2=0.36,n=3,xi=0.5-0.2j", Intermediate(0.36, 3, 0.5 - 0.2j)),
     ]
     for text, spec in cases:
         assert parse_spec(text) == spec
@@ -346,12 +347,11 @@ def test_parse_spec_keeps_a_huge_count_exact_until_the_cap():
 def test_parse_spec_intermediate():
     spec = parse_spec("intermediate:alpha2=0.5,n=3,xi=0.999")
     assert isinstance(spec, Intermediate)
-    assert abs(spec.alpha) ** 2 == pytest.approx(0.5)
-    assert spec.n == 3
-    again = parse_spec(format_spec(spec))
-    assert abs(again.alpha - spec.alpha) < 1e-12
-    assert abs(again.beta - spec.beta) < 1e-12
-    assert (again.n, again.xi) == (spec.n, spec.xi)
+    assert spec == Intermediate(0.5, 3, 0.999)
+    assert parse_spec(format_spec(spec)) == spec
+    # The spec writes back the weight it was given, not one recomputed from amplitudes.
+    for text in ("intermediate:alpha2=0.3,n=3,xi=0.5", "intermediate:alpha2=0.7,n=2,xi=(0.5-0.2j)"):
+        assert format_spec(parse_spec(text)) == text
 
 
 def test_parse_spec_gaussian_default_b():
@@ -390,18 +390,16 @@ def test_with_param():
     assert with_param(BesselEigenstate(1.0), "lambda", 0.77) == BesselEigenstate(0.77)
     assert with_param(NumberState(0), "n", 4.0) == NumberState(4)
     assert with_param(BesselEigenstate(1.0), "lam", 0.77) == BesselEigenstate(0.77)
-    inter = with_param(Intermediate(1.0, 0.0, 3, 0.999), "alpha2", 0.25)
-    assert abs(inter.alpha) ** 2 == pytest.approx(0.25)
-    # Sweeping xi or n keeps complex weights exactly, phase included.
-    phased = Intermediate(0.6j, -0.8, 2, 0.5 + 0.1j)
-    assert with_param(phased, "xi", 0.7) == Intermediate(0.6j, -0.8, 2, 0.7)
-    assert with_param(phased, "n", 4.0) == Intermediate(0.6j, -0.8, 4, 0.5 + 0.1j)
-    assert with_param(phased, "alpha2", 0.36) == Intermediate(0.6, 0.8, 2, 0.5 + 0.1j)
+    assert with_param(Intermediate(1.0, 3, 0.999), "alpha2", 0.25) == Intermediate(0.25, 3, 0.999)
+    # Sweeping one field keeps the others exactly.
+    inter = Intermediate(0.36, 2, 0.5 + 0.1j)
+    assert with_param(inter, "xi", 0.7) == Intermediate(0.36, 2, 0.7)
+    assert with_param(inter, "n", 4.0) == Intermediate(0.36, 4, 0.5 + 0.1j)
     with pytest.raises(ValueError, match="sweepable"):
         with_param(PhaseCoherent(0.1), "nbar", 1.0)
 
 
-@pytest.mark.parametrize("spec", [NumberState(3), Intermediate(0.6, 0.8, 3, 0.5)])
+@pytest.mark.parametrize("spec", [NumberState(3), Intermediate(0.36, 3, 0.5)])
 def test_non_integer_n_is_rejected_not_rounded(spec):
     # A photon count of 4.4 names no state of either family.
     with pytest.raises(ValueError, match="n must be an integer"):
@@ -426,6 +424,11 @@ FAMILY_EXAMPLES = {
 
 def test_family_examples_cover_every_registered_tag():
     assert tuple(FAMILY_EXAMPLES) == tuple(families.SPEC_KEYS)
+
+
+@pytest.mark.parametrize("cls", get_args(families.FamilySpec), ids=lambda cls: cls.TAG)
+def test_every_spec_key_names_a_field_in_order(cls):
+    assert tuple(cls.KEYS.values()) == tuple(f.name for f in dataclasses.fields(cls))
 
 
 @pytest.mark.parametrize("tag", FAMILY_EXAMPLES)

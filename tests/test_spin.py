@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from test_numerics import full_matrix
-from weyl_uncert import spin, verify
+from weyl_uncert import reports, spin, verify
 from weyl_uncert.numerics import det3
 from weyl_uncert.reports import CharSet, gram_pair
 from weyl_uncert.spin import (
@@ -545,6 +545,32 @@ def test_spin_failure_message_rebuilds_the_drawn_state_exactly(monkeypatch):
     amps = [complex(x.replace(" ", "")) for x in m.group(2).split(",")]
     rebuilt = spin.QuditState(spin.SpinSystem(int(m.group(1))), amps)
     assert np.array_equal(rebuilt.amplitudes, drawn[0].amplitudes)
+
+
+def test_spin_failure_message_quotes_the_table_entries_its_check_read(monkeypatch):
+    drawn, draw = {}, spin.random_state
+
+    def recording_random_state(system, rng):
+        st = draw(system, rng)
+        drawn[verify._amps(st.amplitudes)] = st
+        return st
+
+    monkeypatch.setattr(spin, "random_state", recording_random_state)
+    monkeypatch.setattr(verify, "_BOUND_TOL", -10.0)
+    monkeypatch.setattr(verify, "_DET_TOL", 10.0)
+    res = verify.run_spin(6, 1)
+    quoted = 0
+    for msg in res.failures:
+        m = re.fullmatch(r"spin d=\d+ k=(\d+) l=(\d+): (U=|V=|triple sum )(\S+) exceeds .*; "
+                         r"amplitudes=(.*)", msg)
+        if m is None:
+            continue
+        k, ell = int(m.group(1)), int(m.group(2))
+        u, u_prime, _, v = reports.functionals(spin.char_table(drawn[m.group(5)]))
+        entry = {"U=": u, "V=": v, "triple sum ": u_prime}[m.group(3)][k - 1, ell - 1]
+        assert float(m.group(4)) == float(entry), msg
+        quoted += 1
+    assert quoted == 2 * 150 + sum("triple sum" in msg for msg in res.failures)
 
 
 # ---------------------------------------------------------------------------
