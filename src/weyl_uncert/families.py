@@ -5,7 +5,7 @@ where closed-form characteristic functions exist they are provided for
 cross-validation against the generic amplitude sums:
 
 * number states |n>,
-* normalized shift-operator eigenstates (geometric amplitudes xi^n),
+* normalized shift-operator eigenstates (geometric xi^n, to 1 ulp for real xi),
 * Gaussian number statistics exp(-(a+ib)(n-nbar)^2) in the wide, smooth
   regime (a << 1, nbar >> 1), where the closed forms are the leading
   order of Poisson summation,
@@ -88,12 +88,13 @@ def _within_cap(need: int, cap: int) -> int:
     )
 
 
-def _geometric_nmax(t: float, cap: int) -> tuple[int, float]:
-    # Smallest n_max with truncated mass t^(n_max+1) below the tail target.
-    if t == 0.0:
-        return _MIN_NMAX, 0.0
-    need = _within_cap(max(_MIN_NMAX, math.ceil(math.log(_TAIL_TARGET) / math.log(t))), cap)
-    return need, t ** (need + 1)
+def _geometric(xi: complex, cap: int, least: int) -> tuple[np.ndarray, float]:
+    # (sqrt(1 - t) xi^n, t = |xi|^2, to the n_max >= least the tail target needs; its tail)
+    t = abs(xi) ** 2
+    need = math.ceil(math.log(_TAIL_TARGET) / math.log(t)) if t else 0
+    n_max = _within_cap(max(least, _MIN_NMAX, need), cap)
+    powers = np.power(xi.real if xi.imag == 0.0 else xi, np.arange(n_max + 1))
+    return math.sqrt(1.0 - t) * powers, t ** (n_max + 1)
 
 
 @dataclass(frozen=True)
@@ -136,10 +137,7 @@ class PhaseCoherent:
             raise ValueError(f"normalizability needs |xi| <= 1 - 1e-6, got |xi| = {abs(self.xi)!r}")
 
     def _build(self, cap: int) -> FockState:
-        t = abs(self.xi) ** 2
-        n_max, tail = _geometric_nmax(t, cap)
-        idx = np.arange(n_max + 1)
-        c = np.power(self.xi, idx) * math.sqrt(1.0 - t)
+        c, tail = _geometric(self.xi, cap, 0)
         return FockState(c / np.linalg.norm(c), tail)
 
     def _closed_form(self, k: int, phi: float, weyl: complex) -> CharSet:
@@ -280,14 +278,11 @@ class Intermediate:
             raise ValueError(f"normalizability needs |xi| <= 1 - 1e-6, got |xi| = {abs(self.xi)!r}")
 
     def _build(self, cap: int) -> FockState:
-        t = abs(self.xi) ** 2
-        n_max, geo_tail = _geometric_nmax(t, cap)
-        n_max = _within_cap(max(n_max, self.n + 1), cap)
-        idx = np.arange(n_max + 1)
-        c = math.sqrt(1.0 - self.alpha2) * math.sqrt(1.0 - t) * np.power(self.xi, idx)
+        geo, geo_tail = _geometric(self.xi, cap, self.n + 1)
+        c = math.sqrt(1.0 - self.alpha2) * geo
         c[self.n] += math.sqrt(self.alpha2)
-        tail = (1.0 - self.alpha2) * geo_tail
-        return FockState(c / np.linalg.norm(c), tail)
+        norm = np.linalg.norm(c)  # the kept mass norm^2 bounds the discarded share
+        return FockState(c / norm, (1.0 - self.alpha2) * geo_tail / norm**2)
 
     def _closed_form(self, k: int, phi: float, weyl: complex) -> CharSet:
         if abs(self.xi) < 0.99:

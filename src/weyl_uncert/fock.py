@@ -3,10 +3,10 @@
 States are amplitude vectors over photon numbers 0..n_max.  The exponential
 of phase is the one-sided-unitary operator E with E|n+1> = |n> (the
 Susskind-Glogower shift); E^k acts as an index shift down, its adjoint as a
-shift up, and exp(i phi n) as a diagonal phase.  All characteristic
-functions are O(n_max) sums over amplitudes, and the phase density on a
-periodic grid of M points is one length-M FFT (other grids are rejected);
-dense operator matrices exist only in the test oracles.
+shift up, and exp(i phi n) as a diagonal phase, one table kept for the next
+call at the same phi and n_max.  Characteristic functions are O(n_max) sums
+over amplitudes; the phase density on a periodic grid of M points is one
+length-M FFT (other grids are rejected).  Dense operators are test oracles.
 
 Characteristic sets are :class:`reports.CharSet` records, checked once
 when made.  The two Gram matrices of {psi, exp(+-i phi n) psi, Edag^k /
@@ -20,6 +20,7 @@ functionals U, U', U'', V.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,10 +90,16 @@ def apply_raising(state: FockState, k: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _phase_table(phi: float, size: int) -> np.ndarray:
+    table = np.exp(1j * phi * np.arange(size))
+    table.flags.writeable = False
+    return table
+
+
 def apply_phase_shift(state: FockState, phi: float) -> FockState:
     """exp(i phi n) psi; norm preserving."""
-    n = np.arange(state.amplitudes.size)
-    return FockState(np.exp(1j * phi * n) * state.amplitudes, state.tail_bound)
+    return FockState(_phase_table(phi, state.amplitudes.size) * state.amplitudes, state.tail_bound)
 
 
 def char_set(state: FockState, k: int, phi: float) -> CharSet:
@@ -100,14 +107,14 @@ def char_set(state: FockState, k: int, phi: float) -> CharSet:
     phase_char = <Edag^k>, cross_char = <exp(-i phi n) Edag^k> and pi_k, the
     population of photon numbers below k.
 
-    One phase table exp(i phi n), n = 0..n_max, serves both phase-weighted
-    sums: the cross sum reads its conjugate from n = k on, which is bitwise
-    exp(-i phi n) since cos is even and sin odd.  pi_k is clamped to 1, which
-    its sum exceeds by rounding when the whole support lies below k.
+    One phase table exp(i phi n), n <= n_max (:func:`_phase_table`), serves
+    both sums: the cross sum reads its conjugate from n = k on, which is
+    bitwise exp(-i phi n) since cos is even and sin odd.  pi_k is clamped to
+    1, which its sum exceeds by rounding when the whole support lies below k.
     """
     k = _check_k(k)
     c = state.amplitudes
-    phases = np.exp(1j * phi * np.arange(c.size))
+    phases = _phase_table(phi, c.size)
     probs = np.abs(c) ** 2
     pair = np.conj(c[k:]) * c[:-k]
     return CharSet(
@@ -181,7 +188,7 @@ def phase_distribution(state: FockState, phi_grid: np.ndarray) -> np.ndarray:
     periodic = grid[0] + (2.0 * math.pi / m) * np.arange(m)
     if np.max(np.abs(grid - periodic)) > tol:
         raise ValueError("phi_grid must be phi_0 + 2 pi j / M for j = 0..M-1 (one period)")
-    a = state.amplitudes * np.exp(-1j * grid[0] * np.arange(state.amplitudes.size))
+    a = state.amplitudes * _phase_table(-grid[0], state.amplitudes.size)
     amp = np.fft.fft(np.pad(a, (0, -a.size % m)).reshape(-1, m).sum(axis=0))
     return np.abs(amp) ** 2 / (2.0 * math.pi)
 

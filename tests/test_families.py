@@ -6,6 +6,7 @@ import os
 import re
 from typing import get_args
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import optimize, special
@@ -90,6 +91,19 @@ def test_intermediate_build_normalized_with_overlap():
     overlap = math.sqrt(1 - t) * 0.9**3
     raw = math.sqrt(1 + 2 * math.sqrt(0.5) * math.sqrt(0.5) * overlap)
     assert abs(st.amplitudes[3] - (math.sqrt(0.5) + math.sqrt(0.5 * (1 - t)) * 0.9**3) / raw) < 1e-12
+
+
+@pytest.mark.parametrize("alpha2, n, xi", [(0.5, 1, -0.9), (0.3, 2, -0.95)])
+def test_intermediate_tail_bound_covers_the_exact_discarded_share(alpha2, n, xi):
+    # The untruncated superposition has norm^2 N^2 = 1 + 2 sqrt(alpha2 (1 - alpha2))
+    # sqrt(1 - t) Re xi^n, below 1 where Re xi^n < 0 (n = 1, xi = -0.9), and
+    # the discarded share of the normalized state is (1 - alpha2) t^(n_max+1) / N^2.
+    st = build(Intermediate(alpha2, n, xi))
+    t = xi * xi
+    norm2 = 1.0 + 2.0 * math.sqrt(alpha2 * (1.0 - alpha2)) * math.sqrt(1.0 - t) * xi**n
+    exact = (1.0 - alpha2) * t ** (st.n_max + 1) / norm2
+    assert st.tail_bound >= exact
+    assert st.tail_bound < 1e-14
 
 
 def test_invariant_violations():
@@ -182,6 +196,27 @@ def test_phase_coherent_closed_form_values():
 def test_oracle_check_phase_coherent():
     assert oracle_check(PhaseCoherent(0.7), 2, math.pi / 2) <= 1e-10
     assert oracle_check(PhaseCoherent(0.99 * np.exp(1j * math.pi / 3)), 3, math.pi) <= 1e-10
+
+
+def test_oracle_check_complex_and_negative_xi():
+    # A complex xi keeps the complex power; a negative one takes the real power.
+    for xi in (0.3 + 0.4j, -0.9):
+        for k, phi in ((1, math.pi), (2, math.pi / 2), (3, 1.0), (1, -2.5)):
+            assert oracle_check(PhaseCoherent(xi), k, phi) <= 1e-12
+
+
+@pytest.mark.parametrize("xi", [0.5, -0.5, 0.9, 0.995, 0.999])
+def test_geometric_amplitudes_are_real_powers_within_one_ulp(xi):
+    # A real xi is raised in real arithmetic: each unnormalized amplitude is
+    # xi^n sqrt(1 - t), with the float sqrt(1 - t) the family uses, to a
+    # relative 2^-52.  The complex power was off by up to 21 times that.
+    c, _ = families._geometric(complex(xi), BIG_CAP, 0)
+    assert c.dtype == np.float64
+    scale = mpmath.mpf(math.sqrt(1.0 - xi * xi))
+    with mpmath.workdps(50):
+        for n in np.unique(np.linspace(0, c.size - 1, 257).astype(int)):
+            exact = mpmath.mpf(xi) ** int(n) * scale
+            assert abs(mpmath.mpf(float(c[n])) - exact) <= 2.0**-52 * abs(exact), (xi, n)
 
 
 def test_oracle_check_bessel():

@@ -248,6 +248,40 @@ def test_char_set_equals_two_exponential_formula_exactly(n_max):
                 assert got == two_exponential_char_set(st, k, phi), (n_max, k, phi)
 
 
+def _bits(*values):
+    return np.array(values, dtype=complex).view(np.uint64).tolist()
+
+
+def test_phase_table_reuse_is_invisible():
+    # Interleaved sizes and phases make the kept table hit and miss in turn;
+    # every output must equal the formula evaluated afresh, bit for bit.
+    rng = np.random.default_rng(16112)
+    states = {n_max: random_state(n_max, rng) for n_max in (16, 16111)}
+    for n_max in (16, 16111, 16):
+        st = states[n_max]
+        c = st.amplitudes
+        n = np.arange(c.size)
+        for phi in (math.pi, -math.pi, 0.0, -0.0, math.pi / 16, 1.0):
+            phases = np.exp(1j * phi * n)
+            for k in (1, 2, n_max + 2):
+                cs = char_set(st, k, phi)
+                probs = np.abs(c) ** 2
+                pair = np.conj(c[k:]) * c[:-k]
+                want = (probs @ phases, pair.sum(), pair @ phases[k:].conj(), np.exp(-1j * k * phi))
+                got = (cs.number_char, cs.phase_char, cs.cross_char, cs.weyl)
+                assert _bits(*got) == _bits(*want), (n_max, phi, k)
+                assert _bits(cs.pi_k) == _bits(min(1.0, float(probs[:k].sum())))
+            shifted = apply_phase_shift(st, phi).amplitudes
+            assert _bits(*shifted) == _bits(*(phases * c)), (n_max, phi)
+    grid = -math.pi + (2.0 * math.pi / 64) * np.arange(64)
+    st = states[16111]
+    a = st.amplitudes * np.exp(-1j * grid[0] * np.arange(st.amplitudes.size))
+    direct = np.abs(np.fft.fft(np.pad(a, (0, -a.size % 64)).reshape(-1, 64).sum(axis=0))) ** 2
+    assert phase_distribution(st, grid).tolist() == (direct / (2.0 * math.pi)).tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        fock._phase_table(1.0, 17)[0] = 0.0
+
+
 def test_number_char_hermitian_in_phi():
     rng = np.random.default_rng(35)
     st = random_state(40, rng)
