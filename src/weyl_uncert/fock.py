@@ -5,8 +5,9 @@ of phase is the one-sided-unitary operator E with E|n+1> = |n> (the
 Susskind-Glogower shift); E^k acts as an index shift down, its adjoint as a
 shift up, and exp(i phi n) as a diagonal phase, one table kept for the next
 call at the same phi and n_max.  Characteristic functions are O(n_max) sums
-over amplitudes; the phase density on a periodic grid of M points is one
-length-M FFT (other grids are rejected).  Dense operators are test oracles.
+over amplitudes, of one state or (:func:`char_table`) of a stack of them;
+the phase density on a periodic grid of M points is one length-M FFT
+(other grids are rejected).  Dense operators are test oracles.
 
 Characteristic sets are :class:`reports.CharSet` records, checked once
 when made.  The two Gram matrices of {psi, exp(+-i phi n) psi, Edag^k /
@@ -102,6 +103,14 @@ def apply_phase_shift(state: FockState, phi: float) -> FockState:
     return FockState(_phase_table(phi, state.amplitudes.size) * state.amplitudes, state.tail_bound)
 
 
+def _sums(c: np.ndarray, k: int, phi: float) -> tuple:
+    # The number, phase and cross sums and pi_k along the last axis of c.
+    phases = _phase_table(phi, c.shape[-1])
+    probs = np.abs(c) ** 2
+    pair = np.conj(c[..., k:]) * c[..., :-k]
+    return probs @ phases, pair.sum(axis=-1), pair @ phases[k:].conj(), probs[..., :k].sum(axis=-1)
+
+
 def char_set(state: FockState, k: int, phi: float) -> CharSet:
     """Characteristic set by direct amplitude sums: number_char = <exp(i phi n)>,
     phase_char = <Edag^k>, cross_char = <exp(-i phi n) Edag^k> and pi_k, the
@@ -113,17 +122,20 @@ def char_set(state: FockState, k: int, phi: float) -> CharSet:
     1, which its sum exceeds by rounding when the whole support lies below k.
     """
     k = _check_k(k)
-    c = state.amplitudes
-    phases = _phase_table(phi, c.size)
-    probs = np.abs(c) ** 2
-    pair = np.conj(c[k:]) * c[:-k]
-    return CharSet(
-        complex(probs @ phases),
-        complex(pair.sum()),
-        complex(pair @ phases[k:].conj()),
-        complex(np.exp(-1j * k * phi)),
-        min(1.0, float(probs[:k].sum())),
-    )
+    number, phase, cross, below = _sums(state.amplitudes, k, phi)
+    return CharSet(complex(number), complex(phase), complex(cross), complex(np.exp(-1j * k * phi)),
+                   min(1.0, float(below)))
+
+
+def char_table(amps, k: int, phi: float) -> CharSet:
+    """:func:`char_set` of each row of ``amps``, unit amplitude rows of one
+    n_max taken as given, as one record of arrays over the rows.  Each row
+    sums along its own length-one axis, so every product is the one-state
+    dot: row i is bitwise ``char_set`` of row i, and BLAS never threads."""
+    k = _check_k(k)
+    c = np.asarray(amps, dtype=complex)[..., None, :]
+    number, phase, cross, below = (x[..., 0] for x in _sums(c, k, phi))
+    return CharSet(number, phase, cross, complex(np.exp(-1j * k * phi)), np.minimum(1.0, below))
 
 
 def stringent(k: int, phi: float) -> bool:

@@ -95,10 +95,17 @@ def _complex(re, im):
     return complex(re, im)
 
 
+def _abs(z):
+    # hypot(re, im), which is Python's complex abs, for arrays too: numpy's
+    # complex absolute rounds otherwise.
+    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
+
+
 def functionals(cs: CharSet) -> tuple[float, float, float, float]:
     """U = |number|^2 + |phase|^2, U' = U + |cross|^2,
-    U'' = U' + pi_k/2 * (1 - |number|^2) and V = |number| * |phase|."""
-    ap, pp, cp = abs(cs.number_char), abs(cs.phase_char), abs(cs.cross_char)
+    U'' = U' + pi_k/2 * (1 - |number|^2) and V = |number| * |phase|, for a
+    table entry by entry the values of its scalar sets."""
+    ap, pp, cp = _abs(cs.number_char), _abs(cs.phase_char), _abs(cs.cross_char)
     u = ap * ap + pp * pp
     u_prime = u + cp * cp
     return u, u_prime, u_prime + 0.5 * cs.pi_k * (1.0 - ap * ap), ap * pp

@@ -13,8 +13,8 @@ for all integers k, l, which is what every check in this module leans on.
 shift^k acts on amplitudes as a signed cyclic roll, so every quantity for
 one (k, l) pair costs O(d) with no dense operator matrices and no caches;
 dense shift and clock matrices exist only as the oracles of :mod:`verify`.
-:func:`char_table` covers all d^2 pairs of one state at once in
-O(d^3): d rolls and one d x d matrix product.
+:func:`char_table` covers all d^2 pairs of a stack of states at once in
+O(d^3) per state: d rolls and one d x d matrix product each.
 
 Characteristic sets are :class:`reports.CharSet` records whose Weyl phase is
 exp(-i 2pi k l / d) and whose pi_k is 0, since shift^k is unitary.
@@ -164,27 +164,28 @@ def char_set(state: QuditState, k: int, ell: int) -> CharSet:
     return CharSet(number_char, phase_char, cross_char, _weyl_phase(d, k, ell))
 
 
-def char_table(state: QuditState) -> CharSet:
+def char_table(amps) -> CharSet:
     """Characteristic sets of every pair (k, l), k, l = 1..d, as one record.
 
-    The fields broadcast to d x d, and entry [k-1, l-1] equals
-    ``char_set(state, k, l)`` up to rounding (weyl exactly): number_char has
-    shape (1, d), phase_char (d, 1), cross_char and weyl (d, d).  Both
-    powers have period d up to a sign (shift^d and clock^d are -1 for even
-    d), so these d^2 entries give every pair.  The rows of clock phases and
-    the d signed rolls shift^k psi are each formed once; the cross
-    characters are one matrix product of the two.
+    ``amps`` is one state's amplitudes, or a stack of such rows of one system
+    along leading axes, taken as given.  The fields broadcast to (..., d, d),
+    entry [..., k-1, l-1] being ``char_set(state, k, l)`` of that row up to
+    rounding (weyl exactly): number_char has shape (..., 1, d), phase_char
+    (..., d, 1), weyl (d, d).  Both powers have period d up to a sign, so
+    these d^2 entries give every pair.  The clock phases are formed once and
+    the d rolls shift^k psi once per row, contiguous, so each product is the
+    one-state BLAS call: a stacked row is bitwise its state's own table.
     """
-    d = state.system.dim
-    c = state.amplitudes
+    c = np.asarray(amps)
+    d = c.shape[-1]
     powers = np.arange(1, d + 1)
     f = _unit_phases(d, powers[:, None])
-    w = _wrapped(d, c)[d + np.arange(d) - powers[:, None]]  # row k-1: shift^k c
-    number_char = f @ (np.abs(c) ** 2)
-    phase_char = w @ c.conj()
-    cross_char = w @ (f * c).conj().T
+    w = np.take(_wrapped(d, c.T).T, d + np.arange(d) - powers[:, None], axis=-1)  # [..., k-1, :]: shift^k c
+    number_char = np.swapaxes(f @ (np.abs(c) ** 2)[..., None], -1, -2)
+    phase_char = w @ c.conj()[..., None]
+    cross_char = w @ np.swapaxes((f * c[..., None, :]).conj(), -1, -2)
     weyl = _weyl_phase(d, powers[:, None], powers[None, :])
-    return CharSet(number_char[None, :], phase_char[:, None], cross_char, weyl)
+    return CharSet(number_char, phase_char, cross_char, weyl)
 
 
 def cyclic_phase(state: QuditState, k: int, ell: int) -> complex:

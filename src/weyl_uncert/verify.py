@@ -5,11 +5,14 @@ identities, Gram positivity, certainty bounds, closed-form oracles) and
 collects human-readable failure descriptions.  Oracle comparisons here use
 independently constructed dense operators, not the production fast paths.
 
-The spin suite checks the Gram determinants, the certainty bounds and the
-triple sum of each random state on all its drawn (k, l) pairs at once: one
-``spin.char_table`` per state, ``reports.gram_pair`` with ``det3`` and
-``reports.functionals`` on the table, and array comparisons.  Failures are
-listed per pair in the drawn order and quote the table entries the check read.
+The spin and fock suites draw each state with the k, l or phi of its own
+checks, then check the Gram determinants and bounds of all states of one
+dimension in one array pass: one ``spin.char_table`` per d over the drawn
+(k, l) pairs, one ``fock.char_table`` per n_max and k, and
+``reports.gram_pair``, ``det3`` and ``reports.functionals`` on the stack.
+Only checks with per-state draws (cyclic phase, raise/lower, Weyl residual,
+Hermiticity in phi) loop over states.  Failures are listed state by state,
+then by pair or k, and quote the table entries the check read.
 """
 
 from __future__ import annotations
@@ -50,9 +53,7 @@ def _amps(vec: np.ndarray) -> str:
 def _dense_shift(d: int) -> np.ndarray:
     # Direct construction: cyclic shift m -> m+1 with wrap phase exp(-i 2pi j).
     j = (d - 1) / 2.0
-    m = np.zeros((d, d), dtype=complex)
-    for i in range(d - 1):
-        m[i + 1, i] = 1.0
+    m = np.eye(d, k=-1, dtype=complex)
     m[0, d - 1] = np.exp(-2j * math.pi * j)
     return m
 
@@ -63,10 +64,7 @@ def _dense_clock(d: int) -> np.ndarray:
 
 
 def _dense_fock_lower(n_dim: int) -> np.ndarray:
-    m = np.zeros((n_dim, n_dim), dtype=complex)
-    for i in range(n_dim - 1):
-        m[i, i + 1] = 1.0
-    return m
+    return np.eye(n_dim, k=1, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -92,44 +90,33 @@ def run_spin(samples: int, seed: int) -> SuiteResult:
     for d in dims:
         system = spin.SpinSystem(d)
         pairs = _spin_pairs(d, rng)
-        at = tuple(np.array(pairs).T - 1)  # each pair's entry in a char table
+        at = (..., *(np.array(pairs).T - 1))  # each pair's entry in a table row
         gammas = [spin.weyl_angle(system, k, l) for k, l in pairs]
         bound = np.array([spin.certainty_bound(g) for g in gammas])
         applicable = np.abs(np.array(gammas) - math.pi) <= 1e-9
+        drawn = []  # (state, k, l) of the cyclic check, in rng order
         for _ in range(per):
             st = spin.random_state(system, rng)
-            table = spin.char_table(st)
-            det_plus, det_minus = (det3(g)[at] for g in reports.gram_pair(table))
-            u, u_prime, _, v = (x[at] for x in reports.functionals(table))
-            res.checks += len(pairs)
-            min_det = min(min_det, float(det_plus.min()), float(det_minus.min()))
-            det_bad = (det_plus < _DET_TOL) | (det_minus < _DET_TOL)
-            u_bad = u > bound + _BOUND_TOL
-            v_bad = v > bound / 2 + _BOUND_TOL
-            triple_bad = applicable & (u_prime > 1.0 + _BOUND_TOL)
-            for i in np.flatnonzero(det_bad | u_bad | v_bad | triple_bad):
-                k, l = pairs[i]
-                where = f"spin d={d} k={k} l={l}"
-                amps = _amps(st.amplitudes)
-                if det_bad[i]:
-                    res.failures.append(
-                        f"{where}: Gram determinant negative "
-                        f"({det_plus[i]:.3e}, {det_minus[i]:.3e}); amplitudes={amps}"
-                    )
-                if u_bad[i]:
-                    res.failures.append(
-                        f"{where}: U={float(u[i])!r} exceeds bound {float(bound[i])!r}; amplitudes={amps}"
-                    )
-                if v_bad[i]:
-                    res.failures.append(f"{where}: V={float(v[i])!r} exceeds bound/2; amplitudes={amps}")
-                if triple_bad[i]:
-                    res.failures.append(
-                        f"{where}: triple sum {float(u_prime[i])!r} exceeds 1; amplitudes={amps}"
-                    )
-            k = int(rng.integers(1, 2 * d + 1))
-            l = int(rng.integers(1, 2 * d + 1))
+            drawn.append((st, int(rng.integers(1, 2 * d + 1)), int(rng.integers(1, 2 * d + 1))))
+        table = spin.char_table(np.array([st.amplitudes for st, _, _ in drawn]))
+        det_plus, det_minus = (det3(g)[at] for g in reports.gram_pair(table))
+        u, u_prime, _, v = (x[at] for x in reports.functionals(table))
+        res.checks += per * (len(pairs) + 1)
+        min_det = min(min_det, float(det_plus.min()), float(det_minus.min()))
+        det_bad = (det_plus < _DET_TOL) | (det_minus < _DET_TOL)
+        u_bad = u > bound + _BOUND_TOL
+        v_bad = v > bound / 2 + _BOUND_TOL
+        triple_bad = applicable & (u_prime > 1.0 + _BOUND_TOL)
+        for s, (st, k, l) in enumerate(drawn):
+            for i in np.flatnonzero(det_bad[s] | u_bad[s] | v_bad[s] | triple_bad[s]):
+                dp, dm, ui, upi, vi = (float(x[s, i]) for x in (det_plus, det_minus, u, u_prime, v))
+                texts = ((det_bad, f"Gram determinant negative ({dp:.3e}, {dm:.3e})"),
+                         (u_bad, f"U={ui!r} exceeds bound {float(bound[i])!r}"),
+                         (v_bad, f"V={vi!r} exceeds bound/2"),
+                         (triple_bad, f"triple sum {upi!r} exceeds 1"))
+                where, amps = "spin d={} k={} l={}".format(d, *pairs[i]), _amps(st.amplitudes)
+                res.failures += [f"{where}: {t}; amplitudes={amps}" for bad, t in texts if bad[s, i]]
             expected = np.exp(-2j * math.pi * ((k * l) % d) / d)
-            res.checks += 1
             if abs(spin.cyclic_phase(st, k, l) - expected) > 1e-10:
                 res.failures.append(
                     f"spin d={d}: cyclic excursion phase off at k={k} l={l}; "
@@ -161,11 +148,8 @@ def run_spin(samples: int, seed: int) -> SuiteResult:
                 ref_phase = np.vdot(c, ek @ c)
                 ref_cross = np.vdot(c, fl.conj().T @ ek @ c)
                 res.checks += 1
-                if (
-                    abs(cs.number_char - ref_number) > 1e-12
-                    or abs(cs.phase_char - ref_phase) > 1e-12
-                    or abs(cs.cross_char - ref_cross) > 1e-12
-                ):
+                if max(abs(cs.number_char - ref_number), abs(cs.phase_char - ref_phase),
+                       abs(cs.cross_char - ref_cross)) > 1e-12:
                     res.failures.append(
                         f"spin d={d} k={k} l={l}: char set disagrees with dense oracle; "
                         f"amplitudes={_amps(c)}"
@@ -188,34 +172,30 @@ def run_fock(samples: int, seed: int) -> SuiteResult:
     min_det = math.inf
 
     for n_max in nmaxes:
+        drawn = []  # (state, k, phi) of the per-state checks, in rng order
         for _ in range(per):
             st = fock.random_state(n_max, rng)
-            c = st.amplitudes
-            n = np.arange(n_max + 1)
-            for k in ks:
-                phi = math.pi / k
-                rep = fock.report(st, k, phi)
-                res.checks += 1
-                min_det = min(min_det, rep.det_plus, rep.det_minus)
-                if rep.det_plus < _DET_TOL or rep.det_minus < _DET_TOL:
-                    res.failures.append(
-                        f"fock n_max={n_max} k={k}: Gram determinant negative "
-                        f"({rep.det_plus:.3e}, {rep.det_minus:.3e}); amplitudes={_amps(c)}"
-                    )
-                if (
-                    rep.u > 1.0 + _BOUND_TOL
-                    or rep.u_prime > 1.0 + _BOUND_TOL
-                    or rep.u_double_prime > 1.0 + _BOUND_TOL
-                    or rep.v > 0.5 + _BOUND_TOL
-                ):
-                    res.failures.append(
-                        f"fock n_max={n_max} k={k}: certainty bound violated "
-                        f"(U={rep.u!r} U'={rep.u_prime!r} U''={rep.u_double_prime!r} V={rep.v!r}); "
-                        f"amplitudes={_amps(c)}"
-                    )
-
             k = int(rng.integers(1, min(8, n_max) + 1))
-            res.checks += 1
+            drawn.append((st, k, float(rng.uniform(-math.pi, math.pi))))
+        rows = [st.amplitudes for st, _, _ in drawn]
+        tables = [fock.char_table(rows, k, math.pi / k) for k in ks]
+        dets = np.array([[det3(g) for g in reports.gram_pair(t)] for t in tables])  # [k, +/-, state]
+        funcs = np.array([reports.functionals(t) for t in tables])  # [k, U U' U'' V, state]
+        res.checks += per * (len(ks) + 3)
+        min_det = min(min_det, float(dets.min()))
+        det_bad = (dets < _DET_TOL).any(axis=1)
+        bound_bad = (funcs > np.array([1.0, 1.0, 1.0, 0.5])[:, None] + _BOUND_TOL).any(axis=1)
+        n = np.arange(n_max + 1)
+        for s, (st, k, phi) in enumerate(drawn):
+            c = st.amplitudes
+            for j in np.flatnonzero(det_bad[:, s] | bound_bad[:, s]):
+                u, u_prime, u_double_prime, v = map(float, funcs[j, :, s])
+                texts = ((det_bad, "Gram determinant negative ({:.3e}, {:.3e})".format(*dets[j, :, s])),
+                         (bound_bad, "certainty bound violated "
+                                     f"(U={u!r} U'={u_prime!r} U''={u_double_prime!r} V={v!r})"))
+                where, amps = f"fock n_max={n_max} k={ks[j]}", _amps(c)
+                res.failures += [f"{where}: {t}; amplitudes={amps}" for bad, t in texts if bad[j, s]]
+
             raised = fock.apply_raising(st, k)
             back = np.zeros_like(raised)
             back[:-k] = raised[k:]
@@ -231,8 +211,6 @@ def run_fock(samples: int, seed: int) -> SuiteResult:
                     f"fock n_max={n_max} k={k}: raise(lower(psi)) != psi - below-k part"
                 )
 
-            phi = float(rng.uniform(-math.pi, math.pi))
-            res.checks += 1
             lhs = fock.apply_lowering(fock.apply_phase_shift(st, phi), k)
             rhs = np.exp(1j * k * phi) * np.exp(1j * phi * n) * fock.apply_lowering(st, k)
             if np.linalg.norm(lhs - rhs) > 1e-12:
@@ -241,7 +219,6 @@ def run_fock(samples: int, seed: int) -> SuiteResult:
                     f"{np.linalg.norm(lhs - rhs):.3e}; amplitudes={_amps(c)}"
                 )
 
-            res.checks += 1
             csp = fock.char_set(st, 1, phi)
             csm = fock.char_set(st, 1, -phi)
             if abs(csp.number_char - csm.number_char.conjugate()) > 1e-12:
@@ -261,12 +238,8 @@ def run_fock(samples: int, seed: int) -> SuiteResult:
             ref_cross = np.vdot(c, rot.conj().T @ edk @ c)
             ref_pik = float(np.linalg.norm(c[:k]) ** 2)
             res.checks += 1
-            if (
-                abs(cs.number_char - ref_number) > 1e-12
-                or abs(cs.phase_char - ref_phase) > 1e-12
-                or abs(cs.cross_char - ref_cross) > 1e-12
-                or abs(cs.pi_k - ref_pik) > 1e-12
-            ):
+            if max(abs(cs.number_char - ref_number), abs(cs.phase_char - ref_phase),
+                   abs(cs.cross_char - ref_cross), abs(cs.pi_k - ref_pik)) > 1e-12:
                 res.failures.append(
                     f"fock n_max={n_max} k={k}: char set disagrees with dense oracle; "
                     f"amplitudes={_amps(c)}"

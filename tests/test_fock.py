@@ -1,13 +1,15 @@
 """Single-mode machinery: shift actions, characteristic sets against dense
 oracles, Gram determinants, reports and the phase distribution."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from test_numerics import full_matrix
-from weyl_uncert import families, fock, verify
+from weyl_uncert import families, fock, reports, verify
 from weyl_uncert.numerics import det3
 from weyl_uncert.reports import CharSet, gram_pair
 from weyl_uncert.fock import (
@@ -308,6 +310,87 @@ def test_number_char_modulus_one_iff_concentrated():
     assert abs(char_set(two_point, 1, phi).number_char) < 0.9
 
 
+
+# ---------------------------------------------------------------------------
+# stacked tables
+
+
+CHAR_FIELDS = ("number_char", "phase_char", "cross_char", "weyl", "pi_k")
+
+
+def test_char_table_rows_equal_char_set():
+    rng = np.random.default_rng(161)
+    for n_max in (1, 8, 32, 128):
+        states = [random_state(n_max, rng) for _ in range(7)]
+        amps = np.array([st.amplitudes for st in states])
+        for k in (1, 2, 4, n_max, n_max + 3):
+            for phi in (math.pi / k, -2.3, 0.0):
+                table = fock.char_table(amps, k, phi)
+                assert table.number_char.shape == table.pi_k.shape == (7,)
+                for i, st in enumerate(states):
+                    cs = char_set(st, k, phi)
+                    for name in CHAR_FIELDS:
+                        got = np.broadcast_to(getattr(table, name), (7,))[i]
+                        assert abs(got - getattr(cs, name)) <= 1e-15, (n_max, k, phi, name)
+
+
+def test_char_table_of_one_row_is_bitwise_char_set():
+    rng = np.random.default_rng(162)
+    for n_max in (0, 3, 40):
+        st = random_state(n_max, rng)
+        for k in (1, 2, 5):
+            for phi in (math.pi, -math.pi, math.pi / k, 0.7):
+                table = fock.char_table(st.amplitudes, k, phi)
+                cs = char_set(st, k, phi)
+                assert _bits(*(getattr(table, f) for f in CHAR_FIELDS)) == _bits(
+                    *(getattr(cs, f) for f in CHAR_FIELDS)
+                ), (n_max, k, phi)
+
+
+def test_char_table_edges():
+    rng = np.random.default_rng(163)
+    # k above n_max: E^k psi = 0, so the phase and cross sums are exactly 0 and
+    # pi_k, whose sum may round above 1, is clamped to exactly 1.
+    amps = np.array([random_state(4, rng).amplitudes for _ in range(50)])
+    table = fock.char_table(amps, 5, 1.0)
+    assert np.all(table.phase_char == 0.0) and np.all(table.cross_char == 0.0)
+    assert np.all(table.pi_k <= 1.0) and np.all(table.pi_k >= 1.0 - 1e-15)
+    over = families.build(families.PhaseCoherent(0.2)).amplitudes  # |c|^2 sums to 1 + 2^-52
+    assert float(np.sum(np.abs(over) ** 2)) > 1.0
+    assert np.all(fock.char_table([over, over], 20, math.pi / 20).pi_k == 1.0)
+    # n_max = 0: every state is the vacuum up to a phase.
+    vac = np.array([[1.0], [1j], [-1.0]])
+    table = fock.char_table(vac, 1, 2.0)
+    assert np.all(table.number_char == 1.0) and np.all(table.pi_k == 1.0)
+    assert np.all(table.phase_char == 0.0) and np.all(table.cross_char == 0.0)
+    # phi = +-pi: exp(+-i pi n) = (-1)^n, so the number character is the
+    # parity <(-1)^n> and the two signs give the same table up to rounding.
+    amps = np.array([random_state(9, rng).amplitudes for _ in range(5)])
+    parity = (np.abs(amps) ** 2) @ (-1.0) ** np.arange(10)
+    for phi in (math.pi, -math.pi):
+        table = fock.char_table(amps, 2, phi)
+        assert np.max(np.abs(table.number_char - parity)) <= 1e-15
+        assert table.weyl == complex(np.exp(-2j * phi))
+    plus, minus = fock.char_table(amps, 1, math.pi), fock.char_table(amps, 1, -math.pi)
+    for name in CHAR_FIELDS:
+        assert np.max(np.abs(getattr(plus, name) - getattr(minus, name))) <= 1e-15, name
+
+
+def test_char_table_functionals_and_dets_are_the_reports_values():
+    # reports.functionals and det3 round a table as they round its scalar
+    # sets, so a stacked check reads exactly what fock.report gives.
+    rng = np.random.default_rng(164)
+    states = [random_state(32, rng) for _ in range(20)]
+    for k in (1, 2, 4):
+        table = fock.char_table([st.amplitudes for st in states], k, math.pi / k)
+        u, u_prime, u_double_prime, v = reports.functionals(table)
+        det_plus, det_minus = map(det3, gram_pair(table))
+        for i, st in enumerate(states):
+            rep = report(st, k, math.pi / k)
+            got = (u[i], u_prime[i], u_double_prime[i], v[i], det_plus[i], det_minus[i])
+            assert got == (rep.u, rep.u_prime, rep.u_double_prime, rep.v, rep.det_plus, rep.det_minus)
+
+
 # ---------------------------------------------------------------------------
 # Gram determinants
 
@@ -517,3 +600,73 @@ def test_mean_photon():
     # inverting nbar = t/(1-t): nbar = 0.6 needs t = 0.375
     st = families.build(families.PhaseCoherent(math.sqrt(0.375)))
     assert mean_photon(st) == pytest.approx(0.6, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# verify's fock suite
+
+
+def _quoted(amps: str) -> np.ndarray:
+    return FockState([complex(x.replace(" ", "")) for x in amps[1:-1].split(",")]).amplitudes
+
+
+def test_fock_suite_reports_every_failure_in_state_order(monkeypatch):
+    # 9 samples draw 3 states per n_max.  The tolerances fail every det and
+    # bound check; the patched helpers fail each state's round trip, Weyl
+    # residual and Hermiticity check.
+    drawn, draw = [], fock.random_state
+    real_raise, real_shift, real_char_set = fock.apply_raising, fock.apply_phase_shift, fock.char_set
+
+    def recording_random_state(n_max, rng):
+        drawn.append(draw(n_max, rng))
+        return drawn[-1]
+
+    def turned_char_set(st, k, phi):
+        # Off the stringent points, where only the per-state checks read it.
+        cs = real_char_set(st, k, phi)
+        turn = 1.0 if phi == math.pi / k else np.exp(0.1j)
+        return dataclasses.replace(cs, number_char=cs.number_char * turn)
+
+    monkeypatch.setattr(fock, "random_state", recording_random_state)
+    monkeypatch.setattr(fock, "apply_raising", lambda st, k: real_raise(st, k) + 1e-6)
+    monkeypatch.setattr(fock, "apply_phase_shift",
+                        lambda st, phi: FockState(np.exp(0.1j) * real_shift(st, phi).amplitudes))
+    monkeypatch.setattr(fock, "char_set", turned_char_set)
+    monkeypatch.setattr(verify, "_DET_TOL", 10.0)
+    monkeypatch.setattr(verify, "_BOUND_TOL", -10.0)
+    res = verify.run_fock(9, 5)
+    monkeypatch.undo()
+    assert res.checks == 3 * 3 * (3 + 3) + 2 * (2 + 2)
+
+    patterns = {
+        "det": r"fock n_max=(\d+) k=(\d+): Gram determinant negative \((\S+), (\S+)\); amplitudes=(.*)",
+        "bound": r"fock n_max=(\d+) k=(\d+): certainty bound violated "
+                 r"\(U=(\S+) U'=(\S+) U''=(\S+) V=(\S+)\); amplitudes=(.*)",
+        "round trip": r"fock n_max=(\d+) k=(\d+): lower\(raise\(psi\)\) != psi",
+        "weyl": r"fock n_max=(\d+) k=(\d+) phi=\S+: Weyl relation residual \S+; amplitudes=(.*)",
+        "hermitian": r"fock n_max=(\d+): number char not Hermitian in phi",
+    }
+    kinds = ["det", "bound"] * 3 + ["round trip", "weyl", "hermitian"]
+    stacked = res.failures[: 3 * 3 * len(kinds)]
+    assert not any("Gram determinant" in msg or "bound violated" in msg
+                   for msg in res.failures[len(stacked):])
+    for block, n_max in enumerate((8, 32, 128)):
+        for s in range(3):
+            st = drawn[3 * block + s]
+            msgs = stacked[len(kinds) * (3 * block + s):][: len(kinds)]
+            found = [re.fullmatch(patterns[kind], msg) for kind, msg in zip(kinds, msgs)]
+            assert all(found), msgs
+            assert all(int(m.group(1)) == n_max for m in found)
+            assert [int(m.group(2)) for m in found[:6]] == [1, 1, 2, 2, 4, 4]
+            assert found[6].group(2) == found[7].group(2)  # the state's own k
+            for m in found[:6] + found[7:8]:
+                assert np.array_equal(_quoted(m.group(m.re.groups)), st.amplitudes)
+            for m in found[:6]:
+                k = int(m.group(2))
+                rep = report(st, k, math.pi / k)
+                if m.re.pattern == patterns["det"]:
+                    assert m.group(3, 4) == (f"{rep.det_plus:.3e}", f"{rep.det_minus:.3e}")
+                else:
+                    quoted = tuple(float(x) for x in m.group(3, 4, 5, 6))
+                    assert quoted == (rep.u, rep.u_prime, rep.u_double_prime, rep.v)
+    assert not any("np.float64(" in msg for msg in res.failures)

@@ -193,7 +193,7 @@ def test_char_set_rejects_non_finite_fields(bad):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_char_set_rejects_a_non_finite_table_entry(bad):
     d = 4
-    table = spin.char_table(spin.random_state(spin.SpinSystem(d), np.random.default_rng(19)))
+    table = spin.char_table(spin.random_state(spin.SpinSystem(d), np.random.default_rng(19)).amplitudes)
     full = {name: np.array(np.broadcast_to(getattr(table, name), (d, d))) for name in CHAR_FIELDS}
     full["pi_k"] = np.zeros((d, d))
     reports.CharSet(**full)

@@ -444,7 +444,7 @@ def table_fields(table):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16, 33])
 def test_char_table_matches_char_set_on_every_pair(d):
     st = random_state(SpinSystem(d), np.random.default_rng(100 + d))
-    table = spin.char_table(st)
+    table = spin.char_table(st.amplitudes)
     number, phase, cross, weyl = table_fields(table)
     assert number.shape == (d, d) and table.pi_k == 0.0
     for k in range(1, d + 1):
@@ -460,7 +460,7 @@ def test_char_table_matches_char_set_on_every_pair(d):
 def test_char_table_matches_dense_oracle(d):
     st = random_state(SpinSystem(d), np.random.default_rng(200 + d))
     c = st.amplitudes
-    number, phase, cross, _ = table_fields(spin.char_table(st))
+    number, phase, cross, _ = table_fields(spin.char_table(c))
     e, f = verify._dense_shift(d), verify._dense_clock(d)
     for k in range(1, d + 1):
         ek = np.linalg.matrix_power(e, k)
@@ -472,18 +472,35 @@ def test_char_table_matches_dense_oracle(d):
 
 
 def test_char_table_dets_equal_the_scalar_kernel_exactly():
+    # So do the functionals, and so does a stacked table, entry by entry.
     rng = np.random.default_rng(32)
-    for d in (2, 3, 8, 33):
-        table = spin.char_table(random_state(SpinSystem(d), rng))
+    for d, stack in ((2, ()), (3, ()), (8, ()), (33, ()), (3, (4,)), (16, (4,))):
+        amps = [random_state(SpinSystem(d), rng).amplitudes for _ in range(math.prod(stack))]
+        table = spin.char_table(np.reshape(amps, stack + (d,)))
         fields = table_fields(table)
         det_plus, det_minus = map(det3, gram_pair(table))
-        for i, j in np.ndindex(d, d):
-            cs = CharSet(*(complex(x[i, j]) for x in fields))
-            assert (det_plus[i, j], det_minus[i, j]) == tuple(map(det3, gram_pair(cs)))
+        values = reports.functionals(table)
+        assert det_plus.shape == values[0].shape == stack + (d, d)
+        for at in np.ndindex(det_plus.shape):
+            cs = CharSet(*(complex(x[at]) for x in fields))
+            assert (det_plus[at], det_minus[at]) == tuple(map(det3, gram_pair(cs)))
+            assert tuple(x[at] for x in values) == reports.functionals(cs)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16, 33])
+def test_stacked_char_table_rows_equal_the_single_state_table(d):
+    rng = np.random.default_rng(300 + d)
+    amps = np.array([random_state(SpinSystem(d), rng).amplitudes for _ in range(6)])
+    assert spin.char_table(amps).cross_char.shape == (6, d, d)
+    for stack in (amps, amps.reshape(2, 3, d)):
+        rows = [x.reshape(6, d, d) for x in table_fields(spin.char_table(stack))]
+        for i in range(6):
+            for got, want in zip(rows, table_fields(spin.char_table(amps[i]))):
+                assert np.max(np.abs(got[i] - want)) <= 1e-15
 
 
 def test_array_char_set_rejects_an_entry_above_one():
-    table = spin.char_table(random_state(SpinSystem(4), np.random.default_rng(33)))
+    table = spin.char_table(random_state(SpinSystem(4), np.random.default_rng(33)).amplitudes)
     for name in ("number_char", "phase_char", "cross_char"):
         bad = np.array(getattr(table, name))
         bad.flat[-1] = 1j * (1.0 + 1e-11)
@@ -530,6 +547,46 @@ def test_batched_spin_suite_reports_every_failure_in_pair_order(monkeypatch):
     assert not any("np.float64(" in msg for msg in res.failures)
 
 
+def test_stacked_spin_suite_reports_failures_state_by_state(monkeypatch):
+    # 18 samples draw 3 states per d, checked in one stacked table per d;
+    # failures still come state by state, each state's pairs in grid order,
+    # and quote what the state's own table gives.
+    drawn, draw = [], spin.random_state
+
+    def recording_random_state(system, rng):
+        drawn.append(draw(system, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(spin, "random_state", recording_random_state)
+    monkeypatch.setattr(verify, "_BOUND_TOL", -10.0)
+    monkeypatch.setattr(verify, "_DET_TOL", 10.0)
+    res = verify.run_spin(18, 1)
+    blocks: list[tuple[int, str, list[tuple[int, int]]]] = []
+    for msg in res.failures:
+        m = re.fullmatch(r"spin d=(\d+) k=(\d+) l=(\d+): (Gram determinant negative|U=|V=|triple sum )"
+                         r"(\S*).*; amplitudes=(.*)", msg)
+        assert m is not None, msg
+        d, k, ell = (int(x) for x in m.group(1, 2, 3))
+        if not blocks or blocks[-1][:2] != (d, m.group(6)):
+            blocks.append((d, m.group(6), []))
+        if not blocks[-1][2] or blocks[-1][2][-1] != (k, ell):
+            blocks[-1][2].append((k, ell))
+        if m.group(4) != "Gram determinant negative":
+            st = drawn[len(blocks) - 1]
+            u, u_prime, _, v = reports.functionals(spin.char_table(st.amplitudes))
+            entry = {"U=": u, "V=": v, "triple sum ": u_prime}[m.group(4)][k - 1, ell - 1]
+            assert abs(float(m.group(5)) - float(entry)) <= 1e-15, msg
+    dims = (2, 3, 4, 5, 8, 16)
+    assert [b[0] for b in blocks] == [d for d in dims for _ in range(3)]
+    for i, (d, amps, pairs) in enumerate(blocks):
+        assert amps == verify._amps(drawn[i].amplitudes)
+        if d <= 8:
+            assert pairs == [(k, ell) for k in range(1, d + 1) for ell in range(1, d + 1)]
+        else:
+            assert pairs == sorted(set(pairs)) == blocks[-1][2] and len(pairs) == 32
+    assert res.checks == 3 * (150 + 6) + 64 + 49
+
+
 def test_spin_failure_message_rebuilds_the_drawn_state_exactly(monkeypatch):
     drawn, draw = [], spin.random_state
 
@@ -566,7 +623,7 @@ def test_spin_failure_message_quotes_the_table_entries_its_check_read(monkeypatc
         if m is None:
             continue
         k, ell = int(m.group(1)), int(m.group(2))
-        u, u_prime, _, v = reports.functionals(spin.char_table(drawn[m.group(5)]))
+        u, u_prime, _, v = reports.functionals(spin.char_table(drawn[m.group(5)].amplitudes))
         entry = {"U=": u, "V=": v, "triple sum ": u_prime}[m.group(3)][k - 1, ell - 1]
         assert float(m.group(4)) == float(entry), msg
         quoted += 1
