@@ -5,7 +5,8 @@ where closed-form characteristic functions exist they are provided for
 cross-validation against the generic amplitude sums:
 
 * number states |n>,
-* normalized shift-operator eigenstates (geometric xi^n, to 1 ulp for real xi),
+* normalized shift-operator eigenstates (geometric xi^n, to 1 ulp for real xi;
+  the last xi^n table is kept read-only, shared by the rows of a scan at one xi),
 * Gaussian number statistics exp(-(a+ib)(n-nbar)^2) in the wide, smooth
   regime (a << 1, nbar >> 1), where the closed forms are the leading
   order of Poisson summation,
@@ -24,6 +25,7 @@ up, so a new family is one new class, listed in FamilySpec.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
 from dataclasses import MISSING, dataclass, fields, replace
@@ -88,13 +90,17 @@ def _within_cap(need: int, cap: int) -> int:
     )
 
 
+@functools.lru_cache(maxsize=1)
 def _geometric(xi: complex, cap: int, least: int) -> tuple[np.ndarray, float]:
-    # (sqrt(1 - t) xi^n, t = |xi|^2, to the n_max >= least the tail target needs; its tail)
+    # (sqrt(1 - t) xi^n, t = |xi|^2, to the n_max >= least the tail target needs; its tail),
+    # kept read-only for the next call, as all rows of a scan at one xi share it.  Callers
+    # pass xi + 0.0: -0.0 == 0.0 would share a key, yet its odd powers are -0.0.
     t = abs(xi) ** 2
     need = math.ceil(math.log(_TAIL_TARGET) / math.log(t)) if t else 0
     n_max = _within_cap(max(least, _MIN_NMAX, need), cap)
-    powers = np.power(xi.real if xi.imag == 0.0 else xi, np.arange(n_max + 1))
-    return math.sqrt(1.0 - t) * powers, t ** (n_max + 1)
+    geo = math.sqrt(1.0 - t) * np.power(xi.real if xi.imag == 0.0 else xi, np.arange(n_max + 1))
+    geo.flags.writeable = False
+    return geo, t ** (n_max + 1)
 
 
 @dataclass(frozen=True)
@@ -137,7 +143,7 @@ class PhaseCoherent:
             raise ValueError(f"normalizability needs |xi| <= 1 - 1e-6, got |xi| = {abs(self.xi)!r}")
 
     def _build(self, cap: int) -> FockState:
-        c, tail = _geometric(self.xi, cap, 0)
+        c, tail = _geometric(self.xi + 0.0, cap, 0)
         return FockState(c / np.linalg.norm(c), tail)
 
     def _closed_form(self, k: int, phi: float, weyl: complex) -> CharSet:
@@ -278,7 +284,7 @@ class Intermediate:
             raise ValueError(f"normalizability needs |xi| <= 1 - 1e-6, got |xi| = {abs(self.xi)!r}")
 
     def _build(self, cap: int) -> FockState:
-        geo, geo_tail = _geometric(self.xi, cap, self.n + 1)
+        geo, geo_tail = _geometric(self.xi + 0.0, cap, self.n + 1)
         c = math.sqrt(1.0 - self.alpha2) * geo
         c[self.n] += math.sqrt(self.alpha2)
         norm = np.linalg.norm(c)  # the kept mass norm^2 bounds the discarded share

@@ -3,8 +3,8 @@
 States are amplitude vectors over photon numbers 0..n_max.  The exponential
 of phase is the one-sided-unitary operator E with E|n+1> = |n> (the
 Susskind-Glogower shift); E^k acts as an index shift down, its adjoint as a
-shift up, and exp(i phi n) as a diagonal phase, one table kept for the next
-call at the same phi and n_max.  Characteristic functions are O(n_max) sums
+shift up, and exp(i phi n) as a diagonal phase read from the one table
+kept for the last phi.  Characteristic functions are O(n_max) sums
 over amplitudes, of one state or (:func:`char_table`) of a stack of them;
 the phase density on a periodic grid of M points is one length-M FFT
 (other grids are rejected).  Dense operators are test oracles.
@@ -21,7 +21,6 @@ functionals U, U', U'', V.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -84,18 +83,22 @@ def apply_raising(state: FockState, k: int) -> np.ndarray:
     The adjoint shift is an exact isometry, so the returned vector grows by
     k slots instead of pushing the top amplitudes past the truncation.
     """
-    k = _check_k(k)
-    c = state.amplitudes
-    out = np.zeros(c.size + k, dtype=complex)
-    out[k:] = c
-    return out
+    return np.concatenate((np.zeros(_check_k(k), dtype=complex), state.amplitudes))
 
 
-@functools.lru_cache(maxsize=1)
+_kept = [(math.nan, np.ones(0, dtype=complex))]  # [(the last phi, its read-only table)]
+
+
 def _phase_table(phi: float, size: int) -> np.ndarray:
-    table = np.exp(1j * phi * np.arange(size))
-    table.flags.writeable = False
-    return table
+    # exp(i phi n), n < size: a prefix of the one table kept per process, rebuilt only for
+    # another phi (at size) or a larger size (at least doubled, so a scan whose n_max climbs
+    # builds O(log n_max) tables).  exp is elementwise: a prefix is bitwise a fresh table.
+    kept_phi, table = _kept[0]
+    if not (phi == kept_phi and size <= table.size):
+        table = np.exp(1j * phi * np.arange(max(size, 2 * table.size) if phi == kept_phi else size))
+        table.flags.writeable = False
+        _kept[0] = phi, table  # one store: a reader sees the old pair or the new
+    return table[:size]
 
 
 def apply_phase_shift(state: FockState, phi: float) -> FockState:
@@ -116,10 +119,11 @@ def char_set(state: FockState, k: int, phi: float) -> CharSet:
     phase_char = <Edag^k>, cross_char = <exp(-i phi n) Edag^k> and pi_k, the
     population of photon numbers below k.
 
-    One phase table exp(i phi n), n <= n_max (:func:`_phase_table`), serves
-    both sums: the cross sum reads its conjugate from n = k on, which is
-    bitwise exp(-i phi n) since cos is even and sin odd.  pi_k is clamped to
-    1, which its sum exceeds by rounding when the whole support lies below k.
+    One phase table exp(i phi n), n <= n_max, a prefix of the one kept for
+    the last phi (:func:`_phase_table`), serves both sums: the cross sum
+    reads its conjugate from n = k on, which is bitwise exp(-i phi n) since
+    cos is even and sin odd.  pi_k is clamped to 1, which its sum exceeds
+    by rounding when the whole support lies below k.
     """
     k = _check_k(k)
     number, phase, cross, below = _sums(state.amplitudes, k, phi)

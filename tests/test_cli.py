@@ -365,6 +365,26 @@ def figure_csv():
     return run_cli("figure", "--id", "1").stdout
 
 
+def test_kept_tables_never_leak_between_commands(tmp_path, monkeypatch):
+    # One process: figure 1 (phi = pi), figure 2 (phi = pi / 16), a phi = pi
+    # scan at a larger n_max, figure 1 again.  The kept phase and xi^n tables
+    # change in between; the figures must not, and must match a fresh process.
+    from weyl_uncert import cli
+
+    def run(*argv):
+        out = tmp_path / "out.txt"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        return out.read_text()
+
+    first = run("figure", "--id", "1")
+    assert run("figure", "--id", "2") == run_cli("figure", "--id", "2").stdout
+    monkeypatch.setenv("WEYL_UNCERT_MAX_NMAX", "20000")
+    run("scan", "--family", "phase-coherent:xi=0.999", "--param", "xi",
+        "--from", "0.99", "--to", "0.999", "--steps", "3")
+    monkeypatch.delenv("WEYL_UNCERT_MAX_NMAX")
+    assert run("figure", "--id", "1") == first == figure_csv()
+
+
 def test_out_through_a_symlink_writes_its_target(tmp_path):
     target = tmp_path / "real.csv"
     target.write_text("old\n")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import optimize, special
 
-from weyl_uncert import cli, families, fock
+from weyl_uncert import analysis, cli, families, fock
 from weyl_uncert.families import (
     BesselEigenstate,
     ClosedFormUnavailable,
@@ -217,6 +217,33 @@ def test_geometric_amplitudes_are_real_powers_within_one_ulp(xi):
         for n in np.unique(np.linspace(0, c.size - 1, 257).astype(int)):
             exact = mpmath.mpf(xi) ** int(n) * scale
             assert abs(mpmath.mpf(float(c[n])) - exact) <= 2.0**-52 * abs(exact), (xi, n)
+
+
+def test_geometric_table_is_kept_invisibly(monkeypatch):
+    # All rows of an alpha2 scan at one xi read one kept, read-only xi^n
+    # table, bitwise as if each row had built its own.
+    spec = Intermediate(0.5, 3, 0.999)
+    families._geometric.cache_clear()
+    kept = analysis.scan(spec, "alpha2", 0.1, 0.9, 16, 1, math.pi, max_nmax=BIG_CAP)
+    assert families._geometric.cache_info()[:2] == (15, 1)  # (hits, misses)
+    build = families.build
+
+    def fresh_build(*args):
+        families._geometric.cache_clear()
+        return build(*args)
+
+    monkeypatch.setattr(families, "build", fresh_build)
+    fresh = analysis.scan(spec, "alpha2", 0.1, 0.9, 16, 1, math.pi, max_nmax=BIG_CAP)
+    assert repr(kept.rows) == repr(fresh.rows)
+    monkeypatch.undo()
+    for family, least in ((spec, 4), (PhaseCoherent(0.999), 0)):
+        amps = build(family, BIG_CAP).amplitudes
+        hits = families._geometric.cache_info().hits
+        geo, _ = families._geometric(complex(0.999), BIG_CAP, least)
+        assert families._geometric.cache_info().hits == hits + 1  # the table the build read
+        assert not geo.flags.writeable and not np.shares_memory(geo, amps)
+        with pytest.raises(ValueError, match="read-only"):
+            geo[0] = 0.0
 
 
 def test_oracle_check_bessel():

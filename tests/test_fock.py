@@ -282,6 +282,24 @@ def test_phase_table_reuse_is_invisible():
     assert phase_distribution(st, grid).tolist() == (direct / (2.0 * math.pi)).tolist()
     with pytest.raises(ValueError, match="read-only"):
         fock._phase_table(1.0, 17)[0] = 0.0
+    # One phi: sizes that grow across powers of two, then shrink, interleaved
+    # with -phi.  Every prefix is the fresh formula, and a size that fits the
+    # kept table is a view of it, not a rebuild.
+    for phi in (math.pi / 16, math.pi, 1.0):
+        for size in (1, 2, 3, 1023, 1024, 1025, 16112, 17):
+            for p in (phi, -phi, phi):
+                got = fock._phase_table(p, size)
+                assert _bits(*got) == _bits(*np.exp(1j * p * np.arange(size))), (p, size)
+            assert np.shares_memory(fock._phase_table(phi, size // 2 + 1), got)
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 0.0
+    # A climbing size at one phi grows the table at least twofold: 166 sizes, few builds.
+    tables = []
+    for size in range(17, 16113, 97):
+        got = fock._phase_table(0.25, size)
+        assert np.array_equal(got.view(np.uint64), np.exp(1j * 0.25 * np.arange(size)).view(np.uint64))
+        tables.append(got.base)
+    assert len({id(t) for t in tables}) <= 12
 
 
 def test_number_char_hermitian_in_phi():
