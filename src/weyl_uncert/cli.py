@@ -1,5 +1,6 @@
 """Command-line front end: verification suites, scans, extrema, figure
 datasets and qubit reports, emitting CSV or a versioned JSON envelope.
+The parser is built once per process, at the first :func:`main` call.
 
 Exit codes: 0 success, 1 violated invariant (verify), 2 usage error.
 """
@@ -7,6 +8,7 @@ Exit codes: 0 success, 1 violated invariant (verify), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -24,16 +26,13 @@ CSV_HEADER = "param,U,Uprime,Udoubleprime,V,absPhi,absPhiTilde,absOmega,Pik,nbar
 
 # A scan row's values in CSV column order: ScanRow's fields are the columns.
 _row_values = operator.attrgetter(*(f.name for f in fields(analysis.ScanRow)))
+_CSV_ROW = ",".join("{:.17g}" for _ in CSV_HEADER.split(","))
 
 _QUBIT_CROSS_NOTE = (
     "cross_char follows the operator definition tr(rho clock^-ell shift^k), which is "
     "i*s_y at k=ell=1; the product form i*s_x*s_y*s_z sometimes quoted for this "
     "quantity differs for generic Bloch vectors and is reported only for reference."
 )
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -78,9 +77,8 @@ def _envelope(command: str, parameters: dict, payload: dict, notes: list[str] | 
 
 
 def _table_csv(table: ScanTable) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(",".join(_fmt(v) for v in _row_values(r)) for r in table.rows)
-    return "\n".join(lines) + "\n"
+    rows = (_CSV_ROW.format(*_row_values(r)) for r in table.rows)
+    return "\n".join((CSV_HEADER, *rows)) + "\n"
 
 
 def _table_rows(table: ScanTable) -> list[dict]:
@@ -119,7 +117,7 @@ def _cmd_verify(args) -> int:
         status = "ok" if res.passed else "FAILED"
         print(f"{res.name}: {res.checks} checks, {len(res.failures)} failures [{status}]")
         for key, value in sorted(res.stats.items()):
-            print(f"  {key} = {_fmt(value)}")
+            print(f"  {key} = {float(value):.17g}")
         for message in res.failures:
             failed = True
             print(f"  FAIL: {message}")
@@ -147,8 +145,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    table = analysis.figure_dataset(args.id)
-    _emit_table(args, "figure", {"id": args.id}, table)
+    _emit_table(args, "figure", {"id": args.id}, analysis.figure_dataset(args.id))
     return 0
 
 
@@ -256,6 +253,7 @@ def _add_range_args(p: argparse.ArgumentParser) -> None:
                    help="phase in units of pi (default 1/k, so k*phi = pi)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="weyl-uncert",

@@ -6,7 +6,7 @@ cross-validation against the generic amplitude sums:
 
 * number states |n>,
 * normalized shift-operator eigenstates (geometric xi^n, to 1 ulp for real xi;
-  the last xi^n table is kept read-only, shared by the rows of a scan at one xi),
+  the last xi^n table is kept read-only, shared by all rows at one (xi, n_max)),
 * Gaussian number statistics exp(-(a+ib)(n-nbar)^2) in the wide, smooth
   regime (a << 1, nbar >> 1), where the closed forms are the leading
   order of Poisson summation,
@@ -90,17 +90,21 @@ def _within_cap(need: int, cap: int) -> int:
     )
 
 
-@functools.lru_cache(maxsize=1)
 def _geometric(xi: complex, cap: int, least: int) -> tuple[np.ndarray, float]:
-    # (sqrt(1 - t) xi^n, t = |xi|^2, to the n_max >= least the tail target needs; its tail),
-    # kept read-only for the next call, as all rows of a scan at one xi share it.  Callers
-    # pass xi + 0.0: -0.0 == 0.0 would share a key, yet its odd powers are -0.0.
+    # (sqrt(1 - t) xi^n, t = |xi|^2, to the n_max >= least the tail target needs; its tail).
     t = abs(xi) ** 2
     need = math.ceil(math.log(_TAIL_TARGET) / math.log(t)) if t else 0
     n_max = _within_cap(max(least, _MIN_NMAX, need), cap)
-    geo = math.sqrt(1.0 - t) * np.power(xi.real if xi.imag == 0.0 else xi, np.arange(n_max + 1))
+    return _xi_powers(xi + 0.0, n_max), t ** (n_max + 1)
+
+
+@functools.lru_cache(maxsize=1)
+def _xi_powers(xi: complex, n_max: int) -> np.ndarray:
+    # Kept read-only for the next call: all rows of a scan at one (xi, n_max) share it.
+    # The key is xi + 0.0, as -0.0 == 0.0 would share it, yet the odd powers of -0.0 are -0.0.
+    geo = math.sqrt(1.0 - abs(xi) ** 2) * np.power(xi.real if xi.imag == 0.0 else xi, np.arange(n_max + 1))
     geo.flags.writeable = False
-    return geo, t ** (n_max + 1)
+    return geo
 
 
 @dataclass(frozen=True)
@@ -143,7 +147,7 @@ class PhaseCoherent:
             raise ValueError(f"normalizability needs |xi| <= 1 - 1e-6, got |xi| = {abs(self.xi)!r}")
 
     def _build(self, cap: int) -> FockState:
-        c, tail = _geometric(self.xi + 0.0, cap, 0)
+        c, tail = _geometric(self.xi, cap, 0)
         return FockState(c / np.linalg.norm(c), tail)
 
     def _closed_form(self, k: int, phi: float, weyl: complex) -> CharSet:
@@ -284,7 +288,7 @@ class Intermediate:
             raise ValueError(f"normalizability needs |xi| <= 1 - 1e-6, got |xi| = {abs(self.xi)!r}")
 
     def _build(self, cap: int) -> FockState:
-        geo, geo_tail = _geometric(self.xi + 0.0, cap, self.n + 1)
+        geo, geo_tail = _geometric(self.xi, cap, self.n + 1)
         c = math.sqrt(1.0 - self.alpha2) * geo
         c[self.n] += math.sqrt(self.alpha2)
         norm = np.linalg.norm(c)  # the kept mass norm^2 bounds the discarded share
@@ -364,12 +368,8 @@ def oracle_check(spec: FamilySpec, k: int, phi: float, max_nmax: int | None = No
     """
     cf = closed_form_char(spec, k, phi)
     num = fock.char_set(build(spec, max_nmax), k, phi)
-    return max(
-        abs(num.number_char - cf.number_char),
-        abs(num.phase_char - cf.phase_char),
-        abs(num.cross_char - cf.cross_char),
-        abs(num.pi_k - cf.pi_k),
-    )
+    return max(abs(num.number_char - cf.number_char), abs(num.phase_char - cf.phase_char),
+               abs(num.cross_char - cf.cross_char), abs(num.pi_k - cf.pi_k))
 
 
 def _typed(cls: type, name: str, value: complex | float | int) -> complex | float | int:

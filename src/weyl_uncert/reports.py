@@ -9,6 +9,7 @@ and a whole table of them.  Values are checked once, by :class:`CharSet`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +20,10 @@ from .numerics import Hermitian3
 def unit_amplitudes(amps) -> np.ndarray:
     """A read-only complex copy of ``amps``, checked finite and of unit norm."""
     c = np.array(amps, dtype=complex)
-    if not np.all(np.isfinite(c.view(float))):
+    # np.linalg.norm's sum.  NaN or +-inf always makes it non-finite: only then test entries.
+    norm = math.sqrt(c.real.dot(c.real) + c.imag.dot(c.imag))
+    if not math.isfinite(norm) and not np.all(np.isfinite(c.view(float))):
         raise ValueError("amplitudes must be finite")
-    norm = float(np.linalg.norm(c))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):g}")
     c.flags.writeable = False

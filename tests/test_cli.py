@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 CSV_HEADER = "param,U,Uprime,Udoubleprime,V,absPhi,absPhiTilde,absOmega,Pik,nbar"
@@ -383,6 +384,41 @@ def test_kept_tables_never_leak_between_commands(tmp_path, monkeypatch):
         "--from", "0.99", "--to", "0.999", "--steps", "3")
     monkeypatch.delenv("WEYL_UNCERT_MAX_NMAX")
     assert run("figure", "--id", "1") == first == figure_csv()
+
+
+def test_the_parser_built_once_keeps_no_state(tmp_path, capsys):
+    # cli.main builds its parser once per process; a usage error and --help
+    # on it must leave later commands as a fresh process runs them.
+    from weyl_uncert import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["figure", "--id", "9"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert cli._build_parser() is cli._build_parser()
+    capsys.readouterr()
+    scan = ("scan", "--family", "phase-coherent:xi=0.49", "--param", "xi", "--from", "0.01",
+            "--to", "0.995", "--steps", "9", "--format", "json")
+    for argv in (("figure", "--id", "1"), scan):
+        assert cli.main(list(argv)) == 0
+        assert capsys.readouterr().out == run_cli(*argv).stdout
+
+
+def test_csv_rows_format_each_value_as_before():
+    # One format call per row gives each value's own f"{float(v):.17g}".
+    from weyl_uncert import analysis, cli
+
+    values = [(-0.0, 5e-324, 1e308, 3, -1, 0.1, 2.0**-1074, -1e-308, 1.0 / 3.0, 0),
+              (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+              (math.pi, -math.e, 1e16, 123456789012345678, 1e-5, 0.5, 1e300 * 10, -5e-324, 2.5, 0.0),
+              (np.float64(0.1), np.int64(7), np.float32(0.1), np.float64(-0.0), *(0.25,) * 6)]
+    rows = tuple(analysis.ScanRow(*v) for v in values)
+    table = analysis.ScanTable("number:n=0", "n", 1, math.pi, rows)
+    old = "\n".join([CSV_HEADER, *(",".join(f"{float(x):.17g}" for x in v) for v in values)]) + "\n"
+    assert cli._table_csv(table) == old
+    assert cli._table_csv(analysis.ScanTable("number:n=0", "n", 1, math.pi, ())) == CSV_HEADER + "\n"
 
 
 def test_out_through_a_symlink_writes_its_target(tmp_path):

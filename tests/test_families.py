@@ -223,13 +223,13 @@ def test_geometric_table_is_kept_invisibly(monkeypatch):
     # All rows of an alpha2 scan at one xi read one kept, read-only xi^n
     # table, bitwise as if each row had built its own.
     spec = Intermediate(0.5, 3, 0.999)
-    families._geometric.cache_clear()
+    families._xi_powers.cache_clear()
     kept = analysis.scan(spec, "alpha2", 0.1, 0.9, 16, 1, math.pi, max_nmax=BIG_CAP)
-    assert families._geometric.cache_info()[:2] == (15, 1)  # (hits, misses)
+    assert families._xi_powers.cache_info()[:2] == (15, 1)  # (hits, misses)
     build = families.build
 
     def fresh_build(*args):
-        families._geometric.cache_clear()
+        families._xi_powers.cache_clear()
         return build(*args)
 
     monkeypatch.setattr(families, "build", fresh_build)
@@ -238,12 +238,25 @@ def test_geometric_table_is_kept_invisibly(monkeypatch):
     monkeypatch.undo()
     for family, least in ((spec, 4), (PhaseCoherent(0.999), 0)):
         amps = build(family, BIG_CAP).amplitudes
-        hits = families._geometric.cache_info().hits
+        hits = families._xi_powers.cache_info().hits
         geo, _ = families._geometric(complex(0.999), BIG_CAP, least)
-        assert families._geometric.cache_info().hits == hits + 1  # the table the build read
+        assert families._xi_powers.cache_info().hits == hits + 1  # the table the build read
         assert not geo.flags.writeable and not np.shares_memory(geo, amps)
         with pytest.raises(ValueError, match="read-only"):
             geo[0] = 0.0
+    # The table is keyed on the n_max it resolves to: the near-1 scan's last
+    # row (phase-coherent, least 0) and the alpha2 scan at its xi (least
+    # n + 1 = 4) both resolve to 16111, so the alpha2 scan builds no table.
+    families._xi_powers.cache_clear()
+    analysis.scan(PhaseCoherent(0.99), "xi", 0.99, 0.999, 24, 1, math.pi, max_nmax=BIG_CAP)
+    last, _ = families._geometric(complex(0.999), BIG_CAP, 0)
+    misses = families._xi_powers.cache_info().misses
+    analysis.scan(spec, "alpha2", 0.1, 0.9, 16, 1, math.pi, max_nmax=BIG_CAP)
+    assert families._xi_powers.cache_info().misses == misses
+    geo, _ = families._geometric(complex(0.999), BIG_CAP, 4)
+    assert geo.size == 16112 and np.shares_memory(geo, last)
+    longer, _ = families._geometric(complex(0.999), BIG_CAP, 16200)
+    assert longer.size == 16201 and np.array_equal(longer[:16112], geo)
 
 
 def test_oracle_check_bessel():

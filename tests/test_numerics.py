@@ -3,6 +3,7 @@
 direct Gram constructions; and the CharSet check that guards every entry."""
 
 import math
+import types
 
 import mpmath
 import numpy as np
@@ -271,3 +272,53 @@ def test_gram_pair_cross_entry_is_pythons_complex_product():
                 assert (z.real, z.imag) == (want.real, want.imag)
                 assert math.copysign(1.0, z.real) == math.copysign(1.0, want.real)
                 assert math.copysign(1.0, z.imag) == math.copysign(1.0, want.imag)
+
+
+STATE_MAKERS = {
+    "fock": lambda c: fock.FockState(c),
+    "qudit": lambda c: spin.QuditState(spin.SpinSystem(len(c)), c),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("make", STATE_MAKERS.values(), ids=STATE_MAKERS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_unit_amplitudes_names_a_non_finite_entry(make, bad):
+    # The entry test runs only behind a non-finite norm, which any NaN or
+    # +-inf part gives, whatever the other entries hold.
+    for c in ([complex(bad, 0.0), 0.0], [complex(0.0, bad), 0.0], [0.6, complex(0.8, bad)],
+              [complex(bad, 1e200), 1e200]):
+        with pytest.raises(ValueError, match="finite"):
+            make(np.array(c))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("make", STATE_MAKERS.values(), ids=STATE_MAKERS)
+def test_unit_amplitudes_tells_overflow_and_zero_from_non_finite(make):
+    # Finite entries whose squares overflow give an infinite norm, and the
+    # zero vector a zero one: both are unnormalized, not non-finite.
+    for c in ([1e200, 0.0], [0.0, 1e200j], [-1e200, 1e200j], [0.0, 0.0]):
+        with pytest.raises(ValueError, match="not normalized"):
+            make(np.array(c, dtype=complex))
+
+
+def test_unit_amplitudes_norm_is_numpys_bit_for_bit(monkeypatch):
+    # unit_amplitudes sums the norm itself; it must be np.linalg.norm's value
+    # exactly, so that no state moves across the 1e-12 tolerance.
+    norms = []
+
+    def sqrt(x):
+        norms.append(math.sqrt(x))
+        return norms[-1]
+
+    monkeypatch.setattr(reports, "math", types.SimpleNamespace(sqrt=sqrt, isfinite=math.isfinite))
+    rng = np.random.default_rng(1818)
+    for size in (1, 2, 3, 7, 64, 257, 1000, 4097, 16111, 16112, 20000):
+        for scale in (1.0, 1e-3, 1e3):
+            c = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+            for amps in (c, c / np.linalg.norm(c)):
+                try:
+                    reports.unit_amplitudes(amps)
+                except ValueError as err:
+                    assert "not normalized" in str(err) and amps is c
+                assert norms.pop() == float(np.linalg.norm(amps))
