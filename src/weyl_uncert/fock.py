@@ -2,12 +2,13 @@
 
 States are amplitude vectors over photon numbers 0..n_max.  The exponential
 of phase is the one-sided-unitary operator E with E|n+1> = |n> (the
-Susskind-Glogower shift); E^k acts as an index shift down, its adjoint as a
-shift up, and exp(i phi n) as a diagonal phase read from the one table
-kept for the last phi.  Characteristic functions are O(n_max) sums
-over amplitudes, of one state or (:func:`char_table`) of a stack of them;
-the phase density on a periodic grid of M points is one length-M FFT
-(other grids are rejected).  Dense operators are test oracles.
+Susskind-Glogower shift).  No operator is applied: inside the sums, E^k
+pairs c_{n+k} with c_n (the slices c[k:] and c[:-k]), and exp(i phi n) is
+a diagonal phase read from the one table kept for the last phi.
+Characteristic functions are O(n_max) sums over amplitudes, of one state
+or (:func:`char_table`) of a stack of them; the phase density on a
+periodic grid of M points is one length-M FFT (other grids are rejected).
+Dense operators are test oracles.
 
 Characteristic sets are :class:`reports.CharSet` records, checked once
 when made.  The two Gram matrices of {psi, exp(+-i phi n) psi, Edag^k /
@@ -63,29 +64,6 @@ def _check_k(k: int) -> int:
     return k
 
 
-def apply_lowering(state: FockState, k: int) -> np.ndarray:
-    """Amplitudes of E^k psi: c'_n = c_{n+k}, top k entries zero (all of
-    them for k > n_max).
-
-    The result is generally unnormalized, so a raw vector is returned
-    rather than a FockState.
-    """
-    k = _check_k(k)
-    c = state.amplitudes
-    out = np.zeros_like(c)
-    out[:-k] = c[k:]
-    return out
-
-
-def apply_raising(state: FockState, k: int) -> np.ndarray:
-    """Amplitudes of Edag^k psi: c'_n = c_{n-k}, bottom k entries zero.
-
-    The adjoint shift is an exact isometry, so the returned vector grows by
-    k slots instead of pushing the top amplitudes past the truncation.
-    """
-    return np.concatenate((np.zeros(_check_k(k), dtype=complex), state.amplitudes))
-
-
 _kept = [(math.nan, np.ones(0, dtype=complex))]  # [(the last phi, its read-only table)]
 
 
@@ -99,11 +77,6 @@ def _phase_table(phi: float, size: int) -> np.ndarray:
         table.flags.writeable = False
         _kept[0] = phi, table  # one store: a reader sees the old pair or the new
     return table[:size]
-
-
-def apply_phase_shift(state: FockState, phi: float) -> FockState:
-    """exp(i phi n) psi; norm preserving."""
-    return FockState(_phase_table(phi, state.amplitudes.size) * state.amplitudes, state.tail_bound)
 
 
 def _sums(c: np.ndarray, k: int, phi: float) -> tuple:

@@ -48,10 +48,11 @@ def test_criterion_01_weyl_identities():
         st = fock.random_state(n_max, rng)
         k = int(rng.integers(1, 9))
         phi = float(rng.uniform(-math.pi, math.pi))
-        n = np.arange(n_max + 1)
-        lhs = fock.apply_lowering(fock.apply_phase_shift(st, phi), k)
-        rhs = np.exp(1j * k * phi) * np.exp(1j * phi * n) * fock.apply_lowering(st, k)
-        resid = float(np.linalg.norm(lhs - rhs))
+        # E^k exp(i phi n) = exp(i k phi) exp(i phi n) E^k, read on the production pair:
+        # cross_char = <exp(-i phi n) Edag^k> must be weyl * <Edag^k exp(-i phi n)>.
+        c, n = st.amplitudes, np.arange(n_max + 1)
+        cs = fock.char_set(st, k, phi)
+        resid = abs(cs.cross_char - cs.weyl * np.vdot(c[k:], np.exp(-1j * phi * n[:-k]) * c[:-k]))
         worst_mode = max(worst_mode, resid)
         if resid > 1e-12:
             failures.append(f"single-mode n_max={n_max} k={k}: residual {resid:.2e}")

@@ -1,5 +1,6 @@
-"""Single-mode machinery: shift actions, characteristic sets against dense
-oracles, Gram determinants, reports and the phase distribution."""
+"""Single-mode machinery: characteristic sets against dense oracles and
+test-local slice sums (the Weyl relation), Gram determinants, reports, the
+phase distribution and verify's fock suite."""
 
 import dataclasses
 import math
@@ -14,9 +15,6 @@ from weyl_uncert.numerics import det3
 from weyl_uncert.reports import CharSet, gram_pair
 from weyl_uncert.fock import (
     FockState,
-    apply_lowering,
-    apply_phase_shift,
-    apply_raising,
     char_set,
     mean_photon,
     phase_distribution,
@@ -33,48 +31,7 @@ def number_state(n, n_max=None):
 
 
 # ---------------------------------------------------------------------------
-# shift actions
-
-
-def test_lowering_annihilates_vacuum():
-    assert np.all(apply_lowering(number_state(0), 1) == 0.0)
-
-
-def test_one_sided_unitarity_on_vacuum():
-    vac = number_state(0, n_max=1)
-    raised = apply_raising(vac, 1)  # |1>, one slot longer
-    assert np.allclose(raised, [0.0, 1.0, 0.0])
-    lowered = np.zeros_like(raised)
-    lowered[:-1] = raised[1:]
-    assert np.allclose(lowered, [1.0, 0.0, 0.0])  # E Edag |0> = |0>
-    low_first = apply_lowering(vac, 1)
-    assert np.all(low_first == 0.0)  # Edag E |0> = 0
-
-
-def test_one_sided_unitarity_random_states():
-    rng = np.random.default_rng(31)
-    for n_max in (8, 32, 128):
-        st = random_state(n_max, rng)
-        c = st.amplitudes
-        for k in (1, 3, 7):
-            raised = apply_raising(st, k)
-            back = np.zeros_like(raised)
-            back[:-k] = raised[k:]
-            assert np.linalg.norm(back[: n_max + 1] - c) <= 1e-12
-            assert np.linalg.norm(back[n_max + 1 :]) == 0.0
-            lowered = apply_lowering(st, k)
-            undone = np.zeros_like(lowered)
-            undone[k:] = lowered[:-k]
-            projected = c.copy()
-            projected[:k] = 0.0
-            assert np.linalg.norm(undone - projected) <= 1e-12
-
-
-def test_phase_shift_full_turn_is_identity():
-    rng = np.random.default_rng(32)
-    st = random_state(20, rng)
-    shifted = apply_phase_shift(st, 2.0 * math.pi)
-    assert np.linalg.norm(shifted.amplitudes - st.amplitudes) < 1e-12
+# the Weyl relation on the production characteristic set
 
 
 def test_single_mode_weyl_relation():
@@ -84,22 +41,17 @@ def test_single_mode_weyl_relation():
         st = random_state(n_max, rng)
         k = int(rng.integers(1, 9))
         phi = float(rng.uniform(-math.pi, math.pi))
-        n = np.arange(n_max + 1)
-        lhs = apply_lowering(apply_phase_shift(st, phi), k)
-        rhs = np.exp(1j * k * phi) * np.exp(1j * phi * n) * apply_lowering(st, k)
-        assert np.linalg.norm(lhs - rhs) <= 1e-12
+        c, n = st.amplitudes, np.arange(n_max + 1)
+        cs = char_set(st, k, phi)
+        # cross_char = <exp(-i phi n) Edag^k> = weyl * <Edag^k exp(-i phi n)>, by slices.
+        moved = np.vdot(c[k:], np.exp(-1j * phi * n[:-k]) * c[:-k])
+        assert abs(cs.cross_char - cs.weyl * moved) <= 1e-12
+        assert abs(cs.phase_char - np.vdot(c[k:], c[:-k])) <= 1e-12
 
 
 def test_shift_domain_errors():
-    st = number_state(2, n_max=4)
-    for shift in (apply_lowering, apply_raising):
-        with pytest.raises(ValueError, match="k must be"):
-            shift(st, 0)
     with pytest.raises(ValueError, match="k must be"):
-        char_set(st, 0, math.pi)
-    # A k above n_max is in the domain: E^k psi = 0.
-    assert np.array_equal(apply_lowering(st, 5), np.zeros(5))
-    assert apply_lowering(st, 5).dtype == complex
+        char_set(number_state(2, n_max=4), 0, math.pi)
 
 
 def test_state_validation():
@@ -217,7 +169,6 @@ def test_char_set_beyond_n_max_against_padded_dense_oracle():
         assert abs(cs.pi_k - np.linalg.norm(c[:k]) ** 2) < 1e-12
         if k > st.n_max:
             assert (cs.phase_char, cs.cross_char, cs.pi_k) == (0.0, 0.0, 1.0)
-        assert np.array_equal(apply_lowering(st, k), (np.linalg.matrix_power(e, k) @ c)[:5])
 
 
 def two_exponential_char_set(state, k, phi):
@@ -273,8 +224,6 @@ def test_phase_table_reuse_is_invisible():
                 got = (cs.number_char, cs.phase_char, cs.cross_char, cs.weyl)
                 assert _bits(*got) == _bits(*want), (n_max, phi, k)
                 assert _bits(cs.pi_k) == _bits(min(1.0, float(probs[:k].sum())))
-            shifted = apply_phase_shift(st, phi).amplitudes
-            assert _bits(*shifted) == _bits(*(phases * c)), (n_max, phi)
     grid = -math.pi + (2.0 * math.pi / 64) * np.arange(64)
     st = states[16111]
     a = st.amplitudes * np.exp(-1j * grid[0] * np.arange(st.amplitudes.size))
@@ -628,31 +577,49 @@ def _quoted(amps: str) -> np.ndarray:
     return FockState([complex(x.replace(" ", "")) for x in amps[1:-1].split(",")]).amplitudes
 
 
-def test_fock_suite_reports_every_failure_in_state_order(monkeypatch):
-    # 9 samples draw 3 states per n_max.  The tolerances fail every det and
-    # bound check; the patched helpers fail each state's round trip, Weyl
-    # residual and Hermiticity check.
-    drawn, draw = [], fock.random_state
-    real_raise, real_shift, real_char_set = fock.apply_raising, fock.apply_phase_shift, fock.char_set
-
-    def recording_random_state(n_max, rng):
-        drawn.append(draw(n_max, rng))
-        return drawn[-1]
+def _run_fock_turned(monkeypatch, **turns):
+    # verify.run_fock(9, 5) (3 states per n_max) with fock.char_set's named fields
+    # multiplied by their turns off the stringent points, where only the per-state
+    # checks read char_set.  Returns the result and the (state, k, phi) of each
+    # per-state check, recorded from its first char_set call.
+    calls, real_char_set = [], fock.char_set
 
     def turned_char_set(st, k, phi):
-        # Off the stringent points, where only the per-state checks read it.
+        calls.append((st, k, phi))
         cs = real_char_set(st, k, phi)
-        turn = 1.0 if phi == math.pi / k else np.exp(0.1j)
-        return dataclasses.replace(cs, number_char=cs.number_char * turn)
+        if phi == math.pi / k:
+            return cs
+        return dataclasses.replace(cs, **{name: getattr(cs, name) * t for name, t in turns.items()})
 
-    monkeypatch.setattr(fock, "random_state", recording_random_state)
-    monkeypatch.setattr(fock, "apply_raising", lambda st, k: real_raise(st, k) + 1e-6)
-    monkeypatch.setattr(fock, "apply_phase_shift",
-                        lambda st, phi: FockState(np.exp(0.1j) * real_shift(st, phi).amplitudes))
     monkeypatch.setattr(fock, "char_set", turned_char_set)
+    res = verify.run_fock(9, 5)
+    monkeypatch.setattr(fock, "char_set", real_char_set)
+    drawn = calls[:2 * 9:2]  # each state reads the set at (k, phi), then at (k, -phi)
+    assert [(st, k, -phi) for st, k, phi in drawn] == calls[1:2 * 9:2]
+    assert [st.n_max for st, _, _ in drawn] == [8] * 3 + [32] * 3 + [128] * 3
+    return res, drawn
+
+
+_PER_STATE = {
+    "phase": r"fock n_max=(\d+) k=(\d+) phi=(\S+): phase char off its slice sum by \S+; amplitudes=(.*)",
+    "weyl": r"fock n_max=(\d+) k=(\d+) phi=(\S+): Weyl relation residual \S+; amplitudes=(.*)",
+    "hermitian": r"fock n_max=(\d+) k=(\d+) phi=(\S+): number char not Hermitian in phi; amplitudes=(.*)",
+}
+
+
+def _assert_quotes_state(m, st, k, phi):
+    # A per-state line names the state's own n_max, k and phi and rebuilds it bit for bit.
+    assert (int(m.group(1)), int(m.group(2)), float(m.group(3))) == (st.n_max, k, phi)
+    assert np.array_equal(_quoted(m.group(4)), st.amplitudes)
+
+
+def test_fock_suite_reports_every_failure_in_state_order(monkeypatch):
+    # The tolerances fail every det and bound check; the turned number, phase
+    # and cross chars fail each state's Hermiticity, phase and Weyl checks.
     monkeypatch.setattr(verify, "_DET_TOL", 10.0)
     monkeypatch.setattr(verify, "_BOUND_TOL", -10.0)
-    res = verify.run_fock(9, 5)
+    turn = np.exp(0.1j)
+    res, drawn = _run_fock_turned(monkeypatch, number_char=turn, phase_char=turn, cross_char=turn)
     monkeypatch.undo()
     assert res.checks == 3 * 3 * (3 + 3) + 2 * (2 + 2)
 
@@ -660,31 +627,40 @@ def test_fock_suite_reports_every_failure_in_state_order(monkeypatch):
         "det": r"fock n_max=(\d+) k=(\d+): Gram determinant negative \((\S+), (\S+)\); amplitudes=(.*)",
         "bound": r"fock n_max=(\d+) k=(\d+): certainty bound violated "
                  r"\(U=(\S+) U'=(\S+) U''=(\S+) V=(\S+)\); amplitudes=(.*)",
-        "round trip": r"fock n_max=(\d+) k=(\d+): lower\(raise\(psi\)\) != psi",
-        "weyl": r"fock n_max=(\d+) k=(\d+) phi=\S+: Weyl relation residual \S+; amplitudes=(.*)",
-        "hermitian": r"fock n_max=(\d+): number char not Hermitian in phi",
+        **_PER_STATE,
     }
-    kinds = ["det", "bound"] * 3 + ["round trip", "weyl", "hermitian"]
+    kinds = ["det", "bound"] * 3 + ["phase", "weyl", "hermitian"]
     stacked = res.failures[: 3 * 3 * len(kinds)]
     assert not any("Gram determinant" in msg or "bound violated" in msg
                    for msg in res.failures[len(stacked):])
-    for block, n_max in enumerate((8, 32, 128)):
-        for s in range(3):
-            st = drawn[3 * block + s]
-            msgs = stacked[len(kinds) * (3 * block + s):][: len(kinds)]
-            found = [re.fullmatch(patterns[kind], msg) for kind, msg in zip(kinds, msgs)]
-            assert all(found), msgs
-            assert all(int(m.group(1)) == n_max for m in found)
-            assert [int(m.group(2)) for m in found[:6]] == [1, 1, 2, 2, 4, 4]
-            assert found[6].group(2) == found[7].group(2)  # the state's own k
-            for m in found[:6] + found[7:8]:
-                assert np.array_equal(_quoted(m.group(m.re.groups)), st.amplitudes)
-            for m in found[:6]:
-                k = int(m.group(2))
-                rep = report(st, k, math.pi / k)
-                if m.re.pattern == patterns["det"]:
-                    assert m.group(3, 4) == (f"{rep.det_plus:.3e}", f"{rep.det_minus:.3e}")
-                else:
-                    quoted = tuple(float(x) for x in m.group(3, 4, 5, 6))
-                    assert quoted == (rep.u, rep.u_prime, rep.u_double_prime, rep.v)
-    assert not any("np.float64(" in msg for msg in res.failures)
+    for s, (st, k, phi) in enumerate(drawn):
+        msgs = stacked[len(kinds) * s:][: len(kinds)]
+        found = [re.fullmatch(patterns[kind], msg) for kind, msg in zip(kinds, msgs)]
+        assert all(found), msgs
+        assert all(int(m.group(1)) == st.n_max for m in found)
+        assert [int(m.group(2)) for m in found[:6]] == [1, 1, 2, 2, 4, 4]
+        for m in found[:6]:
+            assert np.array_equal(_quoted(m.group(m.re.groups)), st.amplitudes)
+            k_table = int(m.group(2))
+            rep = report(st, k_table, math.pi / k_table)
+            if m.re.pattern == patterns["det"]:
+                assert m.group(3, 4) == (f"{rep.det_plus:.3e}", f"{rep.det_minus:.3e}")
+            else:
+                quoted = tuple(float(x) for x in m.group(3, 4, 5, 6))
+                assert quoted == (rep.u, rep.u_prime, rep.u_double_prime, rep.v)
+        for m in found[6:]:
+            _assert_quotes_state(m, st, k, phi)
+    assert not any("np.float64(" in msg or "np.complex128(" in msg for msg in res.failures)
+
+
+def test_fock_suite_reads_the_production_cross_char(monkeypatch):
+    # A cross char turned by 1e-6 rad breaks weyl * <Edag^k exp(-i phi n)> =
+    # <exp(-i phi n) Edag^k> for every drawn state, and nothing else per state.
+    res, drawn = _run_fock_turned(monkeypatch, cross_char=np.exp(1e-6j))
+    weyl = [re.fullmatch(_PER_STATE["weyl"], msg) for msg in res.failures[: len(drawn)]]
+    assert all(weyl), res.failures
+    for m, (st, k, phi) in zip(weyl, drawn):
+        _assert_quotes_state(m, st, k, phi)
+    # The rest: the dense-oracle check of the two later states at k = 1, 2.
+    assert len(res.failures) == len(drawn) + 4
+    assert all("disagrees with dense oracle" in msg for msg in res.failures[len(drawn):])
