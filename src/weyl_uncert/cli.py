@@ -268,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run randomized property suites")
-    p.add_argument("--suite", choices=("spin", "fock", "families", "all"), required=True)
+    p.add_argument("--suite", choices=verify.SUITES, required=True)
     p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=_non_negative_int, default=1)
     p.set_defaults(func=_cmd_verify)

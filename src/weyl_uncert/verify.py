@@ -5,15 +5,17 @@ identities, Gram positivity, certainty bounds, closed-form oracles) and
 collects human-readable failure descriptions.  Oracles here are dense
 operators or test-local slice sums, built apart from the production paths.
 
-The spin and fock suites draw each state with the k, l or phi of its own
-checks, then check the Gram determinants and bounds of all states of one
-dimension in one array pass: one ``spin.char_table`` per d over the drawn
-(k, l) pairs, one ``fock.char_table`` per n_max and k, and
-``reports.gram_pair``, ``det3`` and ``reports.functionals`` on the stack.
-Only checks with per-state draws (spin's cyclic phase; fock's phase sum, Weyl
-relation and Hermiticity in phi, read from ``fock.char_set`` at the state's
-own k and phi) loop over states.  Failures are listed state by state,
-then by pair or k, and quote the table entries the check read.
+Both systems share three tools.  :func:`_table_failures` runs the Gram
+step and the bounds once on a ``CharSet`` table indexed [state, config]:
+spin's drawn (k, l) pairs of one d, or fock's k = 1, 2, 4 at phi = pi/k of
+one n_max.  :func:`_oracle_off` compares a set with dense <F>, <S>,
+<F^-1 S> and pi_k; :func:`_check` counts every other check.  A failure line
+reads ``<where>: <what>; amplitudes=<state>``; a table entry gives one per
+failed condition, ``Gram determinant negative (det+, det-)`` or
+``<F>=<value> exceeds <limit>`` for F in U, U', U'', V, state by state,
+then by config.  The checks drawn per state (spin's cyclic phase; fock's
+phase sum, Weyl relation and Hermiticity in phi at the state's own k and
+phi) follow the table lines of their dimension.
 """
 
 from __future__ import annotations
@@ -47,6 +49,35 @@ def _amps(vec: np.ndarray) -> str:
     return np.array2string(np.asarray(vec), separator=",", max_line_width=10**9, floatmode="unique")
 
 
+def _check(res: SuiteResult, off: float, tol: float, text, amps=None) -> None:
+    # One check, failed unless off <= tol (so NaN fails); text(off) and the
+    # amplitudes are formatted only for a failure.
+    res.checks += 1
+    if not off <= tol:
+        res.failures.append(text(off) if amps is None else f"{text(off)}; amplitudes={_amps(amps)}")
+
+
+def _table_failures(res: SuiteResult, cs: reports.CharSet, limits: dict, where, states) -> float:
+    """Check one table ``cs`` indexed [state, config]: both Gram determinants
+    at least ``_DET_TOL``, and each functional named in ``limits`` at most its
+    limit (per config) + ``_BOUND_TOL``.  Counts one check per entry, appends
+    the failures of ``where[config]`` quoting ``states[state]``, and returns
+    the least determinant."""
+    det_plus, det_minus = (det3(g) for g in reports.gram_pair(cs))
+    funcs = dict(zip(("U", "U'", "U''", "V"), reports.functionals(cs)))
+    limits = {name: np.broadcast_to(limits[name], det_plus.shape) for name in funcs if name in limits}
+    bad = {name: ~(funcs[name] <= limit + _BOUND_TOL) for name, limit in limits.items()}
+    bad["det"] = ~((det_plus >= _DET_TOL) & (det_minus >= _DET_TOL))
+    res.checks += det_plus.size
+    for s, i in np.argwhere(np.logical_or.reduce(list(bad.values()))):
+        texts = [f"{name}={float(funcs[name][s, i])!r} exceeds {float(limit[s, i])!r}"
+                 for name, limit in limits.items() if bad[name][s, i]]
+        if bad["det"][s, i]:
+            texts.insert(0, f"Gram determinant negative ({det_plus[s, i]:.3e}, {det_minus[s, i]:.3e})")
+        res.failures += [f"{where[i]}: {t}; amplitudes={_amps(states[s])}" for t in texts]
+    return min(float(det_plus.min()), float(det_minus.min()))
+
+
 # ---------------------------------------------------------------------------
 # dense oracles, constructed independently of the production code paths
 
@@ -66,6 +97,14 @@ def _dense_clock(d: int) -> np.ndarray:
 
 def _dense_fock_lower(n_dim: int) -> np.ndarray:
     return np.eye(n_dim, k=1, dtype=complex)
+
+
+def _oracle_off(cs: reports.CharSet, c: np.ndarray, f: np.ndarray, s: np.ndarray) -> float:
+    """Largest deviation of ``cs`` from <F>, <S>, <F^-1 S> and pi_k = 1 - <S S^dag>,
+    the weight that S^dag annihilates, for dense matrices of the unitary F and shift S."""
+    ref = (np.vdot(c, f @ c), np.vdot(c, s @ c), np.vdot(c, f.conj().T @ s @ c),
+           1.0 - np.vdot(c, s @ (s.conj().T @ c)).real)
+    return max(abs(x - y) for x, y in zip((cs.number_char, cs.phase_char, cs.cross_char, cs.pi_k), ref))
 
 
 # ---------------------------------------------------------------------------
@@ -94,67 +133,40 @@ def run_spin(samples: int, seed: int) -> SuiteResult:
         at = (..., *(np.array(pairs).T - 1))  # each pair's entry in a table row
         gammas = [spin.weyl_angle(system, k, l) for k, l in pairs]
         bound = np.array([spin.certainty_bound(g) for g in gammas])
-        applicable = np.abs(np.array(gammas) - math.pi) <= 1e-9
         drawn = []  # (state, k, l) of the cyclic check, in rng order
         for _ in range(per):
             st = spin.random_state(system, rng)
             drawn.append((st, int(rng.integers(1, 2 * d + 1)), int(rng.integers(1, 2 * d + 1))))
-        table = spin.char_table(np.array([st.amplitudes for st, _, _ in drawn]))
-        det_plus, det_minus = (det3(g)[at] for g in reports.gram_pair(table))
-        u, u_prime, _, v = (x[at] for x in reports.functionals(table))
-        res.checks += per * (len(pairs) + 1)
-        min_det = min(min_det, float(det_plus.min()), float(det_minus.min()))
-        det_bad = (det_plus < _DET_TOL) | (det_minus < _DET_TOL)
-        u_bad = u > bound + _BOUND_TOL
-        v_bad = v > bound / 2 + _BOUND_TOL
-        triple_bad = applicable & (u_prime > 1.0 + _BOUND_TOL)
-        for s, (st, k, l) in enumerate(drawn):
-            for i in np.flatnonzero(det_bad[s] | u_bad[s] | v_bad[s] | triple_bad[s]):
-                dp, dm, ui, upi, vi = (float(x[s, i]) for x in (det_plus, det_minus, u, u_prime, v))
-                texts = ((det_bad, f"Gram determinant negative ({dp:.3e}, {dm:.3e})"),
-                         (u_bad, f"U={ui!r} exceeds bound {float(bound[i])!r}"),
-                         (v_bad, f"V={vi!r} exceeds bound/2"),
-                         (triple_bad, f"triple sum {upi!r} exceeds 1"))
-                where, amps = "spin d={} k={} l={}".format(d, *pairs[i]), _amps(st.amplitudes)
-                res.failures += [f"{where}: {t}; amplitudes={amps}" for bad, t in texts if bad[s, i]]
-            expected = np.exp(-2j * math.pi * ((k * l) % d) / d)
-            if abs(spin.cyclic_phase(st, k, l) - expected) > 1e-10:
-                res.failures.append(
-                    f"spin d={d}: cyclic excursion phase off at k={k} l={l}; "
-                    f"amplitudes={_amps(st.amplitudes)}"
-                )
+        states = [st.amplitudes for st, _, _ in drawn]
+        full = vars(spin.char_table(np.array(states))).values()
+        shape = np.broadcast_shapes(*map(np.shape, full))
+        table = reports.CharSet(*(np.broadcast_to(x, shape)[at] for x in full))
+        at_pi = np.abs(np.array(gammas) - math.pi) <= 1e-9
+        limits = {"U": bound, "U'": np.where(at_pi, 1.0, math.inf), "V": bound / 2}
+        where = ["spin d={} k={} l={}".format(d, *pair) for pair in pairs]
+        min_det = min(min_det, _table_failures(res, table, limits, where, states))
+        for st, k, l in drawn:
+            off = abs(spin.cyclic_phase(st, k, l) - np.exp(-2j * math.pi * ((k * l) % d) / d))
+            _check(res, off, 1e-10, lambda _: f"spin d={d}: cyclic excursion phase off at k={k} l={l}",
+                   st.amplitudes)
 
     for d in dims + (32, 64):
         system = spin.SpinSystem(d)
         for _ in range(8):
             k = int(rng.integers(1, 2 * d + 1))
             l = int(rng.integers(1, 2 * d + 1))
-            res.checks += 1
-            defect = spin.weyl_defect(system, k, l)
-            if defect > 1e-12:
-                res.failures.append(f"spin d={d}: Weyl defect {defect:.3e} at k={k} l={l}")
+            _check(res, spin.weyl_defect(system, k, l), 1e-12,
+                   lambda x: f"spin d={d}: Weyl defect {x:.3e} at k={k} l={l}")
 
     for d in dims:
-        system = spin.SpinSystem(d)
-        st = spin.random_state(system, rng)
-        e = _dense_shift(d)
-        f = _dense_clock(d)
-        c = st.amplitudes
+        st = spin.random_state(spin.SpinSystem(d), rng)
+        c, e, f = st.amplitudes, _dense_shift(d), _dense_clock(d)
         for k in range(1, min(d, 3) + 1):
             for l in range(1, min(d, 3) + 1):
-                cs = spin.char_set(st, k, l)
-                ek = np.linalg.matrix_power(e, k)
-                fl = np.linalg.matrix_power(f, l)
-                ref_number = np.vdot(c, fl @ c)
-                ref_phase = np.vdot(c, ek @ c)
-                ref_cross = np.vdot(c, fl.conj().T @ ek @ c)
-                res.checks += 1
-                if max(abs(cs.number_char - ref_number), abs(cs.phase_char - ref_phase),
-                       abs(cs.cross_char - ref_cross)) > 1e-12:
-                    res.failures.append(
-                        f"spin d={d} k={k} l={l}: char set disagrees with dense oracle; "
-                        f"amplitudes={_amps(c)}"
-                    )
+                off = _oracle_off(spin.char_set(st, k, l), c, np.linalg.matrix_power(f, l),
+                                  np.linalg.matrix_power(e, k))
+                _check(res, off, 1e-12,
+                       lambda _: f"spin d={d} k={k} l={l}: char set disagrees with dense oracle", c)
 
     res.stats["min_gram_det"] = min_det
     return res
@@ -178,71 +190,45 @@ def run_fock(samples: int, seed: int) -> SuiteResult:
             st = fock.random_state(n_max, rng)
             k = int(rng.integers(1, min(8, n_max) + 1))
             drawn.append((st, k, float(rng.uniform(-math.pi, math.pi))))
-        rows = [st.amplitudes for st, _, _ in drawn]
-        tables = [fock.char_table(rows, k, math.pi / k) for k in ks]
-        dets = np.array([[det3(g) for g in reports.gram_pair(t)] for t in tables])  # [k, +/-, state]
-        funcs = np.array([reports.functionals(t) for t in tables])  # [k, U U' U'' V, state]
-        res.checks += per * (len(ks) + 3)
-        min_det = min(min_det, float(dets.min()))
-        det_bad = (dets < _DET_TOL).any(axis=1)
-        bound_bad = (funcs > np.array([1.0, 1.0, 1.0, 0.5])[:, None] + _BOUND_TOL).any(axis=1)
-        n = np.arange(n_max + 1)
-        for s, (st, k, phi) in enumerate(drawn):
-            c = st.amplitudes
-            for j in np.flatnonzero(det_bad[:, s] | bound_bad[:, s]):
-                u, u_prime, u_double_prime, v = map(float, funcs[j, :, s])
-                texts = ((det_bad, "Gram determinant negative ({:.3e}, {:.3e})".format(*dets[j, :, s])),
-                         (bound_bad, "certainty bound violated "
-                                     f"(U={u!r} U'={u_prime!r} U''={u_double_prime!r} V={v!r})"))
-                where, amps = f"fock n_max={n_max} k={ks[j]}", _amps(c)
-                res.failures += [f"{where}: {t}; amplitudes={amps}" for bad, t in texts if bad[j, s]]
+        states = [st.amplitudes for st, _, _ in drawn]
+        per_k = zip(*(vars(fock.char_table(states, k, math.pi / k)).values() for k in ks))
+        table = reports.CharSet(*(np.stack(np.broadcast_arrays(*x), axis=-1) for x in per_k))
+        limits = {"U": 1.0, "U'": 1.0, "U''": 1.0, "V": 0.5}
+        where = [f"fock n_max={n_max} k={k}" for k in ks]
+        min_det = min(min_det, _table_failures(res, table, limits, where, states))
 
+        n = np.arange(n_max + 1)
+        for st, k, phi in drawn:
             # The production set at the state's own (k, phi) against test-local slice sums: <Edag^k>,
             # and weyl * <Edag^k exp(-i phi n)> for the cross char <exp(-i phi n) Edag^k>.
+            c = st.amplitudes
             cs, csm = fock.char_set(st, k, phi), fock.char_set(st, k, -phi)
-            phase_off = abs(cs.phase_char - np.vdot(c[k:], c[:-k]))
-            weyl_off = abs(cs.cross_char - cs.weyl * np.vdot(c[k:], np.exp(-1j * phi * n[:-k]) * c[:-k]))
-            hermitian_off = abs(cs.number_char - csm.number_char.conjugate())
-            texts = ((phase_off, f"phase char off its slice sum by {phase_off:.3e}"),
-                     (weyl_off, f"Weyl relation residual {weyl_off:.3e}"),
-                     (hermitian_off, "number char not Hermitian in phi"))
             where = f"fock n_max={n_max} k={k} phi={phi!r}"
-            res.failures += [f"{where}: {t}; amplitudes={_amps(c)}" for off, t in texts if off > 1e-12]
+            _check(res, abs(cs.phase_char - np.vdot(c[k:], c[:-k])), 1e-12,
+                   lambda x: f"{where}: phase char off its slice sum by {x:.3e}", c)
+            _check(res, abs(cs.cross_char - cs.weyl * np.vdot(c[k:], np.exp(-1j * phi * n[:-k]) * c[:-k])),
+                   1e-12, lambda x: f"{where}: Weyl relation residual {x:.3e}", c)
+            _check(res, abs(cs.number_char - csm.number_char.conjugate()), 1e-12,
+                   lambda _: f"{where}: number char not Hermitian in phi", c)
 
     for n_max in (8, 32):
         st = fock.random_state(n_max, rng)
-        c = st.amplitudes
-        e = _dense_fock_lower(n_max + 1)
+        c, e = st.amplitudes, _dense_fock_lower(n_max + 1)
         for k in (1, 2):
             phi = float(rng.uniform(-math.pi, math.pi))
-            cs = fock.char_set(st, k, phi)
             rot = np.diag(np.exp(1j * phi * np.arange(n_max + 1)))
-            edk = np.linalg.matrix_power(e.conj().T, k)
-            ref_number = np.vdot(c, rot @ c)
-            ref_phase = np.vdot(c, edk @ c)
-            ref_cross = np.vdot(c, rot.conj().T @ edk @ c)
-            ref_pik = float(np.linalg.norm(c[:k]) ** 2)
-            res.checks += 1
-            if max(abs(cs.number_char - ref_number), abs(cs.phase_char - ref_phase),
-                   abs(cs.cross_char - ref_cross), abs(cs.pi_k - ref_pik)) > 1e-12:
-                res.failures.append(
-                    f"fock n_max={n_max} k={k}: char set disagrees with dense oracle; "
-                    f"amplitudes={_amps(c)}"
-                )
+            off = _oracle_off(fock.char_set(st, k, phi), c, rot, np.linalg.matrix_power(e.conj().T, k))
+            _check(res, off, 1e-12,
+                   lambda _: f"fock n_max={n_max} k={k}: char set disagrees with dense oracle", c)
 
         grid = np.linspace(-math.pi, math.pi, 1024, endpoint=False)
         dens = fock.phase_distribution(st, grid)
         total = float(np.sum(dens) * (2 * math.pi / grid.size))
-        res.checks += 1
-        if abs(total - 1.0) > 1e-6:
-            res.failures.append(f"fock n_max={n_max}: phase distribution integrates to {total!r}")
-        k = 2
-        moment = complex(np.sum(np.exp(1j * k * grid) * dens) * (2 * math.pi / grid.size))
-        res.checks += 1
-        if abs(moment - fock.char_set(st, k, 1.0).phase_char.conjugate()) > 1e-8:
-            res.failures.append(
-                f"fock n_max={n_max}: phase-distribution moment disagrees with char set"
-            )
+        _check(res, abs(total - 1.0), 1e-6,
+               lambda _: f"fock n_max={n_max}: phase distribution integrates to {total!r}")
+        moment = complex(np.sum(np.exp(2j * grid) * dens) * (2 * math.pi / grid.size))
+        _check(res, abs(moment - fock.char_set(st, 2, 1.0).phase_char.conjugate()), 1e-8,
+               lambda _: f"fock n_max={n_max}: phase-distribution moment disagrees with char set")
 
     res.stats["min_gram_det"] = min_det
     return res
@@ -265,53 +251,36 @@ def run_families(samples: int, seed: int) -> SuiteResult:
         phi = math.pi if rng.integers(2) else math.pi / 2
         dev = families.oracle_check(spec, k, phi)
         worst = max(worst, dev)
-        res.checks += 1
-        if dev > 1e-10:
-            res.failures.append(f"families phase-coherent xi={spec.xi!r} k={k}: deviation {dev:.3e}")
-
+        _check(res, dev, 1e-10,
+               lambda x: f"families phase-coherent xi={spec.xi!r} k={k}: deviation {x:.3e}")
         c = families.build(spec).amplitudes
         resid = float(np.linalg.norm(np.append(c[1:], 0) - spec.xi * c))  # |E psi - xi psi|
-        res.checks += 1
-        if resid > 1e-5:
-            res.failures.append(
-                f"families phase-coherent xi={spec.xi!r}: eigenvector residual {resid:.3e}"
-            )
+        _check(res, resid, 1e-5,
+               lambda x: f"families phase-coherent xi={spec.xi!r}: eigenvector residual {x:.3e}")
 
     for _ in range(max(1, samples // 4)):
         lam = float(rng.uniform(0.2, 3.0))
         spec = families.BesselEigenstate(lam)
-        st = families.build(spec)
-        c = st.amplitudes
-        ext = np.zeros(c.size + 1, dtype=complex)
-        ext[: c.size] = np.arange(c.size) * c
-        ext[1:] += 1j * lam * c
-        res.checks += 1
-        if float(np.linalg.norm(ext)) > 1e-8:
-            res.failures.append(
-                f"families bessel lambda={lam!r}: eigen-residual {np.linalg.norm(ext):.3e}"
-            )
+        c = families.build(spec).amplitudes
+        # |(n + i lam Edag) psi|, Edag psi on one more level
+        resid = float(np.linalg.norm(np.append(np.arange(c.size) * c, 0) + 1j * lam * np.append(0, c)))
+        _check(res, resid, 1e-8, lambda x: f"families bessel lambda={lam!r}: eigen-residual {x:.3e}")
         k = int(rng.integers(1, 3))
         phi = (math.pi, math.pi / 2, 1.0)[int(rng.integers(3))]
-        dev = families.oracle_check(spec, k, phi)
-        res.checks += 1
-        if dev > 1e-8:
-            res.failures.append(f"families bessel lambda={lam!r} k={k}: deviation {dev:.3e}")
+        _check(res, families.oracle_check(spec, k, phi), 1e-8,
+               lambda x: f"families bessel lambda={lam!r} k={k}: deviation {x:.3e}")
 
     for _ in range(max(1, samples // 8)):
         a = float(rng.uniform(0.005, 0.05))
         b = float(rng.choice([0.0, 0.3]))
         spec = families.GaussianNumber(400.0, a, b)
-        dev = families.oracle_check(spec, 1, 4.0 * math.sqrt(a))
-        res.checks += 1
-        if dev > 1e-10:
-            res.failures.append(f"families gaussian a={a!r} b={b!r}: deviation {dev:.3e}")
+        _check(res, families.oracle_check(spec, 1, 4.0 * math.sqrt(a)), 1e-10,
+               lambda x: f"families gaussian a={a!r} b={b!r}: deviation {x:.3e}")
 
     for a2 in (0.25, 0.5, 0.75):
         spec = families.Intermediate(a2, 3, 0.999)
-        dev = families.oracle_check(spec, 1, math.pi, max_nmax=20000)
-        res.checks += 1
-        if dev > 5e-2:
-            res.failures.append(f"families intermediate alpha2={a2}: deviation {dev:.3e}")
+        _check(res, families.oracle_check(spec, 1, math.pi, max_nmax=20000), 5e-2,
+               lambda x: f"families intermediate alpha2={a2}: deviation {x:.3e}")
         st = families.build(spec, max_nmax=20000)
         rep = fock.report(st, 1, math.pi)
         res.checks += 1
@@ -327,6 +296,7 @@ def run_families(samples: int, seed: int) -> SuiteResult:
 
 
 _SUITES = {"spin": run_spin, "fock": run_fock, "families": run_families}
+SUITES = (*_SUITES, "all")
 
 
 def run(suite: str, samples: int, seed: int) -> list[SuiteResult]:
@@ -334,5 +304,5 @@ def run(suite: str, samples: int, seed: int) -> list[SuiteResult]:
     if suite == "all":
         return [fn(samples, seed) for fn in _SUITES.values()]
     if suite not in _SUITES:
-        raise ValueError(f"unknown suite {suite!r}; expected spin, fock, families or all")
+        raise ValueError(f"unknown suite {suite!r}; expected {', '.join(_SUITES)} or all")
     return [_SUITES[suite](samples, seed)]

@@ -616,6 +616,8 @@ def _assert_quotes_state(m, st, k, phi):
 def test_fock_suite_reports_every_failure_in_state_order(monkeypatch):
     # The tolerances fail every det and bound check; the turned number, phase
     # and cross chars fail each state's Hermiticity, phase and Weyl checks.
+    # Per n_max, the table lines come state by state, each state's k = 1, 2, 4
+    # in order, and the per-state lines follow in state order.
     monkeypatch.setattr(verify, "_DET_TOL", 10.0)
     monkeypatch.setattr(verify, "_BOUND_TOL", -10.0)
     turn = np.exp(0.1j)
@@ -625,30 +627,35 @@ def test_fock_suite_reports_every_failure_in_state_order(monkeypatch):
 
     patterns = {
         "det": r"fock n_max=(\d+) k=(\d+): Gram determinant negative \((\S+), (\S+)\); amplitudes=(.*)",
-        "bound": r"fock n_max=(\d+) k=(\d+): certainty bound violated "
-                 r"\(U=(\S+) U'=(\S+) U''=(\S+) V=(\S+)\); amplitudes=(.*)",
+        "bound": r"fock n_max=(\d+) k=(\d+): (U|U'|U''|V)=(\S+) exceeds (\S+); amplitudes=(.*)",
         **_PER_STATE,
     }
-    kinds = ["det", "bound"] * 3 + ["phase", "weyl", "hermitian"]
-    stacked = res.failures[: 3 * 3 * len(kinds)]
-    assert not any("Gram determinant" in msg or "bound violated" in msg
-                   for msg in res.failures[len(stacked):])
+    table_kinds = ["det", "bound", "bound", "bound", "bound"] * 3
+    block = 3 * (len(table_kinds) + 3)  # the lines of one n_max
+    stacked = res.failures[: 3 * block]
+    assert not any("Gram determinant" in msg or " exceeds " in msg for msg in res.failures[len(stacked):])
     for s, (st, k, phi) in enumerate(drawn):
-        msgs = stacked[len(kinds) * s:][: len(kinds)]
-        found = [re.fullmatch(patterns[kind], msg) for kind, msg in zip(kinds, msgs)]
-        assert all(found), msgs
+        lines = stacked[block * (s // 3):][:block]
+        table = lines[len(table_kinds) * (s % 3):][: len(table_kinds)]
+        own = lines[3 * len(table_kinds) + 3 * (s % 3):][:3]
+        found = [re.fullmatch(patterns[kind], msg) for kind, msg in zip(table_kinds, table)]
+        assert all(found), table
         assert all(int(m.group(1)) == st.n_max for m in found)
-        assert [int(m.group(2)) for m in found[:6]] == [1, 1, 2, 2, 4, 4]
-        for m in found[:6]:
+        assert [int(m.group(2)) for m in found] == [1] * 5 + [2] * 5 + [4] * 5
+        for j, m in enumerate(found):
             assert np.array_equal(_quoted(m.group(m.re.groups)), st.amplitudes)
             k_table = int(m.group(2))
             rep = report(st, k_table, math.pi / k_table)
-            if m.re.pattern == patterns["det"]:
+            if j % 5 == 0:
                 assert m.group(3, 4) == (f"{rep.det_plus:.3e}", f"{rep.det_minus:.3e}")
             else:
-                quoted = tuple(float(x) for x in m.group(3, 4, 5, 6))
-                assert quoted == (rep.u, rep.u_prime, rep.u_double_prime, rep.v)
-        for m in found[6:]:
+                name, value, limit = m.group(3), float(m.group(4)), float(m.group(5))
+                assert name == ("U", "U'", "U''", "V")[j % 5 - 1]
+                assert value == {"U": rep.u, "U'": rep.u_prime, "U''": rep.u_double_prime, "V": rep.v}[name]
+                assert limit == (0.5 if name == "V" else 1.0)
+        found = [re.fullmatch(patterns[kind], msg) for kind, msg in zip(("phase", "weyl", "hermitian"), own)]
+        assert all(found), own
+        for m in found:
             _assert_quotes_state(m, st, k, phi)
     assert not any("np.float64(" in msg or "np.complex128(" in msg for msg in res.failures)
 

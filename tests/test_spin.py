@@ -514,14 +514,14 @@ def test_array_char_set_rejects_an_entry_above_one():
 
 def test_batched_spin_suite_reports_every_failure_in_pair_order(monkeypatch):
     # With these tolerances every drawn pair fails its det, U and V checks,
-    # and the triple sum as well where gamma = pi.
+    # and U' <= 1 as well where gamma = pi.
     monkeypatch.setattr(verify, "_BOUND_TOL", -10.0)
     monkeypatch.setattr(verify, "_DET_TOL", 10.0)
     res = verify.run_spin(6, 1)
-    kinds = {"Gram determinant negative": "det", "U=": "U", "V=": "V", "triple sum": "triple"}
+    kinds = {"Gram determinant negative": "det", "U=": "U", "V=": "V", "U'=": "U'"}
     groups: list[tuple[tuple[int, int, int], list[str], set[str]]] = []
     for msg in res.failures:
-        m = re.fullmatch(r"spin d=(\d+) k=(\d+) l=(\d+): (Gram determinant negative|U=|V=|triple sum).*"
+        m = re.fullmatch(r"spin d=(\d+) k=(\d+) l=(\d+): (Gram determinant negative|U=|V=|U'=).*"
                          r"; amplitudes=(.*)", msg)
         assert m is not None, msg
         pair = tuple(int(x) for x in m.group(1, 2, 3))
@@ -540,7 +540,7 @@ def test_batched_spin_suite_reports_every_failure_in_pair_order(monkeypatch):
     assert {(16, 1, 8), (16, 1, 16), (16, 16, 16)} <= set(drawn)
     at_pi = [d % 2 == 0 and (k * ell) % d == d // 2 for d, k, ell in pairs]
     for (_, got, amps), triple in zip(groups, at_pi):
-        assert got == ["det", "U", "V"] + ["triple"] * triple
+        assert got == ["det", "U"] + ["U'"] * triple + ["V"]
         assert len(amps) == 1
     assert len(pairs) == 150 and len(res.failures) == 3 * 150 + sum(at_pi)
     assert res.checks == 150 + 6 + 64 + 49
@@ -563,7 +563,7 @@ def test_stacked_spin_suite_reports_failures_state_by_state(monkeypatch):
     res = verify.run_spin(18, 1)
     blocks: list[tuple[int, str, list[tuple[int, int]]]] = []
     for msg in res.failures:
-        m = re.fullmatch(r"spin d=(\d+) k=(\d+) l=(\d+): (Gram determinant negative|U=|V=|triple sum )"
+        m = re.fullmatch(r"spin d=(\d+) k=(\d+) l=(\d+): (Gram determinant negative|U=|V=|U'=)"
                          r"(\S*).*; amplitudes=(.*)", msg)
         assert m is not None, msg
         d, k, ell = (int(x) for x in m.group(1, 2, 3))
@@ -574,7 +574,7 @@ def test_stacked_spin_suite_reports_failures_state_by_state(monkeypatch):
         if m.group(4) != "Gram determinant negative":
             st = drawn[len(blocks) - 1]
             u, u_prime, _, v = reports.functionals(spin.char_table(st.amplitudes))
-            entry = {"U=": u, "V=": v, "triple sum ": u_prime}[m.group(4)][k - 1, ell - 1]
+            entry = {"U=": u, "V=": v, "U'=": u_prime}[m.group(4)][k - 1, ell - 1]
             assert abs(float(m.group(5)) - float(entry)) <= 1e-15, msg
     dims = (2, 3, 4, 5, 8, 16)
     assert [b[0] for b in blocks] == [d for d in dims for _ in range(3)]
@@ -618,16 +618,20 @@ def test_spin_failure_message_quotes_the_table_entries_its_check_read(monkeypatc
     res = verify.run_spin(6, 1)
     quoted = 0
     for msg in res.failures:
-        m = re.fullmatch(r"spin d=\d+ k=(\d+) l=(\d+): (U=|V=|triple sum )(\S+) exceeds .*; "
-                         r"amplitudes=(.*)", msg)
+        m = re.fullmatch(r"spin d=(\d+) k=(\d+) l=(\d+): (U|V|U')=(\S+) exceeds (\S+); amplitudes=(.*)", msg)
         if m is None:
+            assert msg.split(": ")[1].startswith("Gram determinant negative ("), msg
             continue
-        k, ell = int(m.group(1)), int(m.group(2))
-        u, u_prime, _, v = reports.functionals(spin.char_table(drawn[m.group(5)].amplitudes))
-        entry = {"U=": u, "V=": v, "triple sum ": u_prime}[m.group(3)][k - 1, ell - 1]
-        assert float(m.group(4)) == float(entry), msg
+        d, k, ell = (int(x) for x in m.group(1, 2, 3))
+        u, u_prime, _, v = reports.functionals(spin.char_table(drawn[m.group(7)].amplitudes))
+        entry = {"U": u, "V": v, "U'": u_prime}[m.group(4)][k - 1, ell - 1]
+        assert float(m.group(5)) == float(entry), msg
+        gamma = spin.weyl_angle(SpinSystem(d), k, ell)
+        bound = spin.certainty_bound(gamma)
+        assert float(m.group(6)) == {"U": bound, "V": bound / 2, "U'": 1.0}[m.group(4)], msg
+        assert m.group(4) != "U'" or abs(gamma - math.pi) <= 1e-9, msg
         quoted += 1
-    assert quoted == 2 * 150 + sum("triple sum" in msg for msg in res.failures)
+    assert quoted == 2 * 150 + sum("U'=" in msg for msg in res.failures) > 2 * 150
 
 
 # ---------------------------------------------------------------------------
