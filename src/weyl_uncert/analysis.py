@@ -1,10 +1,10 @@
 """Parameter sweeps, extremum location, and figure datasets.
 
-Scans evaluate the certainty functionals row by row over a family
-parameter grid; extrema are located by a coarse grid followed by
-golden-section refinement (the functionals are smooth but no derivative
-formulas are assumed).  Each standard figure is one row of a table: the
-family template, swept parameter, grid and k of its scan.
+Scans evaluate the certainty functionals over a family parameter grid, one
+``fock.char_table`` pass per run of rows of one n_max; extrema are located by
+such a coarse grid and then golden-section steps, point by point (the
+functionals are smooth but no derivative formulas are assumed).  Each standard
+figure is one row of a table: the family template, swept parameter, grid and k.
 """
 
 from __future__ import annotations
@@ -14,12 +14,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import families, fock
+from . import families, fock, reports
 from .families import FamilySpec
 
 _COARSE_POINTS = 64
 _PARAM_TOL = 1e-6
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Amplitude bytes per char_table pass: under glibc's 128 KiB mmap threshold, a stack never page-faults.
+_RUN_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -64,40 +66,47 @@ class ExtremumResult:
     boundary: bool
 
 
-def _row_at(
-    template: FamilySpec,
-    param_name: str,
-    value: float,
-    k: int,
-    phi: float,
-    cap: int,
-) -> ScanRow:
+def _build(template: FamilySpec, param_name: str, value: float, cap: int) -> fock.FockState:
     try:
-        spec = families.with_param(template, param_name, value)
-        state = families.build(spec, cap)
+        return families.build(families.with_param(template, param_name, value), cap)
     except ValueError as err:
         raise ValueError(f"family build failed at {param_name} = {float(value)!r}: {err}") from err
-    cs = fock.char_set(state, k, phi)
-    rep = fock.report(state, k, phi)
-    return ScanRow(
-        param=float(value),
-        u=rep.u,
-        u_prime=rep.u_prime,
-        u_double_prime=rep.u_double_prime,
-        v=rep.v,
-        abs_number_char=abs(cs.number_char),
-        abs_phase_char=abs(cs.phase_char),
-        abs_cross_char=abs(cs.cross_char),
-        pi_k=cs.pi_k,
-        nbar=fock.mean_photon(state),
-    )
+
+
+def _row_at(template: FamilySpec, param_name: str, value: float, k: int, phi: float, cap: int) -> ScanRow:
+    # Golden-section points only.  Its report (a second char_set) stays for perfbench's pin (ROADMAP 0, 1).
+    state = _build(template, param_name, value, cap)
+    cs, rep = fock.char_set(state, k, phi), fock.report(state, k, phi)
+    return ScanRow(float(value), rep.u, rep.u_prime, rep.u_double_prime, rep.v, abs(cs.number_char),
+                   abs(cs.phase_char), abs(cs.cross_char), cs.pi_k, fock.mean_photon(state))
+
+
+def _rows_at(template: FamilySpec, param_name: str, values, k: int, phi: float, cap: int) -> list[ScanRow]:
+    """Each value's ``_row_at``, bitwise: one ``char_table`` per run of one n_max within ``_RUN_BYTES``."""
+    rows, run = [], []
+
+    def flush() -> None:
+        amps = run[0].amplitudes[None] if len(run) == 1 else np.stack([s.amplitudes for s in run])
+        cs = fock.char_table(amps, k, phi)
+        moduli = [reports._abs(z) for z in (cs.number_char, cs.phase_char, cs.cross_char)]
+        cols = [x.tolist() for x in (*reports.functionals(cs), *moduli, cs.pi_k)]
+        rows.extend(zip(*cols, map(fock.mean_photon, run)))
+        run.clear()
+
+    for x in values:
+        s = _build(template, param_name, x, cap)
+        if run and (s.n_max != run[0].n_max or (len(run) + 1) * s.amplitudes.nbytes > _RUN_BYTES):
+            flush()
+        run.append(s)
+    flush()
+    return [ScanRow(float(x), *r) for x, r in zip(values, rows)]
 
 
 def _grid(lo: float, hi: float, steps: int, log_spaced: bool = False) -> np.ndarray:
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got {lo!r} >= {hi!r}")
+    if not (lo < hi and math.isfinite(float(hi) - float(lo))):
+        raise ValueError(f"need lo < hi at a finite width hi - lo, got lo = {lo!r}, hi = {hi!r}")
     if log_spaced and not lo > 0:
         raise ValueError(f"a log-spaced grid needs lo > 0, got {lo!r}")
     return np.geomspace(lo, hi, steps) if log_spaced else np.linspace(lo, hi, steps)
@@ -118,8 +127,7 @@ def scan(
     # The environment override is read once, before any row, so a bad value
     # is reported as itself and not as the failure of the first row.
     cap = families.truncation_cap(max_nmax)
-    grid = _grid(lo, hi, steps, log_spaced)
-    rows = tuple(_row_at(family_template, param_name, x, k, phi, cap) for x in grid)
+    rows = tuple(_rows_at(family_template, param_name, _grid(lo, hi, steps, log_spaced), k, phi, cap))
     return ScanTable(
         family=families.format_spec(family_template),
         swept_parameter=param_name,
@@ -168,7 +176,7 @@ def find_extremum(
     def f(x: float) -> float:
         return sign * getattr(_row_at(family_template, param_name, x, k, phi, cap), field)
 
-    values = [f(x) for x in grid]
+    values = [sign * getattr(r, field) for r in _rows_at(family_template, param_name, grid, k, phi, cap)]
     best = int(np.argmin(values))
     boundary = best in (0, _COARSE_POINTS - 1)
     a = grid[max(best - 1, 0)]

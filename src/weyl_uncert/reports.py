@@ -57,12 +57,12 @@ class CharSet:
         for name in ("number_char", "phase_char", "cross_char", "weyl"):
             size = abs(getattr(self, name))
             if isinstance(size, np.ndarray):
-                size = float(np.max(size))
+                size = float(size.max())
             if not size <= 1.0 + 1e-12:
                 raise ValueError(f"|{name}| exceeds 1 or is NaN: {size!r}")
         lo = hi = self.pi_k
         if isinstance(lo, np.ndarray):
-            lo, hi = float(np.min(lo)), float(np.max(hi))
+            lo, hi = float(lo.min()), float(hi.max())
         if not -1e-12 <= lo <= hi <= 1.0 + 1e-12:
             raise ValueError(f"pi_k out of [0, 1]: {self.pi_k!r}")
 

@@ -246,7 +246,7 @@ def qubit_char(bloch, k: int = 1, ell: int = 1) -> CharSet:
     s = np.asarray(bloch, dtype=float)
     if s.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got shape {s.shape}")
-    norm = float(np.linalg.norm(s))
+    norm = math.hypot(*s)  # never overflows, where the dot in np.linalg.norm can
     if not norm <= 1.0 + 1e-12:
         raise ValueError(f"Bloch vector must be finite with |s| <= 1, got |s| = {norm!r}")
     z_odd, x_odd = ell % 2 == 1, k % 2 == 1

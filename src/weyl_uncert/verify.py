@@ -8,10 +8,10 @@ operators or test-local slice sums, built apart from the production paths.
 Both systems share three tools.  :func:`_table_failures` runs the Gram
 step and the bounds once on a ``CharSet`` table indexed [state, config]:
 spin's drawn (k, l) pairs of one d, or fock's k = 1, 2, 4 at phi = pi/k of
-one n_max.  :func:`_oracle_off` compares a set with dense <F>, <S>,
-<F^-1 S> and pi_k; :func:`_check` counts every other check.  A failure line
-reads ``<where>: <what>; amplitudes=<state>``; a table entry gives one per
-failed condition, ``Gram determinant negative (det+, det-)`` or
+one n_max.  :func:`_oracle_off` compares a set with dense <F>, <S>, <F^-1 S>
+and pi_k, or with a closed form; :func:`_check` counts every other check.  A
+failure line reads ``<where>: <what>; amplitudes=<state>``; a table entry
+gives one per failed condition, ``Gram determinant negative (det+, det-)`` or
 ``<F>=<value> exceeds <limit>`` for F in U, U', U'', V, state by state,
 then by config.  The checks drawn per state (spin's cyclic phase; fock's
 phase sum, Weyl relation and Hermiticity in phi at the state's own k and
@@ -99,12 +99,20 @@ def _dense_fock_lower(n_dim: int) -> np.ndarray:
     return np.eye(n_dim, k=1, dtype=complex)
 
 
-def _oracle_off(cs: reports.CharSet, c: np.ndarray, f: np.ndarray, s: np.ndarray) -> float:
-    """Largest deviation of ``cs`` from <F>, <S>, <F^-1 S> and pi_k = 1 - <S S^dag>,
-    the weight that S^dag annihilates, for dense matrices of the unitary F and shift S."""
-    ref = (np.vdot(c, f @ c), np.vdot(c, s @ c), np.vdot(c, f.conj().T @ s @ c),
-           1.0 - np.vdot(c, s @ (s.conj().T @ c)).real)
+def _dense_chars(c: np.ndarray, f: np.ndarray, s: np.ndarray) -> tuple:
+    # <F>, <S>, <F^-1 S> and 1 - <S S^dag> (pi_k, the weight S^dag annihilates) for dense F, S.
+    return (np.vdot(c, f @ c), np.vdot(c, s @ c), np.vdot(c, f.conj().T @ s @ c),
+            1.0 - np.vdot(c, s @ (s.conj().T @ c)).real)
+
+
+def _oracle_off(cs: reports.CharSet, *ref) -> float:
+    """Largest deviation of the three characters and pi_k of ``cs`` from the four values ``ref``."""
     return max(abs(x - y) for x, y in zip((cs.number_char, cs.phase_char, cs.cross_char, cs.pi_k), ref))
+
+
+def _closed_form_off(spec: families.FamilySpec, st: fock.FockState, k: int, phi: float) -> float:
+    cf = families.closed_form_char(spec, k, phi)  # families.oracle_check on a state built once
+    return _oracle_off(fock.char_set(st, k, phi), cf.number_char, cf.phase_char, cf.cross_char, cf.pi_k)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +171,8 @@ def run_spin(samples: int, seed: int) -> SuiteResult:
         c, e, f = st.amplitudes, _dense_shift(d), _dense_clock(d)
         for k in range(1, min(d, 3) + 1):
             for l in range(1, min(d, 3) + 1):
-                off = _oracle_off(spin.char_set(st, k, l), c, np.linalg.matrix_power(f, l),
-                                  np.linalg.matrix_power(e, k))
+                off = _oracle_off(spin.char_set(st, k, l), *_dense_chars(
+                    c, np.linalg.matrix_power(f, l), np.linalg.matrix_power(e, k)))
                 _check(res, off, 1e-12,
                        lambda _: f"spin d={d} k={k} l={l}: char set disagrees with dense oracle", c)
 
@@ -217,7 +225,8 @@ def run_fock(samples: int, seed: int) -> SuiteResult:
         for k in (1, 2):
             phi = float(rng.uniform(-math.pi, math.pi))
             rot = np.diag(np.exp(1j * phi * np.arange(n_max + 1)))
-            off = _oracle_off(fock.char_set(st, k, phi), c, rot, np.linalg.matrix_power(e.conj().T, k))
+            shift = np.linalg.matrix_power(e.conj().T, k)
+            off = _oracle_off(fock.char_set(st, k, phi), *_dense_chars(c, rot, shift))
             _check(res, off, 1e-12,
                    lambda _: f"fock n_max={n_max} k={k}: char set disagrees with dense oracle", c)
 
@@ -249,11 +258,11 @@ def run_families(samples: int, seed: int) -> SuiteResult:
         spec = families.PhaseCoherent(r * np.exp(1j * theta))
         k = int(rng.integers(1, 4))
         phi = math.pi if rng.integers(2) else math.pi / 2
-        dev = families.oracle_check(spec, k, phi)
+        c = (st := families.build(spec)).amplitudes
+        dev = _closed_form_off(spec, st, k, phi)
         worst = max(worst, dev)
         _check(res, dev, 1e-10,
                lambda x: f"families phase-coherent xi={spec.xi!r} k={k}: deviation {x:.3e}")
-        c = families.build(spec).amplitudes
         resid = float(np.linalg.norm(np.append(c[1:], 0) - spec.xi * c))  # |E psi - xi psi|
         _check(res, resid, 1e-5,
                lambda x: f"families phase-coherent xi={spec.xi!r}: eigenvector residual {x:.3e}")
@@ -261,35 +270,33 @@ def run_families(samples: int, seed: int) -> SuiteResult:
     for _ in range(max(1, samples // 4)):
         lam = float(rng.uniform(0.2, 3.0))
         spec = families.BesselEigenstate(lam)
-        c = families.build(spec).amplitudes
+        c = (st := families.build(spec)).amplitudes
         # |(n + i lam Edag) psi|, Edag psi on one more level
         resid = float(np.linalg.norm(np.append(np.arange(c.size) * c, 0) + 1j * lam * np.append(0, c)))
         _check(res, resid, 1e-8, lambda x: f"families bessel lambda={lam!r}: eigen-residual {x:.3e}")
         k = int(rng.integers(1, 3))
         phi = (math.pi, math.pi / 2, 1.0)[int(rng.integers(3))]
-        _check(res, families.oracle_check(spec, k, phi), 1e-8,
+        _check(res, _closed_form_off(spec, st, k, phi), 1e-8,
                lambda x: f"families bessel lambda={lam!r} k={k}: deviation {x:.3e}")
 
     for _ in range(max(1, samples // 8)):
         a = float(rng.uniform(0.005, 0.05))
         b = float(rng.choice([0.0, 0.3]))
         spec = families.GaussianNumber(400.0, a, b)
-        _check(res, families.oracle_check(spec, 1, 4.0 * math.sqrt(a)), 1e-10,
+        _check(res, _closed_form_off(spec, families.build(spec), 1, 4.0 * math.sqrt(a)), 1e-10,
                lambda x: f"families gaussian a={a!r} b={b!r}: deviation {x:.3e}")
 
     for a2 in (0.25, 0.5, 0.75):
         spec = families.Intermediate(a2, 3, 0.999)
-        _check(res, families.oracle_check(spec, 1, math.pi, max_nmax=20000), 5e-2,
-               lambda x: f"families intermediate alpha2={a2}: deviation {x:.3e}")
         st = families.build(spec, max_nmax=20000)
+        _check(res, _closed_form_off(spec, st, 1, math.pi), 5e-2,
+               lambda x: f"families intermediate alpha2={a2}: deviation {x:.3e}")
         rep = fock.report(st, 1, math.pi)
         res.checks += 1
         if rep.u_double_prime > 1.0 + _BOUND_TOL:
             res.failures.append(f"families intermediate alpha2={a2}: U'' exceeds 1")
         if abs(rep.u_double_prime - (a2**2 + (1 - a2) ** 2)) > 5e-2:
-            res.failures.append(
-                f"families intermediate alpha2={a2}: U'' far from asymptotic weight sum"
-            )
+            res.failures.append(f"families intermediate alpha2={a2}: U'' far from asymptotic weight sum")
 
     res.stats["max_phase_coherent_deviation"] = worst
     return res

@@ -1,13 +1,16 @@
 """Scans, extremum search and figure datasets."""
 
+import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from scipy import optimize
 
+from weyl_uncert import analysis, families, fock
 from weyl_uncert.analysis import ExtremumResult, figure_dataset, find_extremum, scan
-from weyl_uncert.families import GaussianNumber, NumberState, PhaseCoherent
+from weyl_uncert.families import BesselEigenstate, GaussianNumber, NumberState, PhaseCoherent
 
 
 def u_argmin_t():
@@ -154,3 +157,88 @@ def test_figure2_dataset():
     assert 0 < interior < len(u) - 1
     assert u[interior] < 0.45
     assert x[interior] == pytest.approx(math.pi / 2, rel=0.08)
+
+
+def _bits(row):
+    return [float(v).hex() for v in astuple(row)]
+
+
+def _assert_rows_equal_single_rows(template, name, values, k, phi, cap=4096):
+    rows = analysis._rows_at(template, name, values, k, phi, cap)
+    assert len(rows) == len(values)
+    for x, row in zip(values, rows):
+        assert _bits(row) == _bits(analysis._row_at(template, name, x, k, phi, cap)), x
+
+
+def _recorded_tables(monkeypatch):
+    seen = []
+    char_table = fock.char_table
+
+    def recording(amps, k, phi):
+        seen.append(amps)
+        return char_table(amps, k, phi)
+
+    monkeypatch.setattr(fock, "char_table", recording)
+    return seen
+
+
+@pytest.mark.parametrize("figure_id", [1, 2, 3, 4])
+def test_grid_rows_equal_single_rows_on_every_figure(figure_id, monkeypatch):
+    seen = _recorded_tables(monkeypatch)
+    template, name, lo, hi, steps, k, log_spaced = analysis._FIGURES[figure_id]
+    grid = analysis._grid(lo, hi, steps, log_spaced)
+    _assert_rows_equal_single_rows(template, name, grid, k, math.pi / k)
+    assert all(a.nbytes <= analysis._RUN_BYTES for a in seen if len(a) > 1)
+
+
+def test_grid_rows_equal_single_rows_on_the_extremum_coarse_grid():
+    grid = analysis._grid(0.4, 1.4, analysis._COARSE_POINTS)
+    _assert_rows_equal_single_rows(BesselEigenstate(1.0), "lambda", grid, 1, math.pi)
+
+
+def test_grid_rows_equal_single_rows_where_n_max_rises_and_falls():
+    values = np.array([0.1, 0.5, 0.9, 0.9, 0.5, 0.1, 0.1, 0.95, 0.3])
+    nmax = [families.build(PhaseCoherent(x)).n_max for x in values]
+    assert nmax[2] > nmax[1] > nmax[0] and nmax[7] > nmax[6]
+    _assert_rows_equal_single_rows(PhaseCoherent(0.5), "xi", values, 2, math.pi / 2)
+
+
+def test_a_lone_large_row_is_passed_as_a_view(monkeypatch):
+    seen = _recorded_tables(monkeypatch)
+    build, built = families.build, []
+
+    def recording(spec, cap):
+        built.append(build(spec, cap))
+        return built[-1]
+
+    monkeypatch.setattr(families, "build", recording)
+    rows = analysis._rows_at(PhaseCoherent(0.5), "xi", np.array([0.999]), 1, math.pi, 20000)
+    (state,), (amps,) = built, seen
+    assert state.n_max == 16111 and amps.shape == (1, 16112)
+    assert np.shares_memory(amps, state.amplitudes)
+    assert _bits(rows[0]) == _bits(analysis._row_at(PhaseCoherent(0.5), "xi", 0.999, 1, math.pi, 20000))
+
+
+def test_grid_runs_stay_within_the_byte_budget(monkeypatch):
+    seen = _recorded_tables(monkeypatch)
+    table = figure_dataset(3)  # 151 rows, all at n_max 427
+    assert {len(a[0]) for a in seen} == {428}
+    assert sum(len(a) for a in seen) == len(table.rows) == 151
+    assert max(a.nbytes for a in seen) <= analysis._RUN_BYTES
+    assert len(seen) >= 151 * 428 * 16 / analysis._RUN_BYTES > 10
+
+
+def test_grid_build_failure_names_the_failing_value():
+    with pytest.raises(ValueError, match=r"^family build failed at xi = 1\.5: "):
+        analysis._rows_at(PhaseCoherent(0.5), "xi", np.array([0.1, 0.5, 1.5, 0.2]), 1, math.pi, 4096)
+
+
+def test_scan_rows_hold_python_floats():
+    table = scan(GaussianNumber(400.0, 0.01, 0.0), "b", -0.5, 2.5, 7, 1, math.pi)
+    assert all(type(v) is float for row in table.rows for v in astuple(row))
+    json.dumps([astuple(row) for row in table.rows], allow_nan=False)
+
+
+def test_grid_range_too_wide_for_a_float_is_named():
+    with pytest.raises(ValueError, match=r"finite width hi - lo, got lo = -1e\+308, hi = 1e\+308"):
+        scan(NumberState(0), "n", -1e308, 1e308, 3, 1, math.pi)

@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -529,3 +530,21 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "FAIL: synthetic violation" in out
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["qubit", "--sx", "1e200"], "|s| = 1e+200"),
+    (["scan", "--family", "phase-coherent:xi=0.5", "--param", "xi", "--from", "-1e308",
+      "--to", "1e308", "--steps", "3"], "finite width hi - lo, got lo = -1e+308, hi = 1e+308"),
+    (["extremum", "--family", "number:n=3", "--param", "n", "--functional", "U", "--kind", "min",
+      "--from", "-1e308", "--to", "1e308"], "finite width hi - lo, got lo = -1e+308, hi = 1e+308"),
+])
+def test_overflowing_input_exits_2_without_a_warning(argv, needle, capsys):
+    # Under warnings-as-errors a numpy overflow warning would escape as a traceback.
+    from weyl_uncert import cli
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and needle in err, err

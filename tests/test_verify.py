@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from weyl_uncert import cli, reports, verify
+from weyl_uncert import cli, families, reports, verify
 from weyl_uncert.numerics import det3
 
 
@@ -71,10 +71,11 @@ def test_oracle_off_compares_all_four_fields():
     # s raises |0> to |1>, so its adjoint annihilates |0>, of weight pi_k = 0.36.
     f, s = np.diag([1.0, -1.0]).astype(complex), np.eye(2, k=-1, dtype=complex)
     exact = reports.CharSet(np.vdot(c, f @ c), np.vdot(c, s @ c), np.vdot(c, f.conj().T @ s @ c), 1.0, 0.36)
-    assert verify._oracle_off(exact, c, f, s) <= 1e-15
+    ref = verify._dense_chars(c, f, s)
+    assert verify._oracle_off(exact, *ref) <= 1e-15
     for name, value in (("number_char", exact.number_char + 1e-9), ("phase_char", exact.phase_char - 1e-9j),
                         ("cross_char", exact.cross_char + 1e-9), ("pi_k", 0.36 + 1e-9)):
-        off = verify._oracle_off(reports.CharSet(**{**vars(exact), name: value}), c, f, s)
+        off = verify._oracle_off(reports.CharSet(**{**vars(exact), name: value}), *ref)
         assert off == pytest.approx(1e-9, rel=1e-6)
 
 
@@ -101,3 +102,17 @@ def test_cli_suite_choices_are_verify_suites(monkeypatch, capsys):
         cli._build_parser.cache_clear()
     assert exit_info.value.code == 2
     assert "invalid choice: 'fock' (choose from 'spin', 'all')" in capsys.readouterr().err
+
+
+def test_families_suite_builds_each_drawn_state_once(monkeypatch):
+    # 50 phase-coherent, 25 Bessel, 12 Gaussian and 3 intermediate draws at --samples 100, each
+    # state built once for its closed-form check and its residual or report check.
+    build, built = families.build, []
+
+    def counted(spec, *args, **kwargs):
+        built.append(spec)
+        return build(spec, *args, **kwargs)
+
+    monkeypatch.setattr(families, "build", counted)
+    assert verify.run_families(100, 1).checks == 168
+    assert len(built) == 90
