@@ -160,9 +160,9 @@ def find_extremum(
     """Locate a min or max of one functional over [lo, hi], lo < hi.
 
     A 64-point coarse grid brackets the extremum (assumed unimodal on the
-    interval), then golden-section refinement narrows the parameter to
-    1e-6.  An extremum sitting on the interval boundary is reported with
-    the boundary flag set instead of failing.
+    interval), then golden-section refinement narrows the parameter to 1e-6,
+    or as far as floats can split the bracket (at |param| above about 1e9).
+    An extremum on the interval boundary has the boundary flag set instead of failing.
     """
     cap = families.truncation_cap(max_nmax)
     if functional not in _FIELD_OF_FUNCTIONAL:
@@ -186,7 +186,7 @@ def find_extremum(
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > _PARAM_TOL:
+    while b - a > _PARAM_TOL and a < x1 < x2 < b:  # a split inside (a, b) shrinks it, so this ends
         iterations += 1
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1

@@ -15,9 +15,10 @@ when made.  The two Gram matrices of {psi, exp(+-i phi n) psi, Edag^k /
 E^k psi} differ because E is not unitary: the second carries exp(-i k phi)
 (the Weyl phase) on its cross entry and the weight of the subspace with
 fewer than k photons (pi_k) on its diagonal.  :func:`report` builds them
-with :func:`gram_matrices` (``reports.gram_pair``), as records that check
-nothing, and returns their ``det3`` determinants with the certainty
-functionals U, U', U'', V.
+with :func:`gram_matrices` (``reports.gram_pair``), takes their ``det3``
+determinants and hands both to ``reports.report``, the one recipe of the
+record for both systems: bound 1, all of U, U', U'', V, and every slack at
+the stringent point k*phi = pi (mod 2pi) only.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import det3
-from .reports import CharSet, UncertaintyReport, functionals, gram_pair, unit_amplitudes
+from .reports import CharSet, UncertaintyReport, gram_pair, unit_amplitudes, report as record
 
 _GRID_TOL = 1e-12
 
@@ -115,42 +116,16 @@ def char_table(amps, k: int, phi: float) -> CharSet:
     return CharSet(number, phase, cross, complex(np.exp(-1j * k * phi)), np.minimum(1.0, below))
 
 
-def stringent(k: int, phi: float) -> bool:
-    """True when k*phi is congruent to pi (mod 2pi) within 1e-9."""
-    return abs(math.remainder(k * phi - math.pi, 2.0 * math.pi)) <= 1e-9
-
-
 # report calls the Gram step under this module-level name, so tracing can wrap it.
 gram_matrices = gram_pair
 
 
 def report(state: FockState, k: int, phi: float) -> UncertaintyReport:
-    """Certainty functionals U, U', U'', V with slacks at the stringent point.
-
-    U'' includes the non-unitarity correction pi_k/2 * (1 - |number_char|^2).
-    The unit bounds on all four functionals are only derived at
-    k*phi = pi (mod 2pi); elsewhere the values are still reported but the
-    slack fields are None.
-    """
+    """``reports.report`` of the set at (k, phi) with its Gram determinants: U, U', U''
+    (with the correction pi_k/2 * (1 - |number_char|^2)) and V, slacks at k*phi = pi."""
     cs = char_set(state, k, phi)
     g_plus, g_minus = gram_matrices(cs)
-    det_plus, det_minus = det3(g_plus), det3(g_minus)
-    u, u_prime, u_double_prime, v = functionals(cs)
-    applicable = stringent(k, phi)
-    return UncertaintyReport(
-        u=u,
-        v=v,
-        u_prime=u_prime,
-        u_double_prime=u_double_prime,
-        det_plus=det_plus,
-        det_minus=det_minus,
-        bound=1.0,
-        applicable=applicable,
-        slack_u=(1.0 - u) if applicable else None,
-        slack_u_prime=(1.0 - u_prime) if applicable else None,
-        slack_u_double_prime=(1.0 - u_double_prime) if applicable else None,
-        slack_v=(0.5 - v) if applicable else None,
-    )
+    return record(cs, (det3(g_plus), det3(g_minus)), 1.0, k * phi, True)
 
 
 def phase_distribution(state: FockState, phi_grid: np.ndarray) -> np.ndarray:

@@ -5,6 +5,8 @@ inverse-power cross term and in pi_k (0 for the unitary clock/shift pair).
 :func:`gram_pair` and :func:`functionals` take a :class:`CharSet` of Python
 scalars or of numpy arrays alike: the same code serves one configuration
 and a whole table of them.  Values are checked once, by :class:`CharSet`.
+:func:`report` is the one recipe that turns a set and its two Gram
+determinants into an :class:`UncertaintyReport`, for either system.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from .numerics import Hermitian3
 def unit_amplitudes(amps) -> np.ndarray:
     """A read-only complex copy of ``amps``, checked finite and of unit norm."""
     c = np.array(amps, dtype=complex)
-    # np.linalg.norm's sum.  NaN or +-inf always makes it non-finite: only then test entries.
-    norm = math.sqrt(c.real.dot(c.real) + c.imag.dot(c.imag))
+    # np.linalg.norm's sum, by vdot and in Python floats, which (unlike .dot and numpy
+    # scalars) overflow without a warning.  NaN or +-inf makes it non-finite: only then test entries.
+    norm = math.sqrt(float(np.vdot(c.real, c.real)) + float(np.vdot(c.imag, c.imag)))
     if not math.isfinite(norm) and not np.all(np.isfinite(c.view(float))):
         raise ValueError("amplitudes must be finite")
     if abs(norm - 1.0) > 1e-12:
@@ -119,15 +122,11 @@ class UncertaintyReport:
 
     ``u`` is the sum of squared characteristic-function moduli, ``v`` their
     product, ``u_prime`` adds the squared cross term and ``u_double_prime``
-    additionally the non-unitarity correction (single mode only; None for
-    spin-like systems).
-
-    ``bound`` is the applicable upper bound for ``u`` (and twice the bound
-    for ``v``): the gamma-dependent bound for spin-like systems, 1 for the
-    single mode.  ``applicable`` records whether the configuration sits at
-    the stringent point (gamma = pi, resp. k*phi = pi) where the extended
-    sum relations are derived; outside it the fields that have no derived
-    bound are left as None.
+    additionally the non-unitarity correction.  ``bound`` bounds ``u`` (and
+    twice ``v``): the gamma-dependent bound for a qudit, 1 for the single
+    mode.  ``applicable`` records whether the configuration sits at the
+    stringent point (gamma = pi, resp. k*phi = pi) where the extended sum
+    relations are derived.  :func:`report` sets which fields are None.
     """
 
     u: float
@@ -142,3 +141,29 @@ class UncertaintyReport:
     slack_u_prime: float | None
     slack_u_double_prime: float | None
     slack_v: float | None
+
+
+def report(cs: CharSet, dets: tuple[float, float], bound: float, angle: float,
+           single_mode: bool) -> UncertaintyReport:
+    """The record of ``cs`` and its Gram determinants ``dets``.  ``applicable``: the
+    angle (gamma, or k*phi) is pi mod 2pi within 1e-9.  Slacks bound - U and
+    bound/2 - V where the bound is derived: always for a qudit, at that point for
+    the single mode.  U' is reported for the single mode, and for a qudit at that
+    point; U'' for the single mode only; slacks 1 - U', 1 - U'' at that point only."""
+    u, u_prime, u_double_prime, v = functionals(cs)
+    at_pi = abs(math.remainder(angle - math.pi, 2.0 * math.pi)) <= 1e-9
+    derived = at_pi or not single_mode
+    return UncertaintyReport(
+        u=u,
+        v=v,
+        u_prime=u_prime if single_mode or at_pi else None,
+        u_double_prime=u_double_prime if single_mode else None,
+        det_plus=dets[0],
+        det_minus=dets[1],
+        bound=bound,
+        applicable=at_pi,
+        slack_u=bound - u if derived else None,
+        slack_u_prime=1.0 - u_prime if at_pi else None,
+        slack_u_double_prime=1.0 - u_double_prime if at_pi and single_mode else None,
+        slack_v=bound / 2.0 - v if derived else None,
+    )

@@ -19,7 +19,10 @@ O(d^3) per state: d rolls and one d x d matrix product each.
 Characteristic sets are :class:`reports.CharSet` records whose Weyl phase is
 exp(-i 2pi k l / d) and whose pi_k is 0, since shift^k is unitary.
 :func:`report` and :func:`gram_dets` take their Gram determinants from
-``reports.gram_pair`` and ``det3``, as ``fock.report`` does.
+``reports.gram_pair`` and ``det3``, as ``fock.report`` does, and
+:func:`report` hands them to ``reports.report``, the one recipe of the
+record for both systems: bound ``certainty_bound(gamma)``, U, V and their
+slacks always, U' and its slack at gamma = pi only, no U''.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import det3
-from .reports import CharSet, UncertaintyReport, functionals, gram_pair, unit_amplitudes
+from .reports import CharSet, UncertaintyReport, gram_pair, unit_amplitudes, report as record
 
 @dataclass(frozen=True)
 class SpinSystem:
@@ -207,33 +210,12 @@ def gram_dets(state: QuditState, k: int, ell: int) -> tuple[float, float]:
 
 
 def report(state: QuditState, k: int, ell: int) -> UncertaintyReport:
-    """Certainty relations for one state and one (k, l) configuration.
-
-    The plain sum and the product are bounded for every gamma; the sum
-    including the cross term is only bounded at gamma = pi, so outside that
-    point it is reported as not applicable rather than checked against 1.
-    """
+    """``reports.report`` of the set at (k, l) with its Gram determinants and
+    ``certainty_bound(gamma)``: U' and its slack only at gamma = pi, no U''."""
     cs = char_set(state, k, ell)
-    gamma = weyl_angle(state.system, k, ell)
-    bound = certainty_bound(gamma)
-    u, u_prime, _, v = functionals(cs)
-    applicable = abs(gamma - math.pi) <= 1e-9
     g_plus, g_minus = gram_pair(cs)
-    det_plus, det_minus = det3(g_plus), det3(g_minus)
-    return UncertaintyReport(
-        u=u,
-        v=v,
-        u_prime=u_prime if applicable else None,
-        u_double_prime=None,
-        det_plus=det_plus,
-        det_minus=det_minus,
-        bound=bound,
-        applicable=applicable,
-        slack_u=bound - u,
-        slack_u_prime=(1.0 - u_prime) if applicable else None,
-        slack_u_double_prime=None,
-        slack_v=bound / 2.0 - v,
-    )
+    gamma = weyl_angle(state.system, k, ell)
+    return record(cs, (det3(g_plus), det3(g_minus)), certainty_bound(gamma), gamma, False)
 
 
 def qubit_char(bloch, k: int = 1, ell: int = 1) -> CharSet:

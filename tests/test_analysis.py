@@ -89,6 +89,13 @@ def test_find_extremum_boundary_flag():
     assert res.param == pytest.approx(0.7, abs=0.01)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.2e15), (-1e300, 1e300), (2.0**40, 2.0**40 + 1.0)])
+def test_find_extremum_ends_where_floats_stop_splitting_the_bracket(lo, hi):
+    # Above |b| ~ 1e9 one ulp exceeds the 1e-6 tolerance; the search used to loop forever there.
+    res = find_extremum(GaussianNumber(30.0, 0.05), "b", "U", "min", lo, hi, 1, math.pi)
+    assert lo <= res.param <= hi and res.iterations < 2000
+
+
 def test_find_extremum_validation():
     with pytest.raises(ValueError, match="functional"):
         find_extremum(PhaseCoherent(0.5), "xi", "W", "min", 0.1, 0.9, 1, math.pi)

@@ -3,14 +3,21 @@ pure qubits on the Bloch surface, phase and number eigenstates, and
 phase-coherent states near |xi| = 1.  Examples are derandomized and no
 example database is kept, so every run draws the same cases."""
 
+import contextlib
+import io
+import json
 import math
+import os
+import warnings
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from weyl_uncert import families, fock, reports, spin
+from weyl_uncert import analysis, cli, families, fock, reports, spin, verify
 from weyl_uncert.numerics import det3
 
 EDGE = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -98,3 +105,102 @@ def test_phase_coherent_near_unit_xi_at_the_stringent_point(log_gap, theta, k):
     phi = math.pi / k
     assert fock.report(families.build(spec, max_nmax=20000), k, phi).u <= 1.0 + 1e-9
     assert families.oracle_check(spec, k, phi, max_nmax=20000) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract of the command line, in process
+
+NUMBERS = ("0", "-0.0", "5e-324", "-5e-324", "1e308", "-1e308", "1e400", "-1e400", "nan", "inf", "-inf",
+           "1e-300", "12345678901234567890", "-12345678901234567890", "1+2j", "0.5j", "-1", "abc", "")
+numbers = st.sampled_from(NUMBERS) | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+# Counts that are too small or do not parse (steps <= 7 and samples <= 5 elsewhere).
+counts = st.sampled_from(("1", "0", "-1", "-0.0", "5e-324", "1e400", "nan", "1+2j", "abc", ""))
+
+
+def slot(accepted, adversarial=numbers):
+    # Three times in four a value the command accepts, else an adversarial one.
+    return st.sampled_from((accepted, accepted, accepted, adversarial)).flatmap(lambda values: values)
+
+
+def reals(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+@st.composite
+def adversarial_specs(draw):
+    tag = draw(st.sampled_from((*families.SPEC_KEYS, "nope")))
+    keys = draw(st.lists(st.sampled_from((*families.SPEC_KEYS.get(tag, ()), "bogus")), max_size=4))
+    return f"{tag}:" + ",".join(f"{key}={draw(numbers)}" for key in keys)
+
+
+# (spec, swept parameter, range inside its domain)
+SWEEPS = (("phase-coherent:xi=0.5", "xi", 0.05, 0.9), ("bessel:lambda=1", "lambda", 0.2, 2.0),
+          ("intermediate:alpha2=0.5,n=3,xi=0.5", "alpha2", 0.0, 1.0),
+          ("gaussian:nbar=30,a=0.05,b=0", "b", -0.5, 0.5), ("number:n=3", "n", 1.0, 4.0))
+
+
+@st.composite
+def sweeps(draw):
+    spec, param, lo, hi = draw(st.sampled_from(SWEEPS))
+    a, b = sorted((draw(st.floats(lo, hi)), draw(st.floats(lo, hi))))
+    return ["--family", draw(slot(st.just(spec), adversarial_specs())),
+            "--param", draw(slot(st.just(param), st.sampled_from(("q", "n", "xi")))),
+            "--from", draw(slot(st.just(repr(a)))), "--to", draw(slot(st.just(repr(b))))]
+
+
+def command(name, *parts, **options):
+    # parts: strategies of argv lists, always given; options: each given or left out, None a flag.
+    opts = [st.just([]) | v.map(lambda x, k=k: [k] if x is None else [k, x]) for k, v in options.items()]
+    return st.tuples(*parts, *opts).map(lambda t: [name, *(p for part in t for p in part)])
+
+
+def required(option, values):
+    return values.map(lambda x: [option, x])
+
+
+phase = {"--k": slot(st.sampled_from(("1", "2", "3"))), "--phi-over-pi": slot(reals(-2.0, 2.0))}
+ARGV = st.one_of(
+    command("verify", required("--suite", slot(st.sampled_from(verify.SUITES), st.just("x"))),
+            **{"--samples": slot(st.integers(1, 5).map(str), counts),
+               "--seed": slot(st.integers(0).map(str))}),
+    command("scan", sweeps(), required("--steps", slot(st.integers(2, 7).map(str), counts)),
+            **phase, **{"--log-spaced": st.none(),
+                        "--format": slot(st.sampled_from(("csv", "json")), st.just("xml"))}),
+    command("figure", required("--id", slot(st.sampled_from(("1", "2", "3", "4")))),
+            **{"--format": st.sampled_from(("csv", "json"))}),
+    command("extremum", sweeps(), required("--functional", slot(st.sampled_from(analysis.FUNCTIONALS))),
+            required("--kind", slot(st.sampled_from(("min", "max")))), **phase),
+    command("qubit", **{s: slot(reals(-0.5, 0.5)) for s in ("--sx", "--sy", "--sz")},
+            **{"--k": slot(st.sampled_from(("1", "2"))), "--ell": slot(st.sampled_from(("1", "2")))}),
+    st.lists(st.sampled_from(("", "help", "qubits", "--k", "1", "-1e308")), max_size=3),  # no subcommand
+)
+
+
+@settings(EDGE, max_examples=500)
+@given(ARGV)
+@example(["qubit", "--sx", "1e200"])
+@example(["scan", "--family", "phase-coherent:xi=0.5", "--param", "xi", "--from", "-1e308", "--to", "1e308",
+          "--steps", "3"])
+# A bracket that floats cannot split down to 1e-6:
+@example(["extremum", "--family", "gaussian:nbar=30,a=0.05,b=0", "--param", "b", "--from", "0",
+          "--to", "1e15", "--functional", "U", "--kind", "min"])
+def test_cli_exits_0_or_2_with_one_line_and_prints_no_nan(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {families.TRUNCATION_CAP_ENV: "512"}), warnings.catch_warnings(), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # the parser's usage errors
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2) or (code == 1 and argv[0] == "verify"), (code, err)
+    if code == 2:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        return
+    assert err == ""
+    if argv[0] in ("scan", "figure") and "json" not in argv:
+        cells = {cell.lower() for line in out.splitlines() for cell in line.split(",")}
+        assert not {"nan", "inf", "-inf"} & cells
+    elif argv[0] != "verify":
+        json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in JSON output"))

@@ -1,12 +1,13 @@
 """The tools the verify suites share, and the check counts the suites keep."""
 
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
 
-from weyl_uncert import cli, families, reports, verify
+from weyl_uncert import cli, families, fock, reports, verify
 from weyl_uncert.numerics import det3
 
 
@@ -116,3 +117,21 @@ def test_families_suite_builds_each_drawn_state_once(monkeypatch):
     monkeypatch.setattr(families, "build", counted)
     assert verify.run_families(100, 1).checks == 168
     assert len(built) == 90
+
+
+
+@pytest.mark.parametrize("u2, failing", [
+    (0.5, ["0.25", "0.75"]),  # 0.125 off their weight sum 0.625
+    (0.6, ["0.5"]),
+    (1.0 + 1e-6, ["0.25", "0.5", "0.75"]),  # above 1, whatever the weight sum
+    (math.nan, ["0.25", "0.5", "0.75"]),
+])
+def test_intermediate_u_double_prime_is_one_check_with_one_line(monkeypatch, u2, failing):
+    checks = verify.run_families(8, 1).checks
+    report = fock.report
+    monkeypatch.setattr(fock, "report", lambda *a: dataclasses.replace(report(*a), u_double_prime=u2))
+    res = verify.run_families(8, 1)
+    assert res.checks == checks
+    named = [re.match(r"families intermediate alpha2=(\S+): U''=", f).group(1) for f in res.failures]
+    assert named == failing
+    assert all(f"U''={u2!r} above 1 or " in f for f in res.failures)
