@@ -121,13 +121,10 @@ def scan(
     k: int,
     phi: float,
     log_spaced: bool = False,
-    max_nmax: int | None = None,
+    max_nmax: int = families.DEFAULT_TRUNCATION_CAP,
 ) -> ScanTable:
     """Uniform sweep (linear, or log-spaced on request) with one row per grid point."""
-    # The environment override is read once, before any row, so a bad value
-    # is reported as itself and not as the failure of the first row.
-    cap = families.truncation_cap(max_nmax)
-    rows = tuple(_rows_at(family_template, param_name, _grid(lo, hi, steps, log_spaced), k, phi, cap))
+    rows = tuple(_rows_at(family_template, param_name, _grid(lo, hi, steps, log_spaced), k, phi, max_nmax))
     return ScanTable(
         family=families.format_spec(family_template),
         swept_parameter=param_name,
@@ -155,7 +152,7 @@ def find_extremum(
     hi: float,
     k: int,
     phi: float,
-    max_nmax: int | None = None,
+    max_nmax: int = families.DEFAULT_TRUNCATION_CAP,
 ) -> ExtremumResult:
     """Locate a min or max of one functional over [lo, hi], lo < hi.
 
@@ -164,7 +161,6 @@ def find_extremum(
     or as far as floats can split the bracket (at |param| above about 1e9).
     An extremum on the interval boundary has the boundary flag set instead of failing.
     """
-    cap = families.truncation_cap(max_nmax)
     if functional not in _FIELD_OF_FUNCTIONAL:
         raise ValueError(f"functional must be one of {FUNCTIONALS}, got {functional!r}")
     if kind not in ("min", "max"):
@@ -174,9 +170,9 @@ def find_extremum(
     sign = 1.0 if kind == "min" else -1.0
 
     def f(x: float) -> float:
-        return sign * getattr(_row_at(family_template, param_name, x, k, phi, cap), field)
+        return sign * getattr(_row_at(family_template, param_name, x, k, phi, max_nmax), field)
 
-    values = [sign * getattr(r, field) for r in _rows_at(family_template, param_name, grid, k, phi, cap)]
+    values = [sign * getattr(r, field) for r in _rows_at(family_template, param_name, grid, k, phi, max_nmax)]
     best = int(np.argmin(values))
     boundary = best in (0, _COARSE_POINTS - 1)
     a = grid[max(best - 1, 0)]
@@ -228,7 +224,7 @@ _FIGURES = {
 FIGURE_IDS = tuple(_FIGURES)
 
 
-def figure_dataset(figure_id: int, max_nmax: int | None = None) -> ScanTable:
+def figure_dataset(figure_id: int, max_nmax: int = families.DEFAULT_TRUNCATION_CAP) -> ScanTable:
     """The scan behind one of the standard figures, as its _FIGURES row sets it;
     figure 2's parameter column is a*k^2, swept log-spaced in [0.05, 20]."""
     if figure_id not in FIGURE_IDS:

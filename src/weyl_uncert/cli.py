@@ -124,12 +124,13 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+# scan, figure and extremum read the truncation cap override first, once per
+# command, so a bad value is reported as itself and not as a failed row.
 def _cmd_scan(args) -> int:
+    cap = families.truncation_cap()
     spec = families.parse_spec(args.family)
     x, phi = _resolve_phi(args.phi_over_pi, args.k)
-    table = analysis.scan(
-        spec, args.param, args.lo, args.hi, args.steps, args.k, phi, log_spaced=args.log_spaced
-    )
+    table = analysis.scan(spec, args.param, args.lo, args.hi, args.steps, args.k, phi, args.log_spaced, cap)
     parameters = {
         "family": args.family,
         "param": args.param,
@@ -145,15 +146,17 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    _emit_table(args, "figure", {"id": args.id}, analysis.figure_dataset(args.id))
+    cap = families.truncation_cap()
+    _emit_table(args, "figure", {"id": args.id}, analysis.figure_dataset(args.id, cap))
     return 0
 
 
 def _cmd_extremum(args) -> int:
+    cap = families.truncation_cap()
     spec = families.parse_spec(args.family)
     x, phi = _resolve_phi(args.phi_over_pi, args.k)
     res = analysis.find_extremum(
-        spec, args.param, args.functional, args.kind, args.lo, args.hi, args.k, phi
+        spec, args.param, args.functional, args.kind, args.lo, args.hi, args.k, phi, cap
     )
     parameters = {
         "family": args.family,
@@ -261,8 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "commutation relations.",
         epilog="Family specs are 'tag:key=value,...' with no spaces; tags and keys:\n"
         + "".join(f"  {tag}: {', '.join(keys)}\n" for tag, keys in families.SPEC_KEYS.items())
-        + f"The truncation cap (default {families.DEFAULT_TRUNCATION_CAP}) can be "
-        f"overridden via {families.TRUNCATION_CAP_ENV}.",
+        + f"The n_max cap of scan, figure and extremum (default {families.DEFAULT_TRUNCATION_CAP}) "
+        f"can be\noverridden via {families.TRUNCATION_CAP_ENV}.",
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)

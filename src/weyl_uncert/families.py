@@ -57,11 +57,9 @@ class FamilySpecError(ValueError):
         self.position = position
 
 
-def truncation_cap(max_nmax: int | None = None) -> int:
-    """Active n_max cap: max_nmax if given, else the override environment
-    variable or the default."""
-    if max_nmax is not None:
-        return int(max_nmax)
+def truncation_cap() -> int:
+    """The n_max cap a command line asks for: the override environment
+    variable if set, else the default.  The library itself never reads it."""
     env = os.environ.get(TRUNCATION_CAP_ENV)
     if env:
         try:
@@ -327,7 +325,7 @@ def _family(spec: FamilySpec) -> FamilySpec:
     return spec
 
 
-def build(spec: FamilySpec, max_nmax: int | None = None) -> FockState:
+def build(spec: FamilySpec, max_nmax: int = DEFAULT_TRUNCATION_CAP) -> FockState:
     """Normalized truncated state for a family spec, tail certified.
 
     Truncation points are chosen so the discarded probability mass is below
@@ -335,7 +333,7 @@ def build(spec: FamilySpec, max_nmax: int | None = None) -> FockState:
     in an extended space); amplitudes are renormalized exactly on the
     truncated lattice.  Exceeding the n_max cap is an error.
     """
-    return _family(spec)._build(truncation_cap(max_nmax))
+    return _family(spec)._build(max_nmax)
 
 
 def closed_form_char(spec: FamilySpec, k: int, phi: float) -> CharSet:
@@ -361,7 +359,7 @@ def closed_form_char(spec: FamilySpec, k: int, phi: float) -> CharSet:
     return _family(spec)._closed_form(k, phi, np.exp(-1j * k * phi))
 
 
-def oracle_check(spec: FamilySpec, k: int, phi: float, max_nmax: int | None = None) -> float:
+def oracle_check(spec: FamilySpec, k: int, phi: float, max_nmax: int = DEFAULT_TRUNCATION_CAP) -> float:
     """Largest entrywise deviation between the amplitude-sum and the closed-form
     characteristic set: the three complex characters, phases included, and
     pi_k.  Raises ClosedFormUnavailable when no closed form applies.

@@ -109,7 +109,8 @@ def char_table(amps, k: int, phi: float) -> CharSet:
     """:func:`char_set` of each row of ``amps``, unit amplitude rows of one
     n_max taken as given, as one record of arrays over the rows.  Each row
     sums along its own length-one axis, so every product is the one-state
-    dot: row i is bitwise ``char_set`` of row i, and BLAS never threads."""
+    dot: row i is bitwise ``char_set`` of row i at one BLAS thread count (a
+    dot as long as n_max 16111 threads, and its last bits follow the count)."""
     k = _check_k(k)
     c = np.asarray(amps, dtype=complex)[..., None, :]
     number, phase, cross, below = (x[..., 0] for x in _sums(c, k, phi))

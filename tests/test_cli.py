@@ -224,12 +224,18 @@ def test_log_spaced_scan_with_nonpositive_start_exits_2():
 
 
 def test_out_of_range_alpha2_prints_a_plain_float():
+    # Out of range at a grid point, when the row is built, and in the spec, when it is parsed.
     proc = run_cli(
         "scan", "--family", "intermediate:alpha2=0.5,n=3,xi=0.5", "--param", "alpha2",
         "--from", "0", "--to", "2", "--steps", "3",
     )
     assert_one_line_error(proc, "alpha2 must lie in [0, 1], got 2.0")
     assert "np.float64" not in proc.stderr
+    proc = run_cli(
+        "scan", "--family", "intermediate:alpha2=1.5,n=3,xi=0.5", "--param", "xi",
+        "--from", "0.1", "--to", "0.2", "--steps", "2",
+    )
+    assert_one_line_error(proc, "invalid family spec: alpha2 must lie in [0, 1], got 1.5")
 
 
 @pytest.mark.parametrize("spec", ["number:n=3", "intermediate:alpha2=0.5,n=3,xi=0.5"])

@@ -167,7 +167,7 @@ def test_truncation_cap_enforced():
 def test_truncation_cap_env_override(monkeypatch):
     monkeypatch.setenv(families.TRUNCATION_CAP_ENV, str(BIG_CAP))
     assert truncation_cap() == BIG_CAP
-    st = build(PhaseCoherent(0.999))
+    st = build(PhaseCoherent(0.999), truncation_cap())
     assert st.n_max > 10000
     monkeypatch.delenv(families.TRUNCATION_CAP_ENV)
     assert truncation_cap() == families.DEFAULT_TRUNCATION_CAP
@@ -176,6 +176,16 @@ def test_truncation_cap_env_override(monkeypatch):
         message = f"{families.TRUNCATION_CAP_ENV} must be an integer >= 16, got '{bad}'"
         with pytest.raises(ValueError, match=re.escape(message)):
             truncation_cap()
+
+
+def test_library_ignores_the_truncation_cap_override(monkeypatch):
+    # Only the CLI reads the variable; a library call takes its cap as max_nmax.
+    monkeypatch.setenv(families.TRUNCATION_CAP_ENV, "16")
+    assert build(PhaseCoherent(0.9)).n_max == 153
+    assert oracle_check(PhaseCoherent(0.9), 1, math.pi) <= 1e-12
+    assert len(analysis.scan(PhaseCoherent(0.9), "xi", 0.8, 0.9, 2, 1, math.pi).rows) == 2
+    with pytest.raises(ValueError, match="the cap is 16 "):
+        build(PhaseCoherent(0.9), max_nmax=16)
 
 
 # ---------------------------------------------------------------------------

@@ -135,3 +135,11 @@ def test_intermediate_u_double_prime_is_one_check_with_one_line(monkeypatch, u2,
     named = [re.match(r"families intermediate alpha2=(\S+): U''=", f).group(1) for f in res.failures]
     assert named == failing
     assert all(f"U''={u2!r} above 1 or " in f for f in res.failures)
+
+
+@pytest.mark.parametrize("cap", ["256", "abc"])
+def test_verify_ignores_the_truncation_cap_override(monkeypatch, cap):
+    # At seed 3 the families suite builds a state at n_max 422; only the CLI reads the variable.
+    want = verify.run("all", 5, 3)
+    monkeypatch.setenv(families.TRUNCATION_CAP_ENV, cap)
+    assert verify.run("all", 5, 3) == want
