@@ -1,10 +1,10 @@
 """Parameter sweeps, extremum location, and figure datasets.
 
-Scans evaluate the certainty functionals over a family parameter grid, one
-``fock.char_table`` pass per run of rows of one n_max; extrema are located by
-such a coarse grid and then golden-section steps, point by point (the
-functionals are smooth but no derivative formulas are assumed).  Each standard
-figure is one row of a table: the family template, swept parameter, grid and k.
+Scans evaluate the certainty functionals over a family parameter grid in one
+``fock.char_table`` and one ``reports.functionals`` pass, fed runs of one n_max as the
+states are built; extrema are located by such a coarse grid, then golden-section steps,
+point by point (the functionals are smooth but no derivative formulas are assumed).
+Each standard figure is one row of a table: the family template, swept parameter, grid, k.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .families import FamilySpec
 _COARSE_POINTS = 64
 _PARAM_TOL = 1e-6
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# Amplitude bytes per char_table pass: under glibc's 128 KiB mmap threshold, a stack never page-faults.
+# Amplitude bytes per stacked run: under glibc's 128 KiB mmap threshold, a stack never page-faults.
 _RUN_BYTES = 64 * 1024
 
 
@@ -82,24 +82,27 @@ def _row_at(template: FamilySpec, param_name: str, value: float, k: int, phi: fl
 
 
 def _rows_at(template: FamilySpec, param_name: str, values, k: int, phi: float, cap: int) -> list[ScanRow]:
-    """Each value's ``_row_at``, bitwise: one ``char_table`` per run of one n_max within ``_RUN_BYTES``."""
-    rows, run = [], []
+    """Each value's ``_row_at``, bitwise: one ``char_table`` of runs of one n_max within ``_RUN_BYTES``."""
+    run, nbar = [], []
 
-    def flush() -> None:
+    def cut() -> np.ndarray:
         amps = run[0].amplitudes[None] if len(run) == 1 else np.stack([s.amplitudes for s in run])
-        cs = fock.char_table(amps, k, phi)
-        moduli = [reports._abs(z) for z in (cs.number_char, cs.phase_char, cs.cross_char)]
-        cols = [x.tolist() for x in (*reports.functionals(cs), *moduli, cs.pi_k)]
-        rows.extend(zip(*cols, map(fock.mean_photon, run)))
+        nbar.append(fock.mean_photon(amps))
         run.clear()
+        return amps
 
-    for x in values:
-        s = _build(template, param_name, x, cap)
-        if run and (s.n_max != run[0].n_max or (len(run) + 1) * s.amplitudes.nbytes > _RUN_BYTES):
-            flush()
-        run.append(s)
-    flush()
-    return [ScanRow(float(x), *r) for x, r in zip(values, rows)]
+    def runs():
+        for x in values:
+            s = _build(template, param_name, x, cap)
+            if run and (s.n_max != run[0].n_max or (len(run) + 1) * s.amplitudes.nbytes > _RUN_BYTES):
+                yield cut()
+            run.append(s)
+        yield cut()
+
+    cs = fock.char_table(runs(), k, phi)
+    moduli = [reports._abs(z) for z in (cs.number_char, cs.phase_char, cs.cross_char)]
+    cols = [x.tolist() for x in (*reports.functionals(cs), *moduli, cs.pi_k, np.concatenate(nbar))]
+    return [ScanRow(float(x), *r) for x, r in zip(values, zip(*cols))]
 
 
 def _grid(lo: float, hi: float, steps: int, log_spaced: bool = False) -> np.ndarray:

@@ -5,10 +5,10 @@ of phase is the one-sided-unitary operator E with E|n+1> = |n> (the
 Susskind-Glogower shift).  No operator is applied: inside the sums, E^k
 pairs c_{n+k} with c_n (the slices c[k:] and c[:-k]), and exp(i phi n) is
 a diagonal phase read from the one table kept for the last phi.
-Characteristic functions are O(n_max) sums over amplitudes, of one state
-or (:func:`char_table`) of a stack of them; the phase density on a
-periodic grid of M points is one length-M FFT (other grids are rejected).
-Dense operators are test oracles.
+Characteristic functions are O(n_max) sums over amplitudes, of one state or
+(:func:`char_table`) of stacks of them, read one at a time into one table checked
+once; the phase density on a periodic grid of M points is one length-M FFT (other
+grids are rejected).  Dense operators are test oracles.
 
 Characteristic sets are :class:`reports.CharSet` records, checked once
 when made.  The two Gram matrices of {psi, exp(+-i phi n) psi, Edag^k /
@@ -105,15 +105,15 @@ def char_set(state: FockState, k: int, phi: float) -> CharSet:
                    min(1.0, float(below)))
 
 
-def char_table(amps, k: int, phi: float) -> CharSet:
-    """:func:`char_set` of each row of ``amps``, unit amplitude rows of one
-    n_max taken as given, as one record of arrays over the rows.  Each row
-    sums along its own length-one axis, so every product is the one-state
-    dot: row i is bitwise ``char_set`` of row i at one BLAS thread count (a
-    dot as long as n_max 16111 threads, and its last bits follow the count)."""
+def char_table(stacks, k: int, phi: float) -> CharSet:
+    """:func:`char_set` of each row of ``stacks``, read one at a time, each of unit amplitude
+    rows of one n_max taken as given, as one record of arrays over all rows, checked once.
+    Each row sums along its own length-one axis, so every product is the one-state dot: row
+    i is bitwise ``char_set`` of row i at one BLAS thread count (a dot as long as n_max
+    16111 threads, and its last bits follow the count)."""
     k = _check_k(k)
-    c = np.asarray(amps, dtype=complex)[..., None, :]
-    number, phase, cross, below = (x[..., 0] for x in _sums(c, k, phi))
+    cols = zip(*(_sums(np.asarray(amps, dtype=complex)[..., None, :], k, phi) for amps in stacks))
+    number, phase, cross, below = (np.concatenate([x[..., 0] for x in col]) for col in cols)
     return CharSet(number, phase, cross, complex(np.exp(-1j * k * phi)), np.minimum(1.0, below))
 
 
@@ -158,10 +158,12 @@ def phase_distribution(state: FockState, phi_grid: np.ndarray) -> np.ndarray:
     return np.abs(amp) ** 2 / (2.0 * math.pi)
 
 
-def mean_photon(state: FockState) -> float:
-    """Mean photon number sum_n n |c_n|^2."""
-    n = np.arange(state.amplitudes.size)
-    return float(n @ (np.abs(state.amplitudes) ** 2))
+def mean_photon(state) -> float | np.ndarray:
+    """Mean photon number sum_n n |c_n|^2 of a FockState, or of each row of a stack of
+    amplitude rows of one n_max as an array, by one dot per row: bitwise its state's."""
+    c = state.amplitudes if isinstance(state, FockState) else np.asarray(state)
+    nbar = (np.arange(c.shape[-1]) @ (np.abs(c) ** 2)[..., None])[..., 0]
+    return float(nbar) if isinstance(state, FockState) else nbar
 
 
 def random_state(n_max: int, rng: np.random.Generator) -> FockState:

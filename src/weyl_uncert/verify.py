@@ -199,7 +199,7 @@ def run_fock(samples: int, seed: int) -> SuiteResult:
             k = int(rng.integers(1, min(8, n_max) + 1))
             drawn.append((st, k, float(rng.uniform(-math.pi, math.pi))))
         states = [st.amplitudes for st, _, _ in drawn]
-        per_k = zip(*(vars(fock.char_table(states, k, math.pi / k)).values() for k in ks))
+        per_k = zip(*(vars(fock.char_table([states], k, math.pi / k)).values() for k in ks))
         table = reports.CharSet(*(np.stack(np.broadcast_arrays(*x), axis=-1) for x in per_k))
         limits = {"U": 1.0, "U'": 1.0, "U''": 1.0, "V": 0.5}
         where = [f"fock n_max={n_max} k={k}" for k in ks]

@@ -2,13 +2,14 @@
 
 import json
 import math
+from collections import Counter
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 from scipy import optimize
 
-from weyl_uncert import analysis, families, fock
+from weyl_uncert import analysis, families, fock, reports
 from weyl_uncert.analysis import ExtremumResult, figure_dataset, find_extremum, scan
 from weyl_uncert.families import BesselEigenstate, GaussianNumber, NumberState, PhaseCoherent
 
@@ -178,12 +179,16 @@ def _assert_rows_equal_single_rows(template, name, values, k, phi, cap=4096):
 
 
 def _recorded_tables(monkeypatch):
+    # The stacked runs, one per entry, in the order fock.char_table reads them.
     seen = []
     char_table = fock.char_table
 
-    def recording(amps, k, phi):
-        seen.append(amps)
-        return char_table(amps, k, phi)
+    def recording(stacks, k, phi):
+        def record(amps):
+            seen.append(amps)
+            return amps
+
+        return char_table(map(record, stacks), k, phi)
 
     monkeypatch.setattr(fock, "char_table", recording)
     return seen
@@ -195,7 +200,37 @@ def test_grid_rows_equal_single_rows_on_every_figure(figure_id, monkeypatch):
     template, name, lo, hi, steps, k, log_spaced = analysis._FIGURES[figure_id]
     grid = analysis._grid(lo, hi, steps, log_spaced)
     _assert_rows_equal_single_rows(template, name, grid, k, math.pi / k)
+    assert seen and sum(len(a) for a in seen) == len(grid)
     assert all(a.nbytes <= analysis._RUN_BYTES for a in seen if len(a) > 1)
+
+
+def test_a_grid_is_one_table_checked_once(monkeypatch):
+    seen, calls = _recorded_tables(monkeypatch), Counter()
+    functionals, post_init = reports.functionals, reports.CharSet.__post_init__
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return counted
+
+    monkeypatch.setattr(reports, "functionals", counting("functionals", functionals))
+    monkeypatch.setattr(reports.CharSet, "__post_init__", counting("check", post_init))
+    table = figure_dataset(2)
+    assert (len(table.rows), len(seen)) == (160, 131)
+    assert calls == {"functionals": 1, "check": 1}
+
+
+def test_grid_nbar_is_bitwise_the_one_state_dot():
+    # One grid whose runs include the lone n_max 16111 row, whose dot is long enough to thread.
+    values = np.array([0.5, 0.999, 0.9, 0.9])
+    rows = analysis._rows_at(PhaseCoherent(0.5), "xi", values, 1, math.pi, 20000)
+    states = [families.build(PhaseCoherent(x), 20000) for x in values]
+    assert states[1].n_max == 16111
+    for row, st in zip(rows, states):
+        c = st.amplitudes
+        assert row.nbar.hex() == fock.mean_photon(st).hex() == float(np.arange(c.size) @ np.abs(c) ** 2).hex()
 
 
 def test_grid_rows_equal_single_rows_on_the_extremum_coarse_grid():
@@ -238,6 +273,21 @@ def test_grid_runs_stay_within_the_byte_budget(monkeypatch):
 def test_grid_build_failure_names_the_failing_value():
     with pytest.raises(ValueError, match=r"^family build failed at xi = 1\.5: "):
         analysis._rows_at(PhaseCoherent(0.5), "xi", np.array([0.1, 0.5, 1.5, 0.2]), 1, math.pi, 4096)
+
+
+def test_a_grid_builds_its_states_as_it_reads_them(monkeypatch):
+    # Runs stream, with no list of all states: 0.5 (another n_max) cuts the run of 0.1, which
+    # char_table reads before 1.5 fails; 0.2 is never built.
+    seen, build, built = _recorded_tables(monkeypatch), families.build, []
+
+    def recording(spec, cap):
+        built.append(spec.xi.real)
+        return build(spec, cap)
+
+    monkeypatch.setattr(families, "build", recording)
+    with pytest.raises(ValueError, match=r"xi = 1\.5"):
+        analysis._rows_at(PhaseCoherent(0.5), "xi", np.array([0.1, 0.5, 1.5, 0.2]), 1, math.pi, 4096)
+    assert built == [0.1, 0.5] and [len(a) for a in seen] == [1]
 
 
 def test_scan_rows_hold_python_floats():
