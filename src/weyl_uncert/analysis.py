@@ -42,17 +42,11 @@ class ScanRow:
 class ScanTable:
     """Rows of functional values over a strictly ascending parameter grid."""
 
-    family: str
     swept_parameter: str
-    k: int
-    phase_arg: float
     rows: tuple[ScanRow, ...]
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows])
-
-    def params(self) -> np.ndarray:
-        return self.column("param")
 
 
 @dataclass(frozen=True)
@@ -127,14 +121,8 @@ def scan(
     max_nmax: int = families.DEFAULT_TRUNCATION_CAP,
 ) -> ScanTable:
     """Uniform sweep (linear, or log-spaced on request) with one row per grid point."""
-    rows = tuple(_rows_at(family_template, param_name, _grid(lo, hi, steps, log_spaced), k, phi, max_nmax))
-    return ScanTable(
-        family=families.format_spec(family_template),
-        swept_parameter=param_name,
-        k=int(k),
-        phase_arg=float(phi),
-        rows=rows,
-    )
+    grid = _grid(lo, hi, steps, log_spaced)
+    return ScanTable(param_name, tuple(_rows_at(family_template, param_name, grid, k, phi, max_nmax)))
 
 
 _FIELD_OF_FUNCTIONAL = {

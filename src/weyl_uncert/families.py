@@ -359,13 +359,13 @@ def closed_form_char(spec: FamilySpec, k: int, phi: float) -> CharSet:
     return _family(spec)._closed_form(k, phi, np.exp(-1j * k * phi))
 
 
-def oracle_check(spec: FamilySpec, k: int, phi: float, max_nmax: int = DEFAULT_TRUNCATION_CAP) -> float:
-    """Largest entrywise deviation between the amplitude-sum and the closed-form
-    characteristic set: the three complex characters, phases included, and
-    pi_k.  Raises ClosedFormUnavailable when no closed form applies.
+def oracle_check(spec: FamilySpec, state: fock.FockState, k: int, phi: float) -> float:
+    """Largest entrywise deviation between the amplitude-sum set of ``state`` (built
+    from ``spec``) and the closed-form set: the three complex characters, phases
+    included, and pi_k.  Raises ClosedFormUnavailable when no closed form applies.
     """
     cf = closed_form_char(spec, k, phi)
-    num = fock.char_set(build(spec, max_nmax), k, phi)
+    num = fock.char_set(state, k, phi)
     return max(abs(num.number_char - cf.number_char), abs(num.phase_char - cf.phase_char),
                abs(num.cross_char - cf.cross_char), abs(num.pi_k - cf.pi_k))
 

@@ -171,24 +171,23 @@ def char_table(amps) -> CharSet:
     """Characteristic sets of every pair (k, l), k, l = 1..d, as one record.
 
     ``amps`` is one state's amplitudes, or a stack of such rows of one system
-    along leading axes, taken as given.  The fields broadcast to (..., d, d),
-    entry [..., k-1, l-1] being ``char_set(state, k, l)`` of that row up to
-    rounding (weyl exactly): number_char has shape (..., 1, d), phase_char
-    (..., d, 1), weyl (d, d).  Both powers have period d up to a sign, so
-    these d^2 entries give every pair.  The clock phases are formed once and
-    the d rolls shift^k psi once per row, contiguous, so each product is the
-    one-state BLAS call: a stacked row is bitwise its state's own table.
+    along leading axes, taken as given.  Every field is a read-only broadcast
+    view of shape (..., d, d), entry [..., k-1, l-1] being ``char_set(state, k,
+    l)`` of that row up to rounding (weyl and pi_k = 0 exactly).  Both powers
+    have period d up to a sign, so these d^2 entries give every pair.  The
+    clock phases are formed once and the d rolls shift^k psi once per row,
+    contiguous, so each product is the one-state BLAS call: a stacked row is
+    bitwise its state's own table.
     """
     c = np.asarray(amps)
     d = c.shape[-1]
     powers = np.arange(1, d + 1)
     f = _unit_phases(d, powers[:, None])
     w = np.take(_wrapped(d, c.T).T, d + np.arange(d) - powers[:, None], axis=-1)  # [..., k-1, :]: shift^k c
-    number_char = np.swapaxes(f @ (np.abs(c) ** 2)[..., None], -1, -2)
-    phase_char = w @ c.conj()[..., None]
     cross_char = w @ np.swapaxes((f * c[..., None, :]).conj(), -1, -2)
-    weyl = _weyl_phase(d, powers[:, None], powers[None, :])
-    return CharSet(number_char, phase_char, cross_char, weyl)
+    fields = (np.swapaxes(f @ (np.abs(c) ** 2)[..., None], -1, -2), w @ c.conj()[..., None], cross_char,
+              _weyl_phase(d, powers[:, None], powers[None, :]), 0.0)
+    return CharSet(*(np.broadcast_to(x, cross_char.shape) for x in fields))
 
 
 def cyclic_phase(state: QuditState, k: int, ell: int) -> complex:

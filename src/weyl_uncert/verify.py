@@ -8,14 +8,16 @@ operators or test-local slice sums, built apart from the production paths.
 Both systems share three tools.  :func:`_table_failures` runs the Gram
 step and the bounds once on a ``CharSet`` table indexed [state, config]:
 spin's drawn (k, l) pairs of one d, or fock's k = 1, 2, 4 at phi = pi/k of
-one n_max.  :func:`_oracle_off` compares a set with dense <F>, <S>, <F^-1 S>
-and pi_k, or with a closed form; :func:`_check` counts every other check.  A
-failure line reads ``<where>: <what>; amplitudes=<state>``; a table entry
-gives one per failed condition, ``Gram determinant negative (det+, det-)`` or
+one n_max.  :func:`_oracle_off` compares a set, from ``char_set`` or a table
+entry, with dense <F>, <S>, <F^-1 S> and pi_k; :func:`_check` counts every
+other check, such as ``families.oracle_check``'s closed forms.  A failure
+line reads ``<where>: <what>; amplitudes=<state>``; a table entry gives one
+per failed condition, ``Gram determinant negative (det+, det-)`` or
 ``<F>=<value> exceeds <limit>`` for F in U, U', U'', V, state by state,
 then by config.  The checks drawn per state (spin's cyclic phase; fock's
 phase sum, Weyl relation and Hermiticity in phi at the state's own k and
-phi) follow the table lines of their dimension.
+phi) follow the table lines of their dimension, and spin's dense oracle of
+its first state follows them.
 """
 
 from __future__ import annotations
@@ -110,11 +112,6 @@ def _oracle_off(cs: reports.CharSet, *ref) -> float:
     return max(abs(x - y) for x, y in zip((cs.number_char, cs.phase_char, cs.cross_char, cs.pi_k), ref))
 
 
-def _closed_form_off(spec: families.FamilySpec, st: fock.FockState, k: int, phi: float) -> float:
-    cf = families.closed_form_char(spec, k, phi)  # families.oracle_check on a state built once
-    return _oracle_off(fock.char_set(st, k, phi), cf.number_char, cf.phase_char, cf.cross_char, cf.pi_k)
-
-
 # ---------------------------------------------------------------------------
 # spin suite
 
@@ -147,8 +144,7 @@ def run_spin(samples: int, seed: int) -> SuiteResult:
             drawn.append((st, int(rng.integers(1, 2 * d + 1)), int(rng.integers(1, 2 * d + 1))))
         states = [st.amplitudes for st, _, _ in drawn]
         full = vars(spin.char_table(np.array(states))).values()
-        shape = np.broadcast_shapes(*map(np.shape, full))
-        table = reports.CharSet(*(np.broadcast_to(x, shape)[at] for x in full))
+        table = reports.CharSet(*(x[at] for x in full))
         at_pi = np.abs(np.array(gammas) - math.pi) <= 1e-9
         limits = {"U": bound, "U'": np.where(at_pi, 1.0, math.inf), "V": bound / 2}
         where = ["spin d={} k={} l={}".format(d, *pair) for pair in pairs]
@@ -157,6 +153,14 @@ def run_spin(samples: int, seed: int) -> SuiteResult:
             off = abs(spin.cyclic_phase(st, k, l) - np.exp(-2j * math.pi * ((k * l) % d) / d))
             _check(res, off, 1e-10, lambda _: f"spin d={d}: cyclic excursion phase off at k={k} l={l}",
                    st.amplitudes)
+        # The first state's char sets, and its entries of the table, against dense clock^l and shift^k.
+        st, c, e, f = drawn[0][0], states[0], _dense_shift(d), _dense_clock(d)
+        for k in range(1, min(d, 3) + 1):
+            for l in range(1, min(d, 3) + 1):
+                ref = _dense_chars(c, np.linalg.matrix_power(f, l), np.linalg.matrix_power(e, k))
+                entry = reports.CharSet(*(x[0, k - 1, l - 1] for x in full))
+                _check(res, max(_oracle_off(spin.char_set(st, k, l), *ref), _oracle_off(entry, *ref)), 1e-12,
+                       lambda _: f"spin d={d} k={k} l={l}: char set or table disagrees with dense oracle", c)
 
     for d in dims + (32, 64):
         system = spin.SpinSystem(d)
@@ -165,16 +169,6 @@ def run_spin(samples: int, seed: int) -> SuiteResult:
             l = int(rng.integers(1, 2 * d + 1))
             _check(res, spin.weyl_defect(system, k, l), 1e-12,
                    lambda x: f"spin d={d}: Weyl defect {x:.3e} at k={k} l={l}")
-
-    for d in dims:
-        st = spin.random_state(spin.SpinSystem(d), rng)
-        c, e, f = st.amplitudes, _dense_shift(d), _dense_clock(d)
-        for k in range(1, min(d, 3) + 1):
-            for l in range(1, min(d, 3) + 1):
-                off = _oracle_off(spin.char_set(st, k, l), *_dense_chars(
-                    c, np.linalg.matrix_power(f, l), np.linalg.matrix_power(e, k)))
-                _check(res, off, 1e-12,
-                       lambda _: f"spin d={d} k={k} l={l}: char set disagrees with dense oracle", c)
 
     res.stats["min_gram_det"] = min_det
     return res
@@ -225,10 +219,11 @@ def run_fock(samples: int, seed: int) -> SuiteResult:
         for k in (1, 2):
             phi = float(rng.uniform(-math.pi, math.pi))
             rot = np.diag(np.exp(1j * phi * np.arange(n_max + 1)))
-            shift = np.linalg.matrix_power(e.conj().T, k)
-            off = _oracle_off(fock.char_set(st, k, phi), *_dense_chars(c, rot, shift))
-            _check(res, off, 1e-12,
-                   lambda _: f"fock n_max={n_max} k={k}: char set disagrees with dense oracle", c)
+            ref = _dense_chars(c, rot, np.linalg.matrix_power(e.conj().T, k))
+            row = vars(fock.char_table([c[None]], k, phi)).values()  # the table of one row
+            entry = reports.CharSet(*(np.ravel(x)[0] for x in row))
+            _check(res, max(_oracle_off(fock.char_set(st, k, phi), *ref), _oracle_off(entry, *ref)), 1e-12,
+                   lambda _: f"fock n_max={n_max} k={k}: char set or table disagrees with dense oracle", c)
 
         grid = np.linspace(-math.pi, math.pi, 1024, endpoint=False)
         dens = fock.phase_distribution(st, grid)
@@ -259,7 +254,7 @@ def run_families(samples: int, seed: int) -> SuiteResult:
         k = int(rng.integers(1, 4))
         phi = math.pi if rng.integers(2) else math.pi / 2
         c = (st := families.build(spec)).amplitudes
-        dev = _closed_form_off(spec, st, k, phi)
+        dev = families.oracle_check(spec, st, k, phi)
         worst = max(worst, dev)
         _check(res, dev, 1e-10,
                lambda x: f"families phase-coherent xi={spec.xi!r} k={k}: deviation {x:.3e}")
@@ -276,20 +271,20 @@ def run_families(samples: int, seed: int) -> SuiteResult:
         _check(res, resid, 1e-8, lambda x: f"families bessel lambda={lam!r}: eigen-residual {x:.3e}")
         k = int(rng.integers(1, 3))
         phi = (math.pi, math.pi / 2, 1.0)[int(rng.integers(3))]
-        _check(res, _closed_form_off(spec, st, k, phi), 1e-8,
+        _check(res, families.oracle_check(spec, st, k, phi), 1e-8,
                lambda x: f"families bessel lambda={lam!r} k={k}: deviation {x:.3e}")
 
     for _ in range(max(1, samples // 8)):
         a = float(rng.uniform(0.005, 0.05))
         b = float(rng.choice([0.0, 0.3]))
         spec = families.GaussianNumber(400.0, a, b)
-        _check(res, _closed_form_off(spec, families.build(spec), 1, 4.0 * math.sqrt(a)), 1e-10,
+        _check(res, families.oracle_check(spec, families.build(spec), 1, 4.0 * math.sqrt(a)), 1e-10,
                lambda x: f"families gaussian a={a!r} b={b!r}: deviation {x:.3e}")
 
     for a2 in (0.25, 0.5, 0.75):
         spec = families.Intermediate(a2, 3, 0.999)
         st = families.build(spec, max_nmax=20000)
-        _check(res, _closed_form_off(spec, st, 1, math.pi), 5e-2,
+        _check(res, families.oracle_check(spec, st, 1, math.pi), 5e-2,
                lambda x: f"families intermediate alpha2={a2}: deviation {x:.3e}")
         # U'' at most 1, and within 5e-2 of the asymptotic weight sum w: one check.
         u2, w = fock.report(st, 1, math.pi).u_double_prime, a2**2 + (1 - a2) ** 2

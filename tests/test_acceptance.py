@@ -150,9 +150,11 @@ def test_criterion_05_phase_coherent_closed_forms():
     failures = []
     worst = 0.0
     for xi in (0.1, 0.49, 0.7, 0.9, 0.99 * np.exp(1j * math.pi / 3)):
+        spec = families.PhaseCoherent(xi)
+        st = families.build(spec)
         for k in (1, 2, 3):
             for phi in (math.pi, math.pi / 2):
-                dev = families.oracle_check(families.PhaseCoherent(xi), k, phi)
+                dev = families.oracle_check(spec, st, k, phi)
                 worst = max(worst, dev)
                 if dev > 1e-10:
                     failures.append(f"xi={xi!r} k={k} phi={phi!r}: deviation {dev:.2e}")
@@ -247,7 +249,8 @@ def test_criterion_07_gaussian_regime():
 def test_criterion_08_bessel_family():
     failures = []
     for lam in (0.3, 0.77, 1.5, 3.0):
-        st = families.build(families.BesselEigenstate(lam))
+        spec = families.BesselEigenstate(lam)
+        st = families.build(spec)
         c = st.amplitudes
         ext = np.zeros(c.size + 1, dtype=complex)
         ext[: c.size] = np.arange(c.size) * c
@@ -257,7 +260,7 @@ def test_criterion_08_bessel_family():
             failures.append(f"lambda={lam}: eigen-residual {resid:.2e}")
         for k in (1, 2):
             for phi in (math.pi, math.pi / 2):
-                dev = families.oracle_check(families.BesselEigenstate(lam), k, phi)
+                dev = families.oracle_check(spec, st, k, phi)
                 if dev > 1e-8:
                     failures.append(f"lambda={lam} k={k}: deviation {dev:.2e}")
     bessel = families.BesselEigenstate(1.0)

@@ -23,7 +23,7 @@ def u_argmin_t():
 def test_scan_phase_coherent_basics():
     table = scan(PhaseCoherent(0.5), "xi", 0.01, 0.99, 99, 1, math.pi)
     assert len(table.rows) == 99
-    params = table.params()
+    params = table.column("param")
     assert np.all(np.diff(params) > 0)
     assert params[0] == 0.01 and params[-1] == 0.99
     for row in table.rows:
@@ -48,7 +48,7 @@ def test_scan_number_family_degenerate():
 def test_scan_log_spacing():
     table = scan(GaussianNumber(400.0, 0.01, 0.0), "a", 1e-3, 1e-2, 7, 4, math.pi / 4,
                  log_spaced=True)
-    ratios = np.diff(np.log(table.params()))
+    ratios = np.diff(np.log(table.column("param")))
     assert np.allclose(ratios, ratios[0])
 
 
@@ -77,7 +77,7 @@ def test_find_extremum_product_maximum():
 
 def test_find_extremum_agrees_with_dense_grid():
     table = scan(PhaseCoherent(0.5), "xi", 0.3, 0.9, 64, 1, math.pi)
-    grid_best = table.params()[int(np.argmin(table.column("u")))]
+    grid_best = table.column("param")[int(np.argmin(table.column("u")))]
     res = find_extremum(PhaseCoherent(0.5), "xi", "U", "min", 0.3, 0.9, 1, math.pi)
     cell = (0.9 - 0.3) / 63
     assert abs(res.param - grid_best) <= cell
@@ -125,7 +125,7 @@ def test_figure1_dataset():
 def test_figure3_dataset():
     table = figure_dataset(3)
     assert table.swept_parameter == "b"
-    b = table.params()
+    b = table.column("param")
     u = table.column("u")
     up = table.column("u_prime")
     at_zero = int(np.argmin(np.abs(b)))
@@ -139,7 +139,7 @@ def test_figure3_dataset():
 
 def test_figure4_dataset():
     table = figure_dataset(4)
-    lam = table.params()
+    lam = table.column("param")
     assert table.swept_parameter == "lambda"
     u = table.column("u")
     assert lam[int(np.argmin(u))] == pytest.approx(0.77, abs=0.05)
@@ -155,7 +155,7 @@ def test_figure_dataset_unknown_id():
 def test_figure2_dataset():
     table = figure_dataset(2)
     assert table.swept_parameter == "ak2"
-    x = table.params()
+    x = table.column("param")
     assert x[0] == pytest.approx(0.05, rel=1e-9)
     assert x[-1] == pytest.approx(20.0, rel=1e-9)
     u = table.column("u")

@@ -181,8 +181,9 @@ def test_truncation_cap_env_override(monkeypatch):
 def test_library_ignores_the_truncation_cap_override(monkeypatch):
     # Only the CLI reads the variable; a library call takes its cap as max_nmax.
     monkeypatch.setenv(families.TRUNCATION_CAP_ENV, "16")
-    assert build(PhaseCoherent(0.9)).n_max == 153
-    assert oracle_check(PhaseCoherent(0.9), 1, math.pi) <= 1e-12
+    state = build(PhaseCoherent(0.9))
+    assert state.n_max == 153
+    assert oracle_check(PhaseCoherent(0.9), state, 1, math.pi) <= 1e-12
     assert len(analysis.scan(PhaseCoherent(0.9), "xi", 0.8, 0.9, 2, 1, math.pi).rows) == 2
     with pytest.raises(ValueError, match="the cap is 16 "):
         build(PhaseCoherent(0.9), max_nmax=16)
@@ -204,15 +205,18 @@ def test_phase_coherent_closed_form_values():
 
 
 def test_oracle_check_phase_coherent():
-    assert oracle_check(PhaseCoherent(0.7), 2, math.pi / 2) <= 1e-10
-    assert oracle_check(PhaseCoherent(0.99 * np.exp(1j * math.pi / 3)), 3, math.pi) <= 1e-10
+    for spec, k, phi in ((PhaseCoherent(0.7), 2, math.pi / 2),
+                         (PhaseCoherent(0.99 * np.exp(1j * math.pi / 3)), 3, math.pi)):
+        assert oracle_check(spec, build(spec), k, phi) <= 1e-10
 
 
 def test_oracle_check_complex_and_negative_xi():
     # A complex xi keeps the complex power; a negative one takes the real power.
     for xi in (0.3 + 0.4j, -0.9):
+        spec = PhaseCoherent(xi)
+        state = build(spec)
         for k, phi in ((1, math.pi), (2, math.pi / 2), (3, 1.0), (1, -2.5)):
-            assert oracle_check(PhaseCoherent(xi), k, phi) <= 1e-12
+            assert oracle_check(spec, state, k, phi) <= 1e-12
 
 
 @pytest.mark.parametrize("xi", [0.5, -0.5, 0.9, 0.995, 0.999])
@@ -270,13 +274,15 @@ def test_geometric_table_is_kept_invisibly(monkeypatch):
 
 
 def test_oracle_check_bessel():
-    assert oracle_check(BesselEigenstate(0.77), 1, math.pi) <= 1e-8
-    assert oracle_check(BesselEigenstate(2.0), 2, math.pi / 2) <= 1e-8
+    for spec, k, phi in ((BesselEigenstate(0.77), 1, math.pi), (BesselEigenstate(2.0), 2, math.pi / 2)):
+        assert oracle_check(spec, build(spec), k, phi) <= 1e-8
     # The closed forms are complex: each character, phase included.
     for lam in (0.05, 1.0, 7.5, 30.0):
+        spec = BesselEigenstate(lam)
+        state = build(spec)
         for k in range(1, 6):
             for phi in (-2.5, 0.0, 1.0, math.pi / k):
-                assert oracle_check(BesselEigenstate(lam), k, phi) <= 1e-14
+                assert oracle_check(spec, state, k, phi) <= 1e-14
 
 
 def test_bessel_closed_form_reduces_to_ordinary_bessel_at_pi():
@@ -293,13 +299,14 @@ def test_bessel_closed_form_reduces_to_ordinary_bessel_at_pi():
 def test_oracle_check_gaussian_within_window():
     for a in (0.005, 0.02, 0.05):
         spec = GaussianNumber(400.0, a, 0.0)
-        assert oracle_check(spec, 1, 4.0 * math.sqrt(a)) <= 1e-10
-    assert oracle_check(GaussianNumber(100.0, 0.005, 0.0), 1, math.pi) <= 1e-10
+        assert oracle_check(spec, build(spec), 1, 4.0 * math.sqrt(a)) <= 1e-10
+    spec = GaussianNumber(100.0, 0.005, 0.0)
+    assert oracle_check(spec, build(spec), 1, math.pi) <= 1e-10
 
 
 def test_oracle_check_gaussian_with_correlations():
     spec = GaussianNumber(400.0, 0.02, 0.3)
-    assert oracle_check(spec, 1, 4.0 * math.sqrt(0.02)) <= 1e-10
+    assert oracle_check(spec, build(spec), 1, 4.0 * math.sqrt(0.02)) <= 1e-10
 
 
 @pytest.mark.parametrize("b", [0.0, 0.3])
@@ -321,7 +328,7 @@ def test_gaussian_closed_form_matches_amplitude_sums_with_phases(b, k):
 
 def test_oracle_check_intermediate():
     spec = Intermediate(0.5, 3, 0.999)
-    assert oracle_check(spec, 1, math.pi, max_nmax=BIG_CAP) <= 5e-2
+    assert oracle_check(spec, build(spec, max_nmax=BIG_CAP), 1, math.pi) <= 5e-2
 
 
 def test_closed_form_unavailable():
@@ -332,8 +339,8 @@ def test_closed_form_unavailable():
 
 
 def test_number_state_closed_form_exact():
-    assert oracle_check(NumberState(3), 2, math.pi) <= 1e-12
-    assert oracle_check(NumberState(0), 1, 0.7) <= 1e-12
+    for spec, k, phi in ((NumberState(3), 2, math.pi), (NumberState(0), 1, 0.7)):
+        assert oracle_check(spec, build(spec), k, phi) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -195,8 +195,7 @@ def test_char_set_rejects_non_finite_fields(bad):
 def test_char_set_rejects_a_non_finite_table_entry(bad):
     d = 4
     table = spin.char_table(spin.random_state(spin.SpinSystem(d), np.random.default_rng(19)).amplitudes)
-    full = {name: np.array(np.broadcast_to(getattr(table, name), (d, d))) for name in CHAR_FIELDS}
-    full["pi_k"] = np.zeros((d, d))
+    full = {name: np.array(value) for name, value in vars(table).items()}
     reports.CharSet(**full)
     for name in CHAR_FIELDS:
         for z in (complex(bad, 0.1), complex(0.1, bad)):

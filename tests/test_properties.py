@@ -103,8 +103,9 @@ def test_phase_coherent_near_unit_xi_at_the_stringent_point(log_gap, theta, k):
     r = 1.0 - 10.0**log_gap
     spec = families.PhaseCoherent(r * complex(math.cos(theta), math.sin(theta)))
     phi = math.pi / k
-    assert fock.report(families.build(spec, max_nmax=20000), k, phi).u <= 1.0 + 1e-9
-    assert families.oracle_check(spec, k, phi, max_nmax=20000) <= 1e-10
+    state = families.build(spec, max_nmax=20000)
+    assert fock.report(state, k, phi).u <= 1.0 + 1e-9
+    assert families.oracle_check(spec, state, k, phi) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

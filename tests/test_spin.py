@@ -437,16 +437,12 @@ def test_report_takes_the_closed_form_dets():
 # all-pairs table
 
 
-def table_fields(table):
-    return np.broadcast_arrays(table.number_char, table.phase_char, table.cross_char, table.weyl)
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16, 33])
 def test_char_table_matches_char_set_on_every_pair(d):
     st = random_state(SpinSystem(d), np.random.default_rng(100 + d))
     table = spin.char_table(st.amplitudes)
-    number, phase, cross, weyl = table_fields(table)
-    assert number.shape == (d, d) and table.pi_k == 0.0
+    fields = number, phase, cross, weyl, pi_k = tuple(vars(table).values())
+    assert all(x.shape == (d, d) for x in fields) and np.all(pi_k == 0.0)
     for k in range(1, d + 1):
         for ell in range(1, d + 1):
             cs = char_set(st, k, ell)
@@ -460,7 +456,8 @@ def test_char_table_matches_char_set_on_every_pair(d):
 def test_char_table_matches_dense_oracle(d):
     st = random_state(SpinSystem(d), np.random.default_rng(200 + d))
     c = st.amplitudes
-    number, phase, cross, _ = table_fields(spin.char_table(c))
+    table = spin.char_table(c)
+    number, phase, cross = table.number_char, table.phase_char, table.cross_char
     e, f = verify._dense_shift(d), verify._dense_clock(d)
     for k in range(1, d + 1):
         ek = np.linalg.matrix_power(e, k)
@@ -477,12 +474,11 @@ def test_char_table_dets_equal_the_scalar_kernel_exactly():
     for d, stack in ((2, ()), (3, ()), (8, ()), (33, ()), (3, (4,)), (16, (4,))):
         amps = [random_state(SpinSystem(d), rng).amplitudes for _ in range(math.prod(stack))]
         table = spin.char_table(np.reshape(amps, stack + (d,)))
-        fields = table_fields(table)
         det_plus, det_minus = map(det3, gram_pair(table))
         values = reports.functionals(table)
         assert det_plus.shape == values[0].shape == stack + (d, d)
         for at in np.ndindex(det_plus.shape):
-            cs = CharSet(*(complex(x[at]) for x in fields))
+            cs = CharSet(*(x[at].item() for x in vars(table).values()))
             assert (det_plus[at], det_minus[at]) == tuple(map(det3, gram_pair(cs)))
             assert tuple(x[at] for x in values) == reports.functionals(cs)
 
@@ -493,10 +489,10 @@ def test_stacked_char_table_rows_equal_the_single_state_table(d):
     amps = np.array([random_state(SpinSystem(d), rng).amplitudes for _ in range(6)])
     assert spin.char_table(amps).cross_char.shape == (6, d, d)
     for stack in (amps, amps.reshape(2, 3, d)):
-        rows = [x.reshape(6, d, d) for x in table_fields(spin.char_table(stack))]
+        rows = [x.reshape(6, d, d) for x in vars(spin.char_table(stack)).values()]
         for i in range(6):
-            for got, want in zip(rows, table_fields(spin.char_table(amps[i]))):
-                assert np.max(np.abs(got[i] - want)) <= 1e-15
+            for got, want in zip(rows, vars(spin.char_table(amps[i])).values()):
+                assert np.array_equal(got[i], want)
 
 
 def test_array_char_set_rejects_an_entry_above_one():

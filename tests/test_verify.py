@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from weyl_uncert import cli, families, fock, reports, verify
+from weyl_uncert import cli, families, fock, reports, spin, verify
 from weyl_uncert.numerics import det3
 
 
@@ -85,6 +85,27 @@ def test_suite_check_counts_at_100_samples(seed):
     results = verify.run("all", 100, seed)
     assert {r.name: (r.checks, r.failures) for r in results} == {
         "spin": (2609, []), "fock": (602, []), "families": (168, [])}
+
+
+def test_dense_oracles_read_the_tables(monkeypatch):
+    # A k <-> l transposed spin table and a fock table with conjugated cross chars pass every
+    # Gram and bound check; the dense oracles catch both, at each pair k != l of k, l <= 3 per d
+    # (2 at d = 2, 6 at each of the five larger d) and at k = 1, 2 of n_max 8 and 32.
+    spin_table, fock_table = spin.char_table, fock.char_table
+    monkeypatch.setattr(spin, "char_table", lambda amps: reports.CharSet(
+        *(np.swapaxes(x, -1, -2) for x in vars(spin_table(amps)).values())))
+    monkeypatch.setattr(fock, "char_table", lambda stacks, k, phi: dataclasses.replace(
+        table := fock_table(stacks, k, phi), cross_char=table.cross_char.conj()))
+    for seed in (1, 2, 3):
+        spin_res, fock_res, families_res = verify.run("all", 100, seed)
+        assert (spin_res.checks, fock_res.checks, families_res.checks) == (2609, 602, 168)
+        assert len(spin_res.failures) == 32 and len(fock_res.failures) == 4
+        for f in spin_res.failures + fock_res.failures:
+            assert ": char set or table disagrees with dense oracle; amplitudes=" in f, f
+        assert [f.split(":")[0] for f in spin_res.failures] == [
+            f"spin d={d} k={k} l={l}" for d in (2, 3, 4, 5, 8, 16)
+            for k in range(1, min(d, 3) + 1) for l in range(1, min(d, 3) + 1) if k != l]
+        assert not families_res.failures
 
 
 def test_one_list_of_suite_names():
