@@ -1,9 +1,10 @@
 """Parameter sweeps, extremum location, and figure datasets.
 
 Scans evaluate the certainty functionals over a family parameter grid in one
-``fock.char_table`` and one ``reports.functionals`` pass, fed runs of one n_max as the
-states are built; extrema are located by such a coarse grid, then golden-section steps,
-point by point (the functionals are smooth but no derivative formulas are assumed).
+``fock.char_table`` (which also gives each row's nbar) and one ``reports.functionals`` pass,
+fed runs of one n_max as the grid is read, each run one array of rows, no FockState per row;
+extrema are located by such a coarse grid, then golden-section steps, point by point
+(the functionals are smooth but no derivative formulas are assumed).
 Each standard figure is one row of a table: the family template, swept parameter, grid, k.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -60,42 +62,48 @@ class ExtremumResult:
     boundary: bool
 
 
-def _build(template: FamilySpec, param_name: str, value: float, cap: int) -> fock.FockState:
+def _named(param_name: str, value: float, make, *args):
     try:
-        return families.build(families.with_param(template, param_name, value), cap)
+        return make(*args)
     except ValueError as err:
         raise ValueError(f"family build failed at {param_name} = {float(value)!r}: {err}") from err
 
 
 def _row_at(template: FamilySpec, param_name: str, value: float, k: int, phi: float, cap: int) -> ScanRow:
     # Golden-section points only.  Its report (a second char_set) stays for perfbench's pin (ROADMAP 0, 1).
-    state = _build(template, param_name, value, cap)
+    spec = _named(param_name, value, families.with_param, template, param_name, value)
+    state = _named(param_name, value, families.build, spec, cap)
     cs, rep = fock.char_set(state, k, phi), fock.report(state, k, phi)
     return ScanRow(float(value), rep.u, rep.u_prime, rep.u_double_prime, rep.v, abs(cs.number_char),
                    abs(cs.phase_char), abs(cs.cross_char), cs.pi_k, fock.mean_photon(state))
 
 
-def _rows_at(template: FamilySpec, param_name: str, values, k: int, phi: float, cap: int) -> list[ScanRow]:
-    """Each value's ``_row_at``, bitwise: one ``char_table`` of runs of one n_max within ``_RUN_BYTES``."""
-    run, nbar = [], []
+def _norms(rows: np.ndarray) -> np.ndarray:
+    # np.linalg.norm of each row, bitwise, as a column: the same dots, one stacked matmul each.
+    parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
+    return np.sqrt(sum(x[:, None] @ x[..., None] for x in parts)[:, 0])
 
-    def cut() -> np.ndarray:
-        amps = run[0].amplitudes[None] if len(run) == 1 else np.stack([s.amplitudes for s in run])
-        nbar.append(fock.mean_photon(amps))
-        run.clear()
-        return amps
+
+def _rows_at(template: FamilySpec, param_name: str, values, k: int, phi: float, cap: int) -> list[ScanRow]:
+    """Each value's ``_row_at``, bitwise: one ``char_table`` of runs of one n_max within ``_RUN_BYTES``,
+    each built as one array by its family's ``_rows``, each row over its norm as ``families.build``."""
 
     def runs():
-        for x in values:
-            s = _build(template, param_name, x, cap)
-            if run and (s.n_max != run[0].n_max or (len(run) + 1) * s.amplitudes.nbytes > _RUN_BYTES):
-                yield cut()
-            run.append(s)
-        yield cut()
+        specs = ((x, _named(param_name, x, families.with_param, template, param_name, x)) for x in values)
+        for n_max, same in groupby(specs, key=lambda v: _named(param_name, v[0], v[1]._truncation, cap)[0]):
+            size = max(1, _RUN_BYTES // ((n_max + 1) * 16))  # complex rows
+            while run := list(islice(same, size)):
+                rows = run[0][1]._rows([spec for _, spec in run], n_max)
+                rows /= _norms(rows)
+                # FockState's check of each row: its norm within 1e-12 of 1, so finite too.
+                for (x, _), norm, row in zip(run, _norms(rows)[:, 0].tolist(), rows):
+                    if not abs(norm - 1.0) <= 1e-12:
+                        _named(param_name, x, reports.unit_amplitudes, row)
+                yield rows
 
-    cs = fock.char_table(runs(), k, phi)
+    cs, nbar = fock.char_table(runs(), k, phi)
     moduli = [reports._abs(z) for z in (cs.number_char, cs.phase_char, cs.cross_char)]
-    cols = [x.tolist() for x in (*reports.functionals(cs), *moduli, cs.pi_k, np.concatenate(nbar))]
+    cols = [x.tolist() for x in (*reports.functionals(cs), *moduli, cs.pi_k, nbar)]
     return [ScanRow(float(x), *r) for x, r in zip(values, zip(*cols))]
 
 

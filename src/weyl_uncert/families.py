@@ -17,9 +17,11 @@ cross-validation against the generic amplitude sums:
   |xi| -> 1).
 
 Each family is one frozen dataclass holding its checks, its spec-grammar
-tag (TAG), the field each spec key names (KEYS), its state (_build) and
-its closed forms (_closed_form).  The functions below only look these
-up, so a new family is one new class, listed in FamilySpec.
+tag (TAG), the field each spec key names (KEYS), its n_max and tail bound
+(_truncation), its one amplitude formula as unnormalized rows over a run of
+specs at one n_max (_rows; build is the one-row case) and its closed forms
+(_closed_form).  The functions below only look these up, so a new family
+is one new class, listed in FamilySpec.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import functools
 import math
 import os
 from dataclasses import MISSING, dataclass, fields, replace
+from itertools import accumulate
 from typing import Union, get_args, get_type_hints
 
 import numpy as np
@@ -88,12 +91,12 @@ def _within_cap(need: int, cap: int) -> int:
     )
 
 
-def _geometric(xi: complex, cap: int, least: int) -> tuple[np.ndarray, float]:
-    # (sqrt(1 - t) xi^n, t = |xi|^2, to the n_max >= least the tail target needs; its tail).
+def _geometric(xi: complex, cap: int, least: int) -> tuple[int, float]:
+    # (The n_max >= least at which sqrt(1 - t) xi^n, t = |xi|^2, meets the tail target; its tail).
     t = abs(xi) ** 2
     need = math.ceil(math.log(_TAIL_TARGET) / math.log(t)) if t else 0
     n_max = _within_cap(max(least, _MIN_NMAX, need), cap)
-    return _xi_powers(xi + 0.0, n_max), t ** (n_max + 1)
+    return n_max, t ** (n_max + 1)
 
 
 @functools.lru_cache(maxsize=1)
@@ -117,10 +120,12 @@ class NumberState:
             raise ValueError(f"n must be an integer >= 0, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
 
-    def _build(self, cap: int) -> FockState:
-        c = np.zeros(_within_cap(max(self.n, 8), cap) + 1, dtype=complex)
-        c[self.n] = 1.0
-        return FockState(c, 0.0)
+    def _truncation(self, cap: int) -> tuple[int, float]:
+        return _within_cap(max(self.n, 8), cap), 0.0
+
+    @staticmethod
+    def _rows(specs, n_max: int) -> np.ndarray:
+        return (np.arange(n_max + 1) == np.array([[s.n] for s in specs])).astype(complex)
 
     def _closed_form(self, k: int, phi: float, weyl: complex) -> CharSet:
         return CharSet(
@@ -144,9 +149,13 @@ class PhaseCoherent:
         if not abs(self.xi) <= 1.0 - 1e-6:
             raise ValueError(f"normalizability needs |xi| <= 1 - 1e-6, got |xi| = {abs(self.xi)!r}")
 
-    def _build(self, cap: int) -> FockState:
-        c, tail = _geometric(self.xi, cap, 0)
-        return FockState(c / np.linalg.norm(c), tail)
+    def _truncation(self, cap: int) -> tuple[int, float]:
+        return _geometric(self.xi, cap, 0)
+
+    @staticmethod
+    def _rows(specs, n_max: int) -> np.ndarray:
+        # One kept xi^n table per row, as each row's own build reads it.
+        return np.array([_xi_powers(s.xi + 0.0, n_max) for s in specs])
 
     def _closed_form(self, k: int, phi: float, weyl: complex) -> CharSet:
         t = abs(self.xi) ** 2
@@ -185,15 +194,17 @@ class GaussianNumber:
                 f"phase b (n - nbar)^2 must be finite, got b = {self.b!r} at nbar = {self.nbar!r}"
             )
 
-    def _build(self, cap: int) -> FockState:
-        a, b, nbar = self.a, self.b, self.nbar
-        n_max = _within_cap(max(_MIN_NMAX, math.ceil(nbar + 6.0 / math.sqrt(2.0 * a))), cap)
-        n = np.arange(n_max + 1)
-        c = np.exp(-(a + 1j * b) * (n - nbar) ** 2)
-        tail = 0.5 * math.erfc(math.sqrt(2.0 * a) * (n_max - nbar)) + 0.5 * math.erfc(
-            math.sqrt(2.0 * a) * (nbar + 1.0)
-        )
-        return FockState(c / np.linalg.norm(c), tail)
+    def _truncation(self, cap: int) -> tuple[int, float]:
+        root, nbar = math.sqrt(2.0 * self.a), self.nbar
+        n_max = _within_cap(max(_MIN_NMAX, math.ceil(nbar + 6.0 / root)), cap)
+        return n_max, 0.5 * math.erfc(root * (n_max - nbar)) + 0.5 * math.erfc(root * (nbar + 1.0))
+
+    @staticmethod
+    def _rows(specs, n_max: int) -> np.ndarray:
+        # The exponent is complex at b = 0 too: a real exp rounds differently.
+        z = np.array([-(s.a + 1j * s.b) for s in specs])[:, None]
+        nbar = np.array([s.nbar for s in specs])[:, None]
+        return np.exp(z * (np.arange(n_max + 1) - nbar) ** 2)
 
     def _closed_form(self, k: int, phi: float, weyl: complex) -> CharSet:
         if k > math.sqrt(self.nbar):
@@ -223,28 +234,26 @@ class BesselEigenstate:
         if not 0.0 < self.lam <= 50.0:
             raise ValueError(f"lambda must be in (0, 50], got {self.lam!r}")
 
-    def _build(self, cap: int) -> FockState:
-        lam = self.lam
-        # Factorial decay is fast; push the tail far below the generic
-        # target so the eigen-residual check keeps its 1e-8 headroom.
-        target = 1e-22
-        coeffs = [complex(1.0)]
-        total = 1.0
-        n = 0
+    def _truncation(self, cap: int) -> tuple[int, float]:
+        # Factorial decay is fast; push the tail far below the generic target so the
+        # eigen-residual check keeps its 1e-8 headroom.  m is |c_n|, in floats.
+        lam, m, total, n = self.lam, 1.0, 1.0, 0
         while True:
             n += 1
-            coeffs.append(coeffs[-1] * (-1j * lam) / n)
-            total += abs(coeffs[-1]) ** 2
+            m = m * lam / n
+            total += m ** 2  # pow, not m * m: the two can differ in the last bit and move n_max
             if n >= _MIN_NMAX and n + 2 > lam:
-                t_next = abs(coeffs[-1]) ** 2 * (lam / (n + 1)) ** 2
-                ratio = (lam / (n + 2)) ** 2
-                rem = t_next / (1.0 - ratio)
-                if rem < target * total:
-                    tail = rem / total
-                    break
+                rem = m ** 2 * (lam / (n + 1)) ** 2 / (1.0 - (lam / (n + 2)) ** 2)
+                if rem < 1e-22 * total:
+                    return n, rem / total
             _within_cap(n, cap)
-        c = np.asarray(coeffs)
-        return FockState(c / np.linalg.norm(c), tail)
+
+    @staticmethod
+    def _rows(specs, n_max: int) -> np.ndarray:
+        # c_n = (-i lam)^n / n! = m_n (-i)^n, with m_n = m_{n-1} lam / n as _truncation forms it.
+        steps = range(1, n_max + 1)
+        m = [list(accumulate(steps, lambda m, n, lam=s.lam: m * lam / n, initial=1.0)) for s in specs]
+        return np.array(m) * np.array([1, -1j, -1, 1j])[np.arange(n_max + 1) % 4]
 
     def _closed_form(self, k: int, phi: float, weyl: complex) -> CharSet:
         lam = self.lam
@@ -285,12 +294,19 @@ class Intermediate:
         if not abs(self.xi) <= 1.0 - 1e-6:
             raise ValueError(f"normalizability needs |xi| <= 1 - 1e-6, got |xi| = {abs(self.xi)!r}")
 
-    def _build(self, cap: int) -> FockState:
-        geo, geo_tail = _geometric(self.xi, cap, self.n + 1)
-        c = math.sqrt(1.0 - self.alpha2) * geo
-        c[self.n] += math.sqrt(self.alpha2)
-        norm = np.linalg.norm(c)  # the kept mass norm^2 bounds the discarded share
-        return FockState(c / norm, (1.0 - self.alpha2) * geo_tail / norm**2)
+    def _truncation(self, cap: int) -> tuple[int, float]:
+        # Discarded over kept mass; untruncated, the mass is 1 + 2 sqrt(a2 (1 - a2)) Re <n|xi>.
+        n_max, geo_tail = _geometric(self.xi, cap, self.n + 1)
+        a2, lost = self.alpha2, (1.0 - self.alpha2) * geo_tail
+        overlap = math.sqrt(1.0 - abs(self.xi) ** 2) * (self.xi**self.n).real
+        return n_max, lost / (1.0 + 2.0 * math.sqrt(a2 * (1.0 - a2)) * overlap - lost)
+
+    @staticmethod
+    def _rows(specs, n_max: int) -> np.ndarray:
+        c = PhaseCoherent._rows(specs, n_max)
+        c *= np.sqrt([[1.0 - s.alpha2] for s in specs])
+        c[np.arange(len(specs)), [s.n for s in specs]] += np.sqrt([s.alpha2 for s in specs])
+        return c
 
     def _closed_form(self, k: int, phi: float, weyl: complex) -> CharSet:
         if abs(self.xi) < 0.99:
@@ -333,7 +349,9 @@ def build(spec: FamilySpec, max_nmax: int = DEFAULT_TRUNCATION_CAP) -> FockState
     in an extended space); amplitudes are renormalized exactly on the
     truncated lattice.  Exceeding the n_max cap is an error.
     """
-    return _family(spec)._build(max_nmax)
+    n_max, tail = _family(spec)._truncation(max_nmax)
+    c = spec._rows([spec], n_max)[0]
+    return FockState(c / np.linalg.norm(c), tail)
 
 
 def closed_form_char(spec: FamilySpec, k: int, phi: float) -> CharSet:

@@ -7,8 +7,8 @@ pairs c_{n+k} with c_n (the slices c[k:] and c[:-k]), and exp(i phi n) is
 a diagonal phase read from the one table kept for the last phi.
 Characteristic functions are O(n_max) sums over amplitudes, of one state or
 (:func:`char_table`) of stacks of them, read one at a time into one table checked
-once; the phase density on a periodic grid of M points is one length-M FFT (other
-grids are rejected).  Dense operators are test oracles.
+once, with each row's nbar; the phase density on a periodic grid of M points is one
+length-M FFT (other grids are rejected).  Dense operators are test oracles.
 
 Characteristic sets are :class:`reports.CharSet` records, checked once
 when made.  The two Gram matrices of {psi, exp(+-i phi n) psi, Edag^k /
@@ -81,11 +81,11 @@ def _phase_table(phi: float, size: int) -> np.ndarray:
 
 
 def _sums(c: np.ndarray, k: int, phi: float) -> tuple:
-    # The number, phase and cross sums and pi_k along the last axis of c.
+    # The number, phase and cross sums and pi_k along the last axis of c, and the |c|^2 they read.
     phases = _phase_table(phi, c.shape[-1])
     probs = np.abs(c) ** 2
     pair = np.conj(c[..., k:]) * c[..., :-k]
-    return probs @ phases, pair.sum(axis=-1), pair @ phases[k:].conj(), probs[..., :k].sum(axis=-1)
+    return probs @ phases, pair.sum(axis=-1), pair @ phases[k:].conj(), probs[..., :k].sum(axis=-1), probs
 
 
 def char_set(state: FockState, k: int, phi: float) -> CharSet:
@@ -100,21 +100,23 @@ def char_set(state: FockState, k: int, phi: float) -> CharSet:
     by rounding when the whole support lies below k.
     """
     k = _check_k(k)
-    number, phase, cross, below = _sums(state.amplitudes, k, phi)
+    number, phase, cross, below, _ = _sums(state.amplitudes, k, phi)
     return CharSet(complex(number), complex(phase), complex(cross), complex(np.exp(-1j * k * phi)),
                    min(1.0, float(below)))
 
 
-def char_table(stacks, k: int, phi: float) -> CharSet:
+def char_table(stacks, k: int, phi: float) -> tuple[CharSet, np.ndarray]:
     """:func:`char_set` of each row of ``stacks``, read one at a time, each of unit amplitude
-    rows of one n_max taken as given, as one record of arrays over all rows, checked once.
-    Each row sums along its own length-one axis, so every product is the one-state dot: row
-    i is bitwise ``char_set`` of row i at one BLAS thread count (a dot as long as n_max
-    16111 threads, and its last bits follow the count)."""
+    rows of one n_max taken as given, as one record of arrays over all rows, checked once, and
+    each row's :func:`mean_photon` from the |c|^2 the sums read.  Each row sums along its own
+    length-one axis, so every product is the one-state dot: row i is bitwise its one-state
+    values at one BLAS thread count (a dot as long as n_max 16111 threads, and its last bits
+    follow the count)."""
     k = _check_k(k)
-    cols = zip(*(_sums(np.asarray(amps, dtype=complex)[..., None, :], k, phi) for amps in stacks))
-    number, phase, cross, below = (np.concatenate([x[..., 0] for x in col]) for col in cols)
-    return CharSet(number, phase, cross, complex(np.exp(-1j * k * phi)), np.minimum(1.0, below))
+    sums = (_sums(np.asarray(amps, dtype=complex)[..., None, :], k, phi) for amps in stacks)
+    cols = zip(*((*chars, probs @ np.arange(probs.shape[-1])) for *chars, probs in sums))
+    number, phase, cross, below, nbar = (np.concatenate([x[..., 0] for x in col]) for col in cols)
+    return CharSet(number, phase, cross, complex(np.exp(-1j * k * phi)), np.minimum(1.0, below)), nbar
 
 
 # report calls the Gram step under this module-level name, so tracing can wrap it.
@@ -158,12 +160,9 @@ def phase_distribution(state: FockState, phi_grid: np.ndarray) -> np.ndarray:
     return np.abs(amp) ** 2 / (2.0 * math.pi)
 
 
-def mean_photon(state) -> float | np.ndarray:
-    """Mean photon number sum_n n |c_n|^2 of a FockState, or of each row of a stack of
-    amplitude rows of one n_max as an array, by one dot per row: bitwise its state's."""
-    c = state.amplitudes if isinstance(state, FockState) else np.asarray(state)
-    nbar = (np.arange(c.shape[-1]) @ (np.abs(c) ** 2)[..., None])[..., 0]
-    return float(nbar) if isinstance(state, FockState) else nbar
+def mean_photon(state: FockState) -> float:
+    """Mean photon number sum_n n |c_n|^2, by one dot."""
+    return float(np.abs(state.amplitudes) ** 2 @ np.arange(state.n_max + 1))
 
 
 def random_state(n_max: int, rng: np.random.Generator) -> FockState:

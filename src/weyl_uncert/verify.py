@@ -193,7 +193,7 @@ def run_fock(samples: int, seed: int) -> SuiteResult:
             k = int(rng.integers(1, min(8, n_max) + 1))
             drawn.append((st, k, float(rng.uniform(-math.pi, math.pi))))
         states = [st.amplitudes for st, _, _ in drawn]
-        per_k = zip(*(vars(fock.char_table([states], k, math.pi / k)).values() for k in ks))
+        per_k = zip(*(vars(fock.char_table([states], k, math.pi / k)[0]).values() for k in ks))
         table = reports.CharSet(*(np.stack(np.broadcast_arrays(*x), axis=-1) for x in per_k))
         limits = {"U": 1.0, "U'": 1.0, "U''": 1.0, "V": 0.5}
         where = [f"fock n_max={n_max} k={k}" for k in ks]
@@ -220,7 +220,7 @@ def run_fock(samples: int, seed: int) -> SuiteResult:
             phi = float(rng.uniform(-math.pi, math.pi))
             rot = np.diag(np.exp(1j * phi * np.arange(n_max + 1)))
             ref = _dense_chars(c, rot, np.linalg.matrix_power(e.conj().T, k))
-            row = vars(fock.char_table([c[None]], k, phi)).values()  # the table of one row
+            row = vars(fock.char_table([c[None]], k, phi)[0]).values()  # the table of one row
             entry = reports.CharSet(*(np.ravel(x)[0] for x in row))
             _check(res, max(_oracle_off(fock.char_set(st, k, phi), *ref), _oracle_off(entry, *ref)), 1e-12,
                    lambda _: f"fock n_max={n_max} k={k}: char set or table disagrees with dense oracle", c)

@@ -11,7 +11,7 @@ from scipy import optimize
 
 from weyl_uncert import analysis, families, fock, reports
 from weyl_uncert.analysis import ExtremumResult, figure_dataset, find_extremum, scan
-from weyl_uncert.families import BesselEigenstate, GaussianNumber, NumberState, PhaseCoherent
+from weyl_uncert.families import BesselEigenstate, GaussianNumber, Intermediate, NumberState, PhaseCoherent
 
 
 def u_argmin_t():
@@ -171,11 +171,18 @@ def _bits(row):
     return [float(v).hex() for v in astuple(row)]
 
 
-def _assert_rows_equal_single_rows(template, name, values, k, phi, cap=4096):
+def _assert_rows_equal_single_rows(monkeypatch, template, name, values, k, phi, cap=4096):
+    # Each grid row, and each row of amplitudes as char_table reads it, is bitwise its one-state
+    # build's: the runs the grid read are returned.
+    seen = _recorded_tables(monkeypatch)
     rows = analysis._rows_at(template, name, values, k, phi, cap)
-    assert len(rows) == len(values)
-    for x, row in zip(values, rows):
+    monkeypatch.undo()
+    assert len(rows) == len(values) == sum(len(a) for a in seen)
+    amps = (np.asarray(a, dtype=complex) for run in seen for a in run)
+    for x, row, got in zip(values, rows, amps):
         assert _bits(row) == _bits(analysis._row_at(template, name, x, k, phi, cap)), x
+        assert got.tobytes() == families.build(families.with_param(template, name, x), cap).amplitudes.tobytes(), x
+    return seen
 
 
 def _recorded_tables(monkeypatch):
@@ -196,12 +203,10 @@ def _recorded_tables(monkeypatch):
 
 @pytest.mark.parametrize("figure_id", [1, 2, 3, 4])
 def test_grid_rows_equal_single_rows_on_every_figure(figure_id, monkeypatch):
-    seen = _recorded_tables(monkeypatch)
     template, name, lo, hi, steps, k, log_spaced = analysis._FIGURES[figure_id]
     grid = analysis._grid(lo, hi, steps, log_spaced)
-    _assert_rows_equal_single_rows(template, name, grid, k, math.pi / k)
-    assert seen and sum(len(a) for a in seen) == len(grid)
-    assert all(a.nbytes <= analysis._RUN_BYTES for a in seen if len(a) > 1)
+    seen = _assert_rows_equal_single_rows(monkeypatch, template, name, grid, k, math.pi / k)
+    assert all(a.size * 16 <= analysis._RUN_BYTES for a in seen if len(a) > 1)
 
 
 def test_a_grid_is_one_table_checked_once(monkeypatch):
@@ -233,31 +238,48 @@ def test_grid_nbar_is_bitwise_the_one_state_dot():
         assert row.nbar.hex() == fock.mean_photon(st).hex() == float(np.arange(c.size) @ np.abs(c) ** 2).hex()
 
 
-def test_grid_rows_equal_single_rows_on_the_extremum_coarse_grid():
+def test_grid_rows_equal_single_rows_on_the_extremum_coarse_grid(monkeypatch):
     grid = analysis._grid(0.4, 1.4, analysis._COARSE_POINTS)
-    _assert_rows_equal_single_rows(BesselEigenstate(1.0), "lambda", grid, 1, math.pi)
+    seen = _assert_rows_equal_single_rows(monkeypatch, BesselEigenstate(1.0), "lambda", grid, 1, math.pi)
+    assert [len(a) for a in seen] == [64]
 
 
-def test_grid_rows_equal_single_rows_where_n_max_rises_and_falls():
+def test_grid_rows_equal_single_rows_where_n_max_rises_and_falls(monkeypatch):
     values = np.array([0.1, 0.5, 0.9, 0.9, 0.5, 0.1, 0.1, 0.95, 0.3])
     nmax = [families.build(PhaseCoherent(x)).n_max for x in values]
     assert nmax[2] > nmax[1] > nmax[0] and nmax[7] > nmax[6]
-    _assert_rows_equal_single_rows(PhaseCoherent(0.5), "xi", values, 2, math.pi / 2)
+    seen = _assert_rows_equal_single_rows(monkeypatch, PhaseCoherent(0.5), "xi", values, 2, math.pi / 2)
+    assert [len(a) for a in seen] == [1, 1, 2, 1, 2, 1, 1]
+
+
+@pytest.mark.parametrize("template, name, lo, hi, steps", [
+    (NumberState(2), "n", 0, 40, 41),
+    (Intermediate(0.5, 3, 0.6), "alpha2", 0.0, 1.0, 30),
+    (Intermediate(0.5, 3, 0.6), "n", 1, 30, 30),
+    (Intermediate(0.5, 3, -0.6), "xi", -0.7, 0.7, 60),
+    (Intermediate(0.5, 3, 0.3 + 0.5j), "alpha2", 0.1, 0.9, 9),
+    (GaussianNumber(400.0, 0.01, 0.3), "nbar", 400.0, 401.0, 21),
+    (GaussianNumber(400.0, 0.01, 0.0), "a", 0.005, 0.05, 40),
+    (GaussianNumber(400.0, 0.01), "b", -2.0, 2.0, 41),
+    (PhaseCoherent(0.5), "xi", -0.7, 0.7, 80),
+])
+def test_grid_runs_of_many_rows_equal_single_rows_in_every_family(template, name, lo, hi, steps, monkeypatch):
+    grid = analysis._grid(lo, hi, steps)
+    seen = _assert_rows_equal_single_rows(monkeypatch, template, name, grid, 2, math.pi / 2)
+    assert max(len(a) for a in seen) > 1
 
 
 def test_a_lone_large_row_is_passed_as_a_view(monkeypatch):
-    seen = _recorded_tables(monkeypatch)
-    build, built = families.build, []
+    seen, rows_of, built = _recorded_tables(monkeypatch), PhaseCoherent._rows, []
 
-    def recording(spec, cap):
-        built.append(build(spec, cap))
+    def recording(specs, n_max):
+        built.append(rows_of(specs, n_max))
         return built[-1]
 
-    monkeypatch.setattr(families, "build", recording)
+    monkeypatch.setattr(PhaseCoherent, "_rows", staticmethod(recording))
     rows = analysis._rows_at(PhaseCoherent(0.5), "xi", np.array([0.999]), 1, math.pi, 20000)
-    (state,), (amps,) = built, seen
-    assert state.n_max == 16111 and amps.shape == (1, 16112)
-    assert np.shares_memory(amps, state.amplitudes)
+    (run,), (amps,) = built, seen
+    assert amps is run and amps.shape == (1, 16112)
     assert _bits(rows[0]) == _bits(analysis._row_at(PhaseCoherent(0.5), "xi", 0.999, 1, math.pi, 20000))
 
 
@@ -276,18 +298,39 @@ def test_grid_build_failure_names_the_failing_value():
 
 
 def test_a_grid_builds_its_states_as_it_reads_them(monkeypatch):
-    # Runs stream, with no list of all states: 0.5 (another n_max) cuts the run of 0.1, which
-    # char_table reads before 1.5 fails; 0.2 is never built.
-    seen, build, built = _recorded_tables(monkeypatch), families.build, []
+    # Runs stream, with no list of all rows: 0.5 (another n_max) cuts the run of 0.1, which is
+    # built and read by char_table before 1.5 fails; 0.5 and 0.2 are never built.
+    seen, rows_of, built = _recorded_tables(monkeypatch), PhaseCoherent._rows, []
 
-    def recording(spec, cap):
-        built.append(spec.xi.real)
-        return build(spec, cap)
+    def recording(specs, n_max):
+        built.append([s.xi.real for s in specs])
+        return rows_of(specs, n_max)
 
-    monkeypatch.setattr(families, "build", recording)
+    monkeypatch.setattr(PhaseCoherent, "_rows", staticmethod(recording))
     with pytest.raises(ValueError, match=r"xi = 1\.5"):
         analysis._rows_at(PhaseCoherent(0.5), "xi", np.array([0.1, 0.5, 1.5, 0.2]), 1, math.pi, 4096)
-    assert built == [0.1, 0.5] and [len(a) for a in seen] == [1]
+    assert built == [[0.1]] and [len(a) for a in seen] == [1]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (math.nan, "amplitudes must be finite"),
+    (0.0, "amplitudes must be finite"),  # a zero norm: 0 / 0
+    (1e-160, "state is not normalized"),  # squares below the smallest normal float
+])
+def test_a_grid_row_that_fails_the_unit_check_is_named(bad, message, monkeypatch):
+    rows_of = GaussianNumber._rows
+
+    def spoiled(specs, n_max):
+        rows = rows_of(specs, n_max)
+        rows[[s.b == 0.5 for s in specs]] = bad
+        return rows
+
+    monkeypatch.setattr(GaussianNumber, "_rows", staticmethod(spoiled))
+    grid = np.array([0.0, 0.25, 0.5, 0.75])
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=rf"^family build failed at b = 0\.5: {message}"):
+        analysis._rows_at(GaussianNumber(400.0, 0.01), "b", grid, 1, math.pi, 4096)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=rf"^{message}"):
+        families.build(GaussianNumber(400.0, 0.01, 0.5))
 
 
 def test_scan_rows_hold_python_floats():

@@ -219,12 +219,17 @@ def test_oracle_check_complex_and_negative_xi():
             assert oracle_check(spec, state, k, phi) <= 1e-12
 
 
+def _kept_table(xi: float, least: int) -> np.ndarray:
+    # The kept sqrt(1 - t) xi^n table that a build at BIG_CAP with this least n_max reads.
+    return families._xi_powers(complex(xi), families._geometric(complex(xi), BIG_CAP, least)[0])
+
+
 @pytest.mark.parametrize("xi", [0.5, -0.5, 0.9, 0.995, 0.999])
 def test_geometric_amplitudes_are_real_powers_within_one_ulp(xi):
     # A real xi is raised in real arithmetic: each unnormalized amplitude is
     # xi^n sqrt(1 - t), with the float sqrt(1 - t) the family uses, to a
     # relative 2^-52.  The complex power was off by up to 21 times that.
-    c, _ = families._geometric(complex(xi), BIG_CAP, 0)
+    c = _kept_table(xi, 0)
     assert c.dtype == np.float64
     scale = mpmath.mpf(math.sqrt(1.0 - xi * xi))
     with mpmath.workdps(50):
@@ -240,20 +245,21 @@ def test_geometric_table_is_kept_invisibly(monkeypatch):
     families._xi_powers.cache_clear()
     kept = analysis.scan(spec, "alpha2", 0.1, 0.9, 16, 1, math.pi, max_nmax=BIG_CAP)
     assert families._xi_powers.cache_info()[:2] == (15, 1)  # (hits, misses)
-    build = families.build
+    build, xi_powers, built = families.build, families._xi_powers, []
 
-    def fresh_build(*args):
-        families._xi_powers.cache_clear()
-        return build(*args)
+    def fresh_table(*args):
+        xi_powers.cache_clear()
+        built.append(args)
+        return xi_powers(*args)
 
-    monkeypatch.setattr(families, "build", fresh_build)
+    monkeypatch.setattr(families, "_xi_powers", fresh_table)
     fresh = analysis.scan(spec, "alpha2", 0.1, 0.9, 16, 1, math.pi, max_nmax=BIG_CAP)
-    assert repr(kept.rows) == repr(fresh.rows)
+    assert repr(kept.rows) == repr(fresh.rows) and len(built) == 16
     monkeypatch.undo()
     for family, least in ((spec, 4), (PhaseCoherent(0.999), 0)):
         amps = build(family, BIG_CAP).amplitudes
         hits = families._xi_powers.cache_info().hits
-        geo, _ = families._geometric(complex(0.999), BIG_CAP, least)
+        geo = _kept_table(0.999, least)
         assert families._xi_powers.cache_info().hits == hits + 1  # the table the build read
         assert not geo.flags.writeable and not np.shares_memory(geo, amps)
         with pytest.raises(ValueError, match="read-only"):
@@ -263,13 +269,13 @@ def test_geometric_table_is_kept_invisibly(monkeypatch):
     # n + 1 = 4) both resolve to 16111, so the alpha2 scan builds no table.
     families._xi_powers.cache_clear()
     analysis.scan(PhaseCoherent(0.99), "xi", 0.99, 0.999, 24, 1, math.pi, max_nmax=BIG_CAP)
-    last, _ = families._geometric(complex(0.999), BIG_CAP, 0)
+    last = _kept_table(0.999, 0)
     misses = families._xi_powers.cache_info().misses
     analysis.scan(spec, "alpha2", 0.1, 0.9, 16, 1, math.pi, max_nmax=BIG_CAP)
     assert families._xi_powers.cache_info().misses == misses
-    geo, _ = families._geometric(complex(0.999), BIG_CAP, 4)
+    geo = _kept_table(0.999, 4)
     assert geo.size == 16112 and np.shares_memory(geo, last)
-    longer, _ = families._geometric(complex(0.999), BIG_CAP, 16200)
+    longer = _kept_table(0.999, 16200)
     assert longer.size == 16201 and np.array_equal(longer[:16112], geo)
 
 

@@ -292,8 +292,8 @@ def test_char_table_rows_equal_char_set():
         amps = np.array([st.amplitudes for st in states])
         for k in (1, 2, 4, n_max, n_max + 3):
             for phi in (math.pi / k, -2.3, 0.0):
-                table = fock.char_table([amps], k, phi)
-                assert table.number_char.shape == table.pi_k.shape == (7,)
+                table, nbar = fock.char_table([amps], k, phi)
+                assert nbar.shape == table.number_char.shape == table.pi_k.shape == (7,)
                 for i, st in enumerate(states):
                     cs = char_set(st, k, phi)
                     for name in CHAR_FIELDS:
@@ -307,7 +307,7 @@ def test_char_table_of_one_row_is_bitwise_char_set():
         st = random_state(n_max, rng)
         for k in (1, 2, 5):
             for phi in (math.pi, -math.pi, math.pi / k, 0.7):
-                table = fock.char_table([st.amplitudes[None]], k, phi)
+                table, _ = fock.char_table([st.amplitudes[None]], k, phi)
                 cs = char_set(st, k, phi)
                 assert _bits(*(np.ravel(getattr(table, f))[0] for f in CHAR_FIELDS)) == _bits(
                     *(getattr(cs, f) for f in CHAR_FIELDS)
@@ -316,18 +316,17 @@ def test_char_table_of_one_row_is_bitwise_char_set():
 
 def test_char_table_of_stacks_of_several_n_max_is_bitwise_each_row():
     # One table, checked once, over stacks read from a generator; each row's set and
-    # mean_photon of a stack's row are bitwise the one-state values.
+    # mean photon number are bitwise the one-state values.
     rng = np.random.default_rng(165)
     states = [[random_state(n_max, rng) for _ in range(rows)] for n_max, rows in ((5, 3), (40, 1), (2, 4))]
     flat = [st for stack in states for st in stack]
     for k, phi in ((1, math.pi), (3, -0.4)):
-        table = fock.char_table((np.array([st.amplitudes for st in s]) for s in states), k, phi)
-        assert table.number_char.shape == table.pi_k.shape == (8,)
+        table, nbar = fock.char_table((np.array([st.amplitudes for st in s]) for s in states), k, phi)
+        assert table.number_char.shape == table.pi_k.shape == nbar.shape == (8,)
         for i, st in enumerate(flat):
             got = (np.broadcast_to(getattr(table, f), (8,))[i] for f in CHAR_FIELDS)
             assert _bits(*got) == _bits(*(getattr(char_set(st, k, phi), f) for f in CHAR_FIELDS)), (k, i)
-    nbar = np.concatenate([mean_photon(np.array([st.amplitudes for st in s])) for s in states])
-    assert nbar.tolist() == [mean_photon(st) for st in flat]
+        assert nbar.tolist() == [mean_photon(st) for st in flat]
     assert type(mean_photon(flat[0])) is float
 
 
@@ -336,26 +335,26 @@ def test_char_table_edges():
     # k above n_max: E^k psi = 0, so the phase and cross sums are exactly 0 and
     # pi_k, whose sum may round above 1, is clamped to exactly 1.
     amps = np.array([random_state(4, rng).amplitudes for _ in range(50)])
-    table = fock.char_table([amps], 5, 1.0)
+    table, _ = fock.char_table([amps], 5, 1.0)
     assert np.all(table.phase_char == 0.0) and np.all(table.cross_char == 0.0)
     assert np.all(table.pi_k <= 1.0) and np.all(table.pi_k >= 1.0 - 1e-15)
     over = families.build(families.PhaseCoherent(0.2)).amplitudes  # |c|^2 sums to 1 + 2^-52
     assert float(np.sum(np.abs(over) ** 2)) > 1.0
-    assert np.all(fock.char_table([[over, over]], 20, math.pi / 20).pi_k == 1.0)
+    assert np.all(fock.char_table([[over, over]], 20, math.pi / 20)[0].pi_k == 1.0)
     # n_max = 0: every state is the vacuum up to a phase.
     vac = np.array([[1.0], [1j], [-1.0]])
-    table = fock.char_table([vac], 1, 2.0)
-    assert np.all(table.number_char == 1.0) and np.all(table.pi_k == 1.0)
+    table, nbar = fock.char_table([vac], 1, 2.0)
+    assert np.all(table.number_char == 1.0) and np.all(table.pi_k == 1.0) and np.all(nbar == 0.0)
     assert np.all(table.phase_char == 0.0) and np.all(table.cross_char == 0.0)
     # phi = +-pi: exp(+-i pi n) = (-1)^n, so the number character is the
     # parity <(-1)^n> and the two signs give the same table up to rounding.
     amps = np.array([random_state(9, rng).amplitudes for _ in range(5)])
     parity = (np.abs(amps) ** 2) @ (-1.0) ** np.arange(10)
     for phi in (math.pi, -math.pi):
-        table = fock.char_table([amps], 2, phi)
+        table, _ = fock.char_table([amps], 2, phi)
         assert np.max(np.abs(table.number_char - parity)) <= 1e-15
         assert table.weyl == complex(np.exp(-2j * phi))
-    plus, minus = fock.char_table([amps], 1, math.pi), fock.char_table([amps], 1, -math.pi)
+    (plus, _), (minus, _) = fock.char_table([amps], 1, math.pi), fock.char_table([amps], 1, -math.pi)
     for name in CHAR_FIELDS:
         assert np.max(np.abs(getattr(plus, name) - getattr(minus, name))) <= 1e-15, name
 
@@ -366,7 +365,7 @@ def test_char_table_functionals_and_dets_are_the_reports_values():
     rng = np.random.default_rng(164)
     states = [random_state(32, rng) for _ in range(20)]
     for k in (1, 2, 4):
-        table = fock.char_table([[st.amplitudes for st in states]], k, math.pi / k)
+        table, _ = fock.char_table([[st.amplitudes for st in states]], k, math.pi / k)
         u, u_prime, u_double_prime, v = reports.functionals(table)
         det_plus, det_minus = map(det3, gram_pair(table))
         for i, st in enumerate(states):

@@ -94,8 +94,12 @@ def test_dense_oracles_read_the_tables(monkeypatch):
     spin_table, fock_table = spin.char_table, fock.char_table
     monkeypatch.setattr(spin, "char_table", lambda amps: reports.CharSet(
         *(np.swapaxes(x, -1, -2) for x in vars(spin_table(amps)).values())))
-    monkeypatch.setattr(fock, "char_table", lambda stacks, k, phi: dataclasses.replace(
-        table := fock_table(stacks, k, phi), cross_char=table.cross_char.conj()))
+
+    def conjugated_cross(stacks, k, phi):
+        table, nbar = fock_table(stacks, k, phi)
+        return dataclasses.replace(table, cross_char=table.cross_char.conj()), nbar
+
+    monkeypatch.setattr(fock, "char_table", conjugated_cross)
     for seed in (1, 2, 3):
         spin_res, fock_res, families_res = verify.run("all", 100, seed)
         assert (spin_res.checks, fock_res.checks, families_res.checks) == (2609, 602, 168)
