@@ -11,7 +11,7 @@ Each standard figure is one row of a table: the family template, swept parameter
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import groupby, islice
 
 import numpy as np
@@ -38,6 +38,11 @@ class ScanRow:
     abs_cross_char: float
     pi_k: float
     nbar: float
+
+
+# The CSV/JSON key of each ScanRow field, in field order; U, U', U'' and V are the functionals.
+COLUMNS = ("param", "U", "Uprime", "Udoubleprime", "V", "absPhi", "absPhiTilde", "absOmega", "Pik", "nbar")
+FUNCTIONALS = COLUMNS[1:5]
 
 
 @dataclass(frozen=True)
@@ -133,15 +138,6 @@ def scan(
     return ScanTable(param_name, tuple(_rows_at(family_template, param_name, grid, k, phi, max_nmax)))
 
 
-_FIELD_OF_FUNCTIONAL = {
-    "U": "u",
-    "Uprime": "u_prime",
-    "Udoubleprime": "u_double_prime",
-    "V": "v",
-}
-FUNCTIONALS = tuple(_FIELD_OF_FUNCTIONAL)
-
-
 def find_extremum(
     family_template: FamilySpec,
     param_name: str,
@@ -160,12 +156,12 @@ def find_extremum(
     or as far as floats can split the bracket (at |param| above about 1e9).
     An extremum on the interval boundary has the boundary flag set instead of failing.
     """
-    if functional not in _FIELD_OF_FUNCTIONAL:
+    if functional not in FUNCTIONALS:
         raise ValueError(f"functional must be one of {FUNCTIONALS}, got {functional!r}")
     if kind not in ("min", "max"):
         raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
     grid = _grid(lo, hi, _COARSE_POINTS)
-    field = _FIELD_OF_FUNCTIONAL[functional]
+    field = fields(ScanRow)[COLUMNS.index(functional)].name
     sign = 1.0 if kind == "min" else -1.0
 
     def f(x: float) -> float:

@@ -22,11 +22,11 @@ from dataclasses import asdict, fields, replace
 from . import analysis, families, reports, spin, verify
 from .analysis import ScanTable
 
-CSV_HEADER = "param,U,Uprime,Udoubleprime,V,absPhi,absPhiTilde,absOmega,Pik,nbar"
+CSV_HEADER = ",".join(analysis.COLUMNS)
 
-# A scan row's values in CSV column order: ScanRow's fields are the columns.
+# A scan row's values in column order: ScanRow's fields are the columns.
 _row_values = operator.attrgetter(*(f.name for f in fields(analysis.ScanRow)))
-_CSV_ROW = ",".join("{:.17g}" for _ in CSV_HEADER.split(","))
+_CSV_ROW = ",".join("{:.17g}" for _ in analysis.COLUMNS)
 
 _QUBIT_CROSS_NOTE = (
     "cross_char follows the operator definition tr(rho clock^-ell shift^k), which is "
@@ -82,8 +82,7 @@ def _table_csv(table: ScanTable) -> str:
 
 
 def _table_rows(table: ScanTable) -> list[dict]:
-    names = CSV_HEADER.split(",")
-    return [dict(zip(names, _row_values(r))) for r in table.rows]
+    return [dict(zip(analysis.COLUMNS, _row_values(r))) for r in table.rows]
 
 
 def _emit_table(args, command: str, parameters: dict, table: ScanTable) -> None:

@@ -38,8 +38,8 @@ import numpy as np
 
 from . import fock
 from .fock import FockState
-from .numerics import bessel_i
-from .reports import CharSet
+from .numerics import MAX_BESSEL_ORDER, bessel_i
+from .reports import CharSet, deviation
 
 TRUNCATION_CAP_ENV = "WEYL_UNCERT_MAX_NMAX"
 DEFAULT_TRUNCATION_CAP = 4096
@@ -256,6 +256,8 @@ class BesselEigenstate:
         return np.array(m) * np.array([1, -1j, -1, 1j])[np.arange(n_max + 1) % 4]
 
     def _closed_form(self, k: int, phi: float, weyl: complex) -> CharSet:
+        if k > MAX_BESSEL_ORDER:
+            raise ClosedFormUnavailable(f"Bessel series need k <= {MAX_BESSEL_ORDER}, got k = {k}")
         lam = self.lam
         i0 = bessel_i(0, 2.0 * lam).real
         z = 2.0 * lam * np.exp(0.5j * phi)
@@ -291,8 +293,7 @@ class Intermediate:
         if self.n % 1 != 0 or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
-        if not abs(self.xi) <= 1.0 - 1e-6:
-            raise ValueError(f"normalizability needs |xi| <= 1 - 1e-6, got |xi| = {abs(self.xi)!r}")
+        PhaseCoherent(self.xi)  # the phase part's own |xi| check
 
     def _truncation(self, cap: int) -> tuple[int, float]:
         # Discarded over kept mass; untruncated, the mass is 1 + 2 sqrt(a2 (1 - a2)) Re <n|xi>.
@@ -383,9 +384,7 @@ def oracle_check(spec: FamilySpec, state: fock.FockState, k: int, phi: float) ->
     included, and pi_k.  Raises ClosedFormUnavailable when no closed form applies.
     """
     cf = closed_form_char(spec, k, phi)
-    num = fock.char_set(state, k, phi)
-    return max(abs(num.number_char - cf.number_char), abs(num.phase_char - cf.phase_char),
-               abs(num.cross_char - cf.cross_char), abs(num.pi_k - cf.pi_k))
+    return deviation(fock.char_set(state, k, phi), cf.number_char, cf.phase_char, cf.cross_char, cf.pi_k)
 
 
 def _typed(cls: type, name: str, value: complex | float | int) -> complex | float | int:

@@ -70,6 +70,11 @@ class CharSet:
             raise ValueError(f"pi_k out of [0, 1]: {self.pi_k!r}")
 
 
+def deviation(cs: CharSet, *ref) -> float:
+    """Largest entrywise deviation of the three characters and pi_k of ``cs`` from the four values ``ref``."""
+    return max(abs(x - y) for x, y in zip((cs.number_char, cs.phase_char, cs.cross_char, cs.pi_k), ref))
+
+
 def gram_pair(cs: CharSet) -> tuple[Hermitian3, Hermitian3]:
     """Gram matrices of {psi, F psi, E^k psi} and of the inverse powers.
 

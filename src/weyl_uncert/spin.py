@@ -18,11 +18,11 @@ O(d^3) per state: d rolls and one d x d matrix product each.
 
 Characteristic sets are :class:`reports.CharSet` records whose Weyl phase is
 exp(-i 2pi k l / d) and whose pi_k is 0, since shift^k is unitary.
-:func:`report` and :func:`gram_dets` take their Gram determinants from
-``reports.gram_pair`` and ``det3``, as ``fock.report`` does, and
-:func:`report` hands them to ``reports.report``, the one recipe of the
-record for both systems: bound ``certainty_bound(gamma)``, U, V and their
-slacks always, U' and its slack at gamma = pi only, no U''.
+:func:`report` takes its Gram determinants from ``reports.gram_pair`` and
+``det3``, as ``fock.report`` does, and hands them to ``reports.report``,
+the one recipe of the record for both systems: bound
+``certainty_bound(gamma)``, U, V and their slacks always, U' and its slack
+at gamma = pi only, no U''.  :func:`gram_dets` reads them off :func:`report`.
 """
 
 from __future__ import annotations
@@ -202,10 +202,10 @@ def cyclic_phase(state: QuditState, k: int, ell: int) -> complex:
 
 
 def gram_dets(state: QuditState, k: int, ell: int) -> tuple[float, float]:
-    """Determinants of the Gram matrices for (k, l) and (-k, -l); the second
-    comes from the (k, l) set through unitarity and the Weyl phase."""
-    g_plus, g_minus = gram_pair(char_set(state, k, ell))
-    return det3(g_plus), det3(g_minus)
+    """Determinants of the Gram matrices for (k, l) and (-k, -l), as ``report`` gives
+    them; the second comes from the (k, l) set through unitarity and the Weyl phase."""
+    rep = report(state, k, ell)
+    return rep.det_plus, rep.det_minus
 
 
 def report(state: QuditState, k: int, ell: int) -> UncertaintyReport:

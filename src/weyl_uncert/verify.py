@@ -8,7 +8,7 @@ operators or test-local slice sums, built apart from the production paths.
 Both systems share three tools.  :func:`_table_failures` runs the Gram
 step and the bounds once on a ``CharSet`` table indexed [state, config]:
 spin's drawn (k, l) pairs of one d, or fock's k = 1, 2, 4 at phi = pi/k of
-one n_max.  :func:`_oracle_off` compares a set, from ``char_set`` or a table
+one n_max.  ``reports.deviation`` compares a set, from ``char_set`` or a table
 entry, with dense <F>, <S>, <F^-1 S> and pi_k; :func:`_check` counts every
 other check, such as ``families.oracle_check``'s closed forms.  A failure
 line reads ``<where>: <what>; amplitudes=<state>``; a table entry gives one
@@ -107,11 +107,6 @@ def _dense_chars(c: np.ndarray, f: np.ndarray, s: np.ndarray) -> tuple:
             1.0 - np.vdot(c, s @ (s.conj().T @ c)).real)
 
 
-def _oracle_off(cs: reports.CharSet, *ref) -> float:
-    """Largest deviation of the three characters and pi_k of ``cs`` from the four values ``ref``."""
-    return max(abs(x - y) for x, y in zip((cs.number_char, cs.phase_char, cs.cross_char, cs.pi_k), ref))
-
-
 # ---------------------------------------------------------------------------
 # spin suite
 
@@ -159,7 +154,7 @@ def run_spin(samples: int, seed: int) -> SuiteResult:
             for l in range(1, min(d, 3) + 1):
                 ref = _dense_chars(c, np.linalg.matrix_power(f, l), np.linalg.matrix_power(e, k))
                 entry = reports.CharSet(*(x[0, k - 1, l - 1] for x in full))
-                _check(res, max(_oracle_off(spin.char_set(st, k, l), *ref), _oracle_off(entry, *ref)), 1e-12,
+                _check(res, max(reports.deviation(x, *ref) for x in (spin.char_set(st, k, l), entry)), 1e-12,
                        lambda _: f"spin d={d} k={k} l={l}: char set or table disagrees with dense oracle", c)
 
     for d in dims + (32, 64):
@@ -222,7 +217,7 @@ def run_fock(samples: int, seed: int) -> SuiteResult:
             ref = _dense_chars(c, rot, np.linalg.matrix_power(e.conj().T, k))
             row = vars(fock.char_table([c[None]], k, phi)[0]).values()  # the table of one row
             entry = reports.CharSet(*(np.ravel(x)[0] for x in row))
-            _check(res, max(_oracle_off(fock.char_set(st, k, phi), *ref), _oracle_off(entry, *ref)), 1e-12,
+            _check(res, max(reports.deviation(x, *ref) for x in (fock.char_set(st, k, phi), entry)), 1e-12,
                    lambda _: f"fock n_max={n_max} k={k}: char set or table disagrees with dense oracle", c)
 
         grid = np.linspace(-math.pi, math.pi, 1024, endpoint=False)

@@ -428,6 +428,32 @@ def test_csv_rows_format_each_value_as_before():
     assert cli._table_csv(analysis.ScanTable("n", ())) == CSV_HEADER + "\n"
 
 
+def test_one_column_table_keys_every_scan_row_field():
+    # analysis.COLUMNS is the one home of the keys: the CSV header, the JSON row keys and the
+    # extremum's functional lookup all read it.
+    import dataclasses
+
+    from weyl_uncert import analysis, cli, families, fock
+
+    names = [f.name for f in dataclasses.fields(analysis.ScanRow)]
+    assert len(set(analysis.COLUMNS)) == len(analysis.COLUMNS) == len(names)
+    assert analysis.COLUMNS == tuple(CSV_HEADER.split(","))
+    assert cli.CSV_HEADER == CSV_HEADER
+    spec = families.Intermediate(0.5, 3, 0.6)
+    row = analysis._row_at(spec, "alpha2", 0.5, 2, math.pi / 2, families.DEFAULT_TRUNCATION_CAP)
+    table = analysis.ScanTable("alpha2", (row,))
+    assert cli._table_csv(table).splitlines()[0] == CSV_HEADER
+    (json_row,) = cli._table_rows(table)
+    assert list(json_row) == list(analysis.COLUMNS)
+    rep = fock.report(families.build(spec), 2, math.pi / 2)
+    assert analysis.FUNCTIONALS == ("U", "Uprime", "Udoubleprime", "V")
+    expected = {"U": rep.u, "Uprime": rep.u_prime, "Udoubleprime": rep.u_double_prime, "V": rep.v}
+    assert len(set(expected.values())) == 4  # a swapped lookup would show
+    for key in analysis.FUNCTIONALS:
+        field = names[analysis.COLUMNS.index(key)]
+        assert getattr(row, field) == json_row[key] == expected[key]
+
+
 def test_out_through_a_symlink_writes_its_target(tmp_path):
     target = tmp_path / "real.csv"
     target.write_text("old\n")

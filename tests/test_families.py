@@ -28,6 +28,7 @@ from weyl_uncert.families import (
     truncation_cap,
     with_param,
 )
+from weyl_uncert.numerics import MAX_BESSEL_ORDER
 from weyl_uncert.reports import CharSet
 
 BIG_CAP = 20000  # |xi| = 0.999 needs ~16k photon numbers for the tail target
@@ -119,6 +120,24 @@ def test_invariant_violations():
         Intermediate(1.0, 0, 0.9)
     with pytest.raises(ValueError, match="lambda"):
         BesselEigenstate(-1.0)
+
+
+def test_intermediate_checks_xi_as_phase_coherent_does():
+    with pytest.raises(ValueError) as phase:
+        PhaseCoherent(1.5)
+    with pytest.raises(ValueError) as inter:
+        Intermediate(0.5, 3, 1.5)
+    assert str(inter.value) == str(phase.value)
+    # The checks keep their order: alpha2, then n, then xi.
+    with pytest.raises(ValueError, match="alpha2"):
+        Intermediate(1.5, 0, 1.5)
+    with pytest.raises(ValueError, match="n must be an integer >= 1, got 0"):
+        Intermediate(0.5, 0, 1.5)
+    for text, needle in (("intermediate:alpha2=0.5,n=3,xi=1.5", "normalizability needs |xi|"),
+                         ("intermediate:alpha2=0.5,n=0,xi=1.5", "n must be an integer >= 1")):
+        with pytest.raises(FamilySpecError) as err:
+            parse_spec(text)
+        assert needle in str(err.value) and err.value.position == len("intermediate:")
 
 
 @pytest.mark.parametrize(
@@ -289,6 +308,17 @@ def test_oracle_check_bessel():
         for k in range(1, 6):
             for phi in (-2.5, 0.0, 1.0, math.pi / k):
                 assert oracle_check(spec, state, k, phi) <= 1e-14
+
+
+def test_bessel_closed_form_stops_at_the_series_order_cap():
+    spec = BesselEigenstate(1.0)
+    state = build(spec)
+    assert oracle_check(spec, state, MAX_BESSEL_ORDER, 1.0) <= 1e-14
+    needle = rf"k <= {MAX_BESSEL_ORDER}, got k = {MAX_BESSEL_ORDER + 1}"
+    with pytest.raises(ClosedFormUnavailable, match=needle):
+        closed_form_char(spec, MAX_BESSEL_ORDER + 1, 1.0)
+    with pytest.raises(ClosedFormUnavailable, match=needle):
+        oracle_check(spec, state, MAX_BESSEL_ORDER + 1, 1.0)
 
 
 def test_bessel_closed_form_reduces_to_ordinary_bessel_at_pi():

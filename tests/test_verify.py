@@ -67,16 +67,16 @@ def test_check_counts_once_fails_nan_and_formats_only_a_failure(monkeypatch):
     assert res.failures == ["off nan; amplitudes=[amps]", "off 2e-12"]
 
 
-def test_oracle_off_compares_all_four_fields():
+def test_deviation_compares_all_four_fields():
     c = np.array([0.6, 0.8j])
     # s raises |0> to |1>, so its adjoint annihilates |0>, of weight pi_k = 0.36.
     f, s = np.diag([1.0, -1.0]).astype(complex), np.eye(2, k=-1, dtype=complex)
     exact = reports.CharSet(np.vdot(c, f @ c), np.vdot(c, s @ c), np.vdot(c, f.conj().T @ s @ c), 1.0, 0.36)
     ref = verify._dense_chars(c, f, s)
-    assert verify._oracle_off(exact, *ref) <= 1e-15
+    assert reports.deviation(exact, *ref) <= 1e-15
     for name, value in (("number_char", exact.number_char + 1e-9), ("phase_char", exact.phase_char - 1e-9j),
                         ("cross_char", exact.cross_char + 1e-9), ("pi_k", 0.36 + 1e-9)):
-        off = verify._oracle_off(reports.CharSet(**{**vars(exact), name: value}), *ref)
+        off = reports.deviation(reports.CharSet(**{**vars(exact), name: value}), *ref)
         assert off == pytest.approx(1e-9, rel=1e-6)
 
 
