@@ -85,6 +85,13 @@ def _table_rows(table: ScanTable) -> list[dict]:
     return [dict(zip(analysis.COLUMNS, _row_values(r))) for r in table.rows]
 
 
+def _parameters(args, keys: str, **resolved) -> dict:
+    """A command's JSON "parameters": each of ``keys`` in order, the argument of that name
+    (``from`` and ``to`` are --from's and --to's) or the value resolved from it."""
+    given = vars(args) | resolved
+    return {key: given[{"from": "lo", "to": "hi"}.get(key, key)] for key in keys.split()}
+
+
 def _emit_table(args, command: str, parameters: dict, table: ScanTable) -> None:
     if args.format == "csv":
         _write_text(args.out, _table_csv(table))
@@ -130,23 +137,14 @@ def _cmd_scan(args) -> int:
     spec = families.parse_spec(args.family)
     x, phi = _resolve_phi(args.phi_over_pi, args.k)
     table = analysis.scan(spec, args.param, args.lo, args.hi, args.steps, args.k, phi, args.log_spaced, cap)
-    parameters = {
-        "family": args.family,
-        "param": args.param,
-        "from": args.lo,
-        "to": args.hi,
-        "steps": args.steps,
-        "k": args.k,
-        "phi_over_pi": x,
-        "log_spaced": args.log_spaced,
-    }
+    parameters = _parameters(args, "family param from to steps k phi_over_pi log_spaced", phi_over_pi=x)
     _emit_table(args, "scan", parameters, table)
     return 0
 
 
 def _cmd_figure(args) -> int:
     cap = families.truncation_cap()
-    _emit_table(args, "figure", {"id": args.id}, analysis.figure_dataset(args.id, cap))
+    _emit_table(args, "figure", _parameters(args, "id"), analysis.figure_dataset(args.id, cap))
     return 0
 
 
@@ -157,16 +155,7 @@ def _cmd_extremum(args) -> int:
     res = analysis.find_extremum(
         spec, args.param, args.functional, args.kind, args.lo, args.hi, args.k, phi, cap
     )
-    parameters = {
-        "family": args.family,
-        "param": args.param,
-        "functional": args.functional,
-        "kind": args.kind,
-        "from": args.lo,
-        "to": args.hi,
-        "k": args.k,
-        "phi_over_pi": x,
-    }
+    parameters = _parameters(args, "family param functional kind from to k phi_over_pi", phi_over_pi=x)
     _write_text(args.out, _envelope("extremum", parameters, {"result": asdict(res)}))
     return 0
 
@@ -191,7 +180,7 @@ def _cmd_qubit(args) -> int:
             "sum_relation_product_form": product_u_prime,
         }
     }
-    parameters = {"sx": args.sx, "sy": args.sy, "sz": args.sz, "k": args.k, "ell": args.ell}
+    parameters = _parameters(args, "sx sy sz k ell")
     _write_text(args.out, _envelope("qubit", parameters, payload, notes=[_QUBIT_CROSS_NOTE]))
     return 0
 

@@ -128,6 +128,8 @@ class NumberState:
         return (np.arange(n_max + 1) == np.array([[s.n] for s in specs])).astype(complex)
 
     def _closed_form(self, k: int, phi: float, weyl: complex) -> CharSet:
+        if self.n > 2**53:  # phi * n would be formed from a rounded n
+            raise ClosedFormUnavailable(f"closed form needs n <= 2**53, got a {len(str(self.n))}-digit n")
         return CharSet(
             number_char=complex(np.exp(1j * phi * self.n)),
             phase_char=0.0j,
@@ -393,15 +395,13 @@ def _typed(cls: type, name: str, value: complex | float | int) -> complex | floa
 
 
 def with_param(spec: FamilySpec, name: str, value: float) -> FamilySpec:
-    """Copy of a family spec with one sweepable parameter replaced.
-
-    Parameter names follow the textual spec grammar ('lam' is accepted for
-    'lambda'), each naming one field of the family's dataclass.
-    """
-    field = _family(spec).KEYS.get("lambda" if name == "lam" else name)
-    if field is None:
-        raise ValueError(f"family {type(spec).__name__} has no sweepable parameter {name!r}")
-    return replace(spec, **{field: _typed(type(spec), field, value)})
+    """Copy of a family spec with one sweepable parameter replaced, named by its
+    key in the textual spec grammar, which names one field of the family's dataclass."""
+    keys = _family(spec).KEYS
+    if name not in keys:
+        raise ValueError(f"family {type(spec).__name__} has no sweepable parameter {name!r} "
+                         f"(keys: {', '.join(keys)})")
+    return replace(spec, **{keys[name]: _typed(type(spec), keys[name], value)})
 
 
 def parse_spec(text: str) -> FamilySpec:
@@ -448,18 +448,3 @@ def parse_spec(text: str) -> FamilySpec:
     except (ValueError, OverflowError) as err:
         raise FamilySpecError(str(err), len(head) + 1) from None
 
-
-def _fmt_value(x: complex | float | int) -> str:
-    if isinstance(x, int):
-        return str(x)
-    x = complex(x)
-    if x.imag == 0.0:
-        r = x.real
-        return str(int(r)) if r == int(r) else repr(r)
-    return repr(x)
-
-
-def format_spec(spec: FamilySpec) -> str:
-    """Canonical textual form of a family spec."""
-    pairs = (f"{key}={_fmt_value(getattr(spec, name))}" for key, name in _family(spec).KEYS.items())
-    return f"{spec.TAG}:{','.join(pairs)}"

@@ -59,10 +59,9 @@ class FockState:
 
 
 def _check_k(k: int) -> int:
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return k
+    if k % 1 != 0 or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k}")
+    return int(k)
 
 
 _kept = [(math.nan, np.ones(0, dtype=complex))]  # [(the last phi, its read-only table)]

@@ -154,6 +154,35 @@ def assert_one_line_error(proc, needle):
     assert "error" in lines[0] and needle in lines[0]
 
 
+@pytest.mark.parametrize("param", ["lam", "foo"])
+def test_unknown_swept_parameter_exits_2_naming_the_keys(param):
+    proc = run_cli("scan", "--family", "bessel:lambda=1", "--param", param,
+                   "--from", "0.4", "--to", "1.4", "--steps", "3")
+    assert_one_line_error(proc, f"no sweepable parameter {param!r} (keys: lambda)")
+
+
+def test_json_parameters_keep_their_keys_in_order(capsys):
+    # Each command echoes its inputs in this order: --from and --to by those names, and
+    # phi_over_pi resolved from its default 1/k.
+    from weyl_uncert import cli
+
+    def parameters(*argv):
+        assert cli.main(list(argv)) == 0
+        return list(json.loads(capsys.readouterr().out)["parameters"].items())
+
+    assert parameters("scan", "--family", "bessel:lambda=1", "--param", "lambda", "--from", "0.5",
+                      "--to", "1.5", "--steps", "2", "--k", "2", "--format", "json") == [
+        ("family", "bessel:lambda=1"), ("param", "lambda"), ("from", 0.5), ("to", 1.5), ("steps", 2),
+        ("k", 2), ("phi_over_pi", 0.5), ("log_spaced", False), ("swept_parameter", "lambda")]
+    assert parameters("extremum", "--family", "bessel:lambda=1", "--param", "lambda", "--functional", "V",
+                      "--kind", "max", "--from", "0.4", "--to", "1.4", "--phi-over-pi", "0.25") == [
+        ("family", "bessel:lambda=1"), ("param", "lambda"), ("functional", "V"), ("kind", "max"),
+        ("from", 0.4), ("to", 1.4), ("k", 1), ("phi_over_pi", 0.25)]
+    assert parameters("qubit", "--sx", "0.3", "--sy", "0.2", "--sz", "0.1", "--k", "3", "--ell", "2") == [
+        ("sx", 0.3), ("sy", 0.2), ("sz", 0.1), ("k", 3), ("ell", 2)]
+    assert parameters("figure", "--id", "4", "--format", "json") == [("id", 4), ("swept_parameter", "lambda")]
+
+
 def test_qubit_nan_exits_2():
     assert_one_line_error(run_cli("qubit", "--sx", "nan"), "finite")
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from test_numerics import full_matrix
-from weyl_uncert import families, fock, reports, verify
+from weyl_uncert import analysis, families, fock, reports, verify
 from weyl_uncert.numerics import det3
 from weyl_uncert.reports import CharSet, gram_pair
 from weyl_uncert.fock import (
@@ -52,6 +52,20 @@ def test_single_mode_weyl_relation():
 def test_shift_domain_errors():
     with pytest.raises(ValueError, match="k must be"):
         char_set(number_state(2, n_max=4), 0, math.pi)
+
+
+@pytest.mark.parametrize("k", [1.5, 0.5, math.nan, math.inf])
+def test_non_integer_k_is_rejected_not_truncated(k):
+    # k = 1.5 was read as k = 1, while report tested the stringent point at 1.5 * phi = pi.
+    spec, phi = families.PhaseCoherent(0.5), 2 * math.pi / 3
+    st = families.build(spec)
+    calls = (lambda: char_set(st, k, phi), lambda: fock.char_table([st.amplitudes[None]], k, phi),
+             lambda: report(st, k, phi), lambda: families.closed_form_char(spec, k, phi),
+             lambda: analysis.scan(spec, "xi", 0.1, 0.9, 3, k, phi))
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape("k must be an integer >= 1, got ")):
+            call()
+    assert report(st, 2.0, phi) == report(st, 2, phi)  # an integral float still names a count
 
 
 def test_state_validation():
