@@ -2,7 +2,7 @@
 
 Scans evaluate the certainty functionals over a family parameter grid in one
 ``fock.char_table`` (which also gives each row's nbar) and one ``reports.functionals`` pass,
-fed runs of one n_max as the grid is read, each run one array of rows, no FockState per row;
+fed zero-padded chunks of rows as the grid is read, reduced per run of one n_max, no FockState per row;
 extrema are located by such a coarse grid, then golden-section steps, point by point
 (the functionals are smooth but no derivative formulas are assumed).
 Each standard figure is one row of a table: the family template, swept parameter, grid, k.
@@ -11,8 +11,7 @@ Each standard figure is one row of a table: the family template, swept parameter
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from itertools import groupby, islice
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .families import FamilySpec
 _COARSE_POINTS = 64
 _PARAM_TOL = 1e-6
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# Amplitude bytes per stacked run: under glibc's 128 KiB mmap threshold, a stack never page-faults.
+# Zero-padded complex bytes per chunk: under glibc's 128 KiB mmap threshold, a chunk never page-faults.
 _RUN_BYTES = 64 * 1024
 
 
@@ -84,32 +83,47 @@ def _row_at(template: FamilySpec, param_name: str, value: float, k: int, phi: fl
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
-    # np.linalg.norm of each row, bitwise, as a column: the same dots, one stacked matmul each.
+    # np.linalg.norm of each row, bitwise: the same dots, one np.vecdot call each.
     parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
-    return np.sqrt(sum(x[:, None] @ x[..., None] for x in parts)[:, 0])
+    return np.sqrt(sum(np.vecdot(x, x) for x in parts))
 
 
-def _rows_at(template: FamilySpec, param_name: str, values, k: int, phi: float, cap: int) -> list[ScanRow]:
-    """Each value's ``_row_at``, bitwise: one ``char_table`` of runs of one n_max within ``_RUN_BYTES``,
-    each built as one array by its family's ``_rows``, each row over its norm as ``families.build``."""
+def _rows_at(template: FamilySpec, param_name: str, values, k: int, phi: float, cap: int,
+             scale: float = 1.0) -> list[ScanRow]:
+    """Each value's ``_row_at``, bitwise, param times ``scale``: one ``char_table`` of chunks of rows
+    whose zero-padded complex rows fit in ``_RUN_BYTES``, each built by one ``_rows`` call at its
+    largest n_max, each row over its norm as ``families.build``, by reductions per run of one n_max."""
+    families.field(template, param_name)  # a name no value could fix fails before any row
 
-    def runs():
-        specs = ((x, _named(param_name, x, families.with_param, template, param_name, x)) for x in values)
-        for n_max, same in groupby(specs, key=lambda v: _named(param_name, v[0], v[1]._truncation, cap)[0]):
-            size = max(1, _RUN_BYTES // ((n_max + 1) * 16))  # complex rows
-            while run := list(islice(same, size)):
-                rows = run[0][1]._rows([spec for _, spec in run], n_max)
-                rows /= _norms(rows)
-                # FockState's check of each row: its norm within 1e-12 of 1, so finite too.
-                for (x, _), norm, row in zip(run, _norms(rows)[:, 0].tolist(), rows):
-                    if not abs(norm - 1.0) <= 1e-12:
-                        _named(param_name, x, reports.unit_amplitudes, row)
-                yield rows
+    def normalized(chunk, top):  # built at n_max top, each row zero past its n_max, over its norm
+        xs, specs, n_maxes = zip(*chunk)
+        rows = specs[0]._rows(specs, top)
+        for i, j, n in fock._runs(n_maxes):
+            rows[i:j, n + 1:] = 0
+            run = rows[i:j, :n + 1]
+            run /= _norms(run)[:, None]
+            # FockState's check of each row: its norm within 1e-12 of 1, so finite too.
+            for x, norm, row in zip(xs[i:j], _norms(run).tolist(), run):
+                if not abs(norm - 1.0) <= 1e-12:
+                    _named(param_name, x, reports.unit_amplitudes, row)
+        return rows, n_maxes
 
-    cs, nbar = fock.char_table(runs(), k, phi)
+    def chunks():
+        chunk, top = [], 0
+        for x in values:
+            spec = _named(param_name, x, families.with_param, template, param_name, x)
+            n_max = _named(param_name, x, spec._truncation, cap)[0]
+            if chunk and (len(chunk) + 1) * (max(top, n_max) + 1) * 16 > _RUN_BYTES:  # complex rows
+                yield normalized(chunk, top)
+                chunk, top = [], 0
+            chunk.append((x, spec, n_max))
+            top = max(top, n_max)
+        yield normalized(chunk, top)
+
+    cs, nbar = fock.char_table(chunks(), k, phi)
     moduli = [reports._abs(z) for z in (cs.number_char, cs.phase_char, cs.cross_char)]
     cols = [x.tolist() for x in (*reports.functionals(cs), *moduli, cs.pi_k, nbar)]
-    return [ScanRow(float(x), *r) for x, r in zip(values, zip(*cols))]
+    return [ScanRow(float(x) * scale, *r) for x, r in zip(values, zip(*cols))]
 
 
 def _grid(lo: float, hi: float, steps: int, log_spaced: bool = False) -> np.ndarray:
@@ -225,8 +239,6 @@ def figure_dataset(figure_id: int, max_nmax: int = families.DEFAULT_TRUNCATION_C
     if figure_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
     template, name, lo, hi, steps, k, log_spaced = _FIGURES[figure_id]
-    table = scan(template, name, lo, hi, steps, k, math.pi / k, log_spaced, max_nmax)
-    if figure_id != 2:
-        return table
-    rows = tuple(replace(r, param=r.param * _FIG2_K2) for r in table.rows)
-    return replace(table, swept_parameter="ak2", rows=rows)
+    column, scale = ("ak2", _FIG2_K2) if figure_id == 2 else (name, 1.0)
+    grid = _grid(lo, hi, steps, log_spaced)
+    return ScanTable(column, tuple(_rows_at(template, name, grid, k, math.pi / k, max_nmax, scale)))

@@ -39,7 +39,7 @@ import numpy as np
 from . import fock
 from .fock import FockState
 from .numerics import MAX_BESSEL_ORDER, bessel_i
-from .reports import CharSet, deviation
+from .reports import CharSet, deviation, integer
 
 TRUNCATION_CAP_ENV = "WEYL_UNCERT_MAX_NMAX"
 DEFAULT_TRUNCATION_CAP = 4096
@@ -116,9 +116,7 @@ class NumberState:
     KEYS = {"n": "n"}
 
     def __post_init__(self) -> None:
-        if self.n % 1 != 0 or self.n < 0:
-            raise ValueError(f"n must be an integer >= 0, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", integer("n", self.n, 0))
 
     def _truncation(self, cap: int) -> tuple[int, float]:
         return _within_cap(max(self.n, 8), cap), 0.0
@@ -292,9 +290,7 @@ class Intermediate:
         if not 0.0 <= self.alpha2 <= 1.0:
             raise ValueError(f"alpha2 must lie in [0, 1], got {self.alpha2!r}")
         object.__setattr__(self, "xi", complex(self.xi))
-        if self.n % 1 != 0 or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", integer("n", self.n, 1))
         PhaseCoherent(self.xi)  # the phase part's own |xi| check
 
     def _truncation(self, cap: int) -> tuple[int, float]:
@@ -376,7 +372,7 @@ def closed_form_char(spec: FamilySpec, k: int, phi: float) -> CharSet:
     Outside a family's valid regime this raises ClosedFormUnavailable
     instead of returning numbers that do not mean anything.
     """
-    k = fock._check_k(k)
+    k = integer("k", k, 1)
     return _family(spec)._closed_form(k, phi, np.exp(-1j * k * phi))
 
 
@@ -394,14 +390,19 @@ def _typed(cls: type, name: str, value: complex | float | int) -> complex | floa
     return float(value) if _TYPES[cls][name] is float else value
 
 
-def with_param(spec: FamilySpec, name: str, value: float) -> FamilySpec:
-    """Copy of a family spec with one sweepable parameter replaced, named by its
-    key in the textual spec grammar, which names one field of the family's dataclass."""
+def field(spec: FamilySpec, name: str) -> str:
+    """The field of the family's dataclass that a sweepable parameter's key names."""
     keys = _family(spec).KEYS
     if name not in keys:
         raise ValueError(f"family {type(spec).__name__} has no sweepable parameter {name!r} "
                          f"(keys: {', '.join(keys)})")
-    return replace(spec, **{keys[name]: _typed(type(spec), keys[name], value)})
+    return keys[name]
+
+
+def with_param(spec: FamilySpec, name: str, value: float) -> FamilySpec:
+    """Copy of a family spec with one sweepable parameter, named by its key (:func:`field`), replaced."""
+    name = field(spec, name)
+    return replace(spec, **{name: _typed(type(spec), name, value)})
 
 
 def parse_spec(text: str) -> FamilySpec:

@@ -19,6 +19,13 @@ import numpy as np
 from .numerics import Hermitian3
 
 
+def integer(name: str, value, least: int | None = None) -> int:
+    """``value`` as an int, if it is an integer (at least ``least``, if given); else a ValueError naming it."""
+    if value % 1 or least is not None and not value >= least:
+        raise ValueError(f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {value}")
+    return int(value)
+
+
 def unit_amplitudes(amps) -> np.ndarray:
     """A read-only complex copy of ``amps``, checked finite and of unit norm."""
     c = np.array(amps, dtype=complex)

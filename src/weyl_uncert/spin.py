@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import det3
-from .reports import CharSet, UncertaintyReport, gram_pair, unit_amplitudes, report as record
+from .reports import CharSet, UncertaintyReport, gram_pair, integer, unit_amplitudes, report as record
 
 @dataclass(frozen=True)
 class SpinSystem:
@@ -42,9 +42,7 @@ class SpinSystem:
     dim: int
 
     def __post_init__(self) -> None:
-        if int(self.dim) != self.dim or self.dim < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", integer("dimension", self.dim, 2))
 
     @property
     def j(self) -> float:
@@ -124,7 +122,7 @@ def weyl_defect(system: SpinSystem, k: int, ell: int) -> float:
     (row - k) mod d, so applying them to the all-ones vector lists exactly
     those entries: O(d), no matrices.
     """
-    d = system.dim
+    d, k, ell = system.dim, integer("k", k), integer("l", ell)
     f = _unit_phases(d, ell)
     lhs = _apply_shift(d, k, f)
     rhs = f * _apply_shift(d, k, np.ones(d, dtype=complex))
@@ -133,6 +131,7 @@ def weyl_defect(system: SpinSystem, k: int, ell: int) -> float:
 
 def weyl_angle(system: SpinSystem, k: int, ell: int) -> float:
     """gamma = 2pi k l / d reduced to (-pi, pi]."""
+    k, ell = integer("k", k), integer("l", ell)
     q = (k * ell) % system.dim
     gamma = 2.0 * math.pi * q / system.dim
     if gamma > math.pi:
@@ -157,8 +156,7 @@ def char_set(state: QuditState, k: int, ell: int) -> CharSet:
     The clock expectation is a diagonal sum; shift^k psi is formed once as a
     signed cyclic roll and serves both the shift and the cross term.
     """
-    d = state.system.dim
-    c = state.amplitudes
+    d, c, k, ell = state.system.dim, state.amplitudes, integer("k", k), integer("l", ell)
     f = _unit_phases(d, ell)
     number_char = complex((np.abs(c) ** 2) @ f)
     w = _apply_shift(d, k, c)
@@ -195,7 +193,7 @@ def cyclic_phase(state: QuditState, k: int, ell: int) -> complex:
 
     Equals exp(-i 2pi k l / d) for every state.
     """
-    d = state.system.dim
+    d, k, ell = state.system.dim, integer("k", k), integer("l", ell)
     w = _apply_shift(d, k, _unit_phases(d, ell) * state.amplitudes)
     w = _apply_shift(d, -k, _unit_phases(d, -ell) * w)
     return complex(np.vdot(state.amplitudes, w))
@@ -224,6 +222,7 @@ def qubit_char(bloch, k: int = 1, ell: int = 1) -> CharSet:
     (s_z, s_x, i s_y); even powers of a Pauli matrix are the identity.
     Mixed states (|s| < 1) are allowed.
     """
+    k, ell = integer("k", k), integer("l", ell)
     s = np.asarray(bloch, dtype=float)
     if s.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got shape {s.shape}")

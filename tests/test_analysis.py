@@ -4,6 +4,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import astuple
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -173,32 +174,39 @@ def _bits(row):
 
 def _assert_rows_equal_single_rows(monkeypatch, template, name, values, k, phi, cap=4096):
     # Each grid row, and each row of amplitudes as char_table reads it, is bitwise its one-state
-    # build's: the runs the grid read are returned.
+    # build's up to its n_max and zero past it: the chunks the grid read are returned.
     seen = _recorded_tables(monkeypatch)
     rows = analysis._rows_at(template, name, values, k, phi, cap)
     monkeypatch.undo()
-    assert len(rows) == len(values) == sum(len(a) for a in seen)
-    amps = (np.asarray(a, dtype=complex) for run in seen for a in run)
-    for x, row, got in zip(values, rows, amps):
+    assert len(rows) == len(values) == sum(len(a) for a, _ in seen)
+    amps = ((a, n) for chunk, n_maxes in seen for a, n in zip(chunk, n_maxes, strict=True))
+    for x, row, (got, n) in zip(values, rows, amps):
         assert _bits(row) == _bits(analysis._row_at(template, name, x, k, phi, cap)), x
-        assert got.tobytes() == families.build(families.with_param(template, name, x), cap).amplitudes.tobytes(), x
+        state = families.build(families.with_param(template, name, x), cap)
+        assert n == state.n_max and not np.any(got[n + 1:]), x
+        assert np.asarray(got[:n + 1], dtype=complex).tobytes() == state.amplitudes.tobytes(), x
     return seen
 
 
 def _recorded_tables(monkeypatch):
-    # The stacked runs, one per entry, in the order fock.char_table reads them.
+    # The chunks, one (rows, n_maxes) pair per entry, in the order fock.char_table reads them.
     seen = []
     char_table = fock.char_table
 
-    def recording(stacks, k, phi):
-        def record(amps):
-            seen.append(amps)
-            return amps
+    def recording(chunks, k, phi):
+        def record(chunk):
+            seen.append(chunk)
+            return chunk
 
-        return char_table(map(record, stacks), k, phi)
+        return char_table(map(record, chunks), k, phi)
 
     monkeypatch.setattr(fock, "char_table", recording)
     return seen
+
+
+def _within_budget(seen):
+    # Each chunk's zero-padded complex rows fit in the budget, or it is one row above it.
+    return all(len(a) == 1 or a.size * 16 <= analysis._RUN_BYTES for a, _ in seen)
 
 
 @pytest.mark.parametrize("figure_id", [1, 2, 3, 4])
@@ -206,7 +214,7 @@ def test_grid_rows_equal_single_rows_on_every_figure(figure_id, monkeypatch):
     template, name, lo, hi, steps, k, log_spaced = analysis._FIGURES[figure_id]
     grid = analysis._grid(lo, hi, steps, log_spaced)
     seen = _assert_rows_equal_single_rows(monkeypatch, template, name, grid, k, math.pi / k)
-    assert all(a.size * 16 <= analysis._RUN_BYTES for a in seen if len(a) > 1)
+    assert _within_budget(seen)
 
 
 def test_a_grid_is_one_table_checked_once(monkeypatch):
@@ -223,12 +231,14 @@ def test_a_grid_is_one_table_checked_once(monkeypatch):
     monkeypatch.setattr(reports, "functionals", counting("functionals", functionals))
     monkeypatch.setattr(reports.CharSet, "__post_init__", counting("check", post_init))
     table = figure_dataset(2)
-    assert (len(table.rows), len(seen)) == (160, 131)
+    # 160 rows in 131 runs of one n_max, read as 21 chunks.
+    runs = groupby(n for _, n_maxes in seen for n in n_maxes)
+    assert (len(table.rows), len(list(runs)), len(seen)) == (160, 131, 21)
     assert calls == {"functionals": 1, "check": 1}
 
 
 def test_grid_nbar_is_bitwise_the_one_state_dot():
-    # One grid whose runs include the lone n_max 16111 row, whose dot is long enough to thread.
+    # One grid whose chunks include the lone n_max 16111 row, whose dot is long enough to thread.
     values = np.array([0.5, 0.999, 0.9, 0.9])
     rows = analysis._rows_at(PhaseCoherent(0.5), "xi", values, 1, math.pi, 20000)
     states = [families.build(PhaseCoherent(x), 20000) for x in values]
@@ -241,7 +251,7 @@ def test_grid_nbar_is_bitwise_the_one_state_dot():
 def test_grid_rows_equal_single_rows_on_the_extremum_coarse_grid(monkeypatch):
     grid = analysis._grid(0.4, 1.4, analysis._COARSE_POINTS)
     seen = _assert_rows_equal_single_rows(monkeypatch, BesselEigenstate(1.0), "lambda", grid, 1, math.pi)
-    assert [len(a) for a in seen] == [64]
+    assert [len(a) for a, _ in seen] == [64]
 
 
 def test_grid_rows_equal_single_rows_where_n_max_rises_and_falls(monkeypatch):
@@ -249,7 +259,7 @@ def test_grid_rows_equal_single_rows_where_n_max_rises_and_falls(monkeypatch):
     nmax = [families.build(PhaseCoherent(x)).n_max for x in values]
     assert nmax[2] > nmax[1] > nmax[0] and nmax[7] > nmax[6]
     seen = _assert_rows_equal_single_rows(monkeypatch, PhaseCoherent(0.5), "xi", values, 2, math.pi / 2)
-    assert [len(a) for a in seen] == [1, 1, 2, 1, 2, 1, 1]
+    assert [list(n) for _, n in seen] == [nmax]  # one chunk of seven runs
 
 
 @pytest.mark.parametrize("template, name, lo, hi, steps", [
@@ -266,7 +276,23 @@ def test_grid_rows_equal_single_rows_where_n_max_rises_and_falls(monkeypatch):
 def test_grid_runs_of_many_rows_equal_single_rows_in_every_family(template, name, lo, hi, steps, monkeypatch):
     grid = analysis._grid(lo, hi, steps)
     seen = _assert_rows_equal_single_rows(monkeypatch, template, name, grid, 2, math.pi / 2)
-    assert max(len(a) for a in seen) > 1
+    assert max(len(a) for a, _ in seen) > 1
+
+
+@pytest.mark.parametrize("template, name, values", [
+    (NumberState(2), "n", [0, 20, 3, 3, 40, 9, 1]),
+    (PhaseCoherent(0.5), "xi", [0.1, 0.5, 0.9, 0.9, 0.5, -0.95, 0.3]),
+    (GaussianNumber(100.0, 0.1, 0.3), "nbar", [100.0, 40.0, 300.0, 300.0, 20.0, 150.0]),
+    (BesselEigenstate(1.0), "lambda", [0.5, 5.0, 1.0, 20.0, 20.0, 2.0]),
+    (Intermediate(0.5, 3, 0.3), "n", [1, 30, 3, 20, 20, 2]),
+])
+def test_a_chunk_whose_n_max_rises_and_falls_equals_single_rows_in_every_family(template, name, values,
+                                                                                monkeypatch):
+    # Built at the chunk's largest n_max, each row is bitwise its own build up to its n_max.
+    grid = np.array(values, dtype=float)
+    ((_, n_maxes),) = _assert_rows_equal_single_rows(monkeypatch, template, name, grid, 2, math.pi / 2)
+    steps = set(np.sign(np.diff(n_maxes)).tolist())
+    assert {1, -1} <= steps, n_maxes
 
 
 def test_a_lone_large_row_is_passed_as_a_view(monkeypatch):
@@ -278,18 +304,34 @@ def test_a_lone_large_row_is_passed_as_a_view(monkeypatch):
 
     monkeypatch.setattr(PhaseCoherent, "_rows", staticmethod(recording))
     rows = analysis._rows_at(PhaseCoherent(0.5), "xi", np.array([0.999]), 1, math.pi, 20000)
-    (run,), (amps,) = built, seen
-    assert amps is run and amps.shape == (1, 16112)
+    (run,), ((amps, n_maxes),) = built, seen
+    assert amps is run and amps.shape == (1, 16112) and list(n_maxes) == [16111]
     assert _bits(rows[0]) == _bits(analysis._row_at(PhaseCoherent(0.5), "xi", 0.999, 1, math.pi, 20000))
 
 
 def test_grid_runs_stay_within_the_byte_budget(monkeypatch):
     seen = _recorded_tables(monkeypatch)
     table = figure_dataset(3)  # 151 rows, all at n_max 427
-    assert {len(a[0]) for a in seen} == {428}
-    assert sum(len(a) for a in seen) == len(table.rows) == 151
-    assert max(a.nbytes for a in seen) <= analysis._RUN_BYTES
+    assert {a.shape[1] for a, _ in seen} == {428}
+    assert sum(len(a) for a, _ in seen) == len(table.rows) == 151
+    assert max(a.size * 16 for a, _ in seen) <= analysis._RUN_BYTES
     assert len(seen) >= 151 * 428 * 16 / analysis._RUN_BYTES > 10
+
+
+def test_grid_rows_do_not_depend_on_the_byte_budget(monkeypatch):
+    # Figures 1-4 and the xi = 0.49 scan in chunks of a few rows (4 KiB), at the default, and in
+    # chunks past glibc's 128 KiB mmap threshold (1 MiB): the same rows, bit for bit.
+    seen, rows, chunks = _recorded_tables(monkeypatch), [], []
+    for budget in (4 * 1024, 64 * 1024, 1024 * 1024):
+        monkeypatch.setattr(analysis, "_RUN_BYTES", budget)
+        seen.clear()
+        scans = (*map(figure_dataset, analysis.FIGURE_IDS),
+                 scan(PhaseCoherent(0.49), "xi", 0.01, 0.995, 99, 1, math.pi))
+        rows.append([[_bits(r) for r in t.rows] for t in scans])
+        chunks.append(len(seen))
+        assert _within_budget(seen)
+    assert max(a.size * 16 for a, _ in seen) > 128 * 1024
+    assert chunks[0] > chunks[1] > chunks[2] and rows[0] == rows[1] == rows[2]
 
 
 def test_grid_build_failure_names_the_failing_value():
@@ -298,8 +340,9 @@ def test_grid_build_failure_names_the_failing_value():
 
 
 def test_a_grid_builds_its_states_as_it_reads_them(monkeypatch):
-    # Runs stream, with no list of all rows: 0.5 (another n_max) cuts the run of 0.1, which is
-    # built and read by char_table before 1.5 fails; 0.5 and 0.2 are never built.
+    # Chunks stream, with no list of all rows: 0.999 (n_max 16111, past the budget beside them)
+    # cuts the chunk of 0.1 and 0.5, which is built and read by char_table before 1.5 fails;
+    # 0.999 and 0.2 are never built.
     seen, rows_of, built = _recorded_tables(monkeypatch), PhaseCoherent._rows, []
 
     def recording(specs, n_max):
@@ -308,8 +351,8 @@ def test_a_grid_builds_its_states_as_it_reads_them(monkeypatch):
 
     monkeypatch.setattr(PhaseCoherent, "_rows", staticmethod(recording))
     with pytest.raises(ValueError, match=r"xi = 1\.5"):
-        analysis._rows_at(PhaseCoherent(0.5), "xi", np.array([0.1, 0.5, 1.5, 0.2]), 1, math.pi, 4096)
-    assert built == [[0.1]] and [len(a) for a in seen] == [1]
+        analysis._rows_at(PhaseCoherent(0.5), "xi", np.array([0.1, 0.5, 0.999, 1.5, 0.2]), 1, math.pi, 20000)
+    assert built == [[0.1, 0.5]] and [len(a) for a, _ in seen] == [2]
 
 
 @pytest.mark.parametrize("bad, message", [

@@ -156,9 +156,11 @@ def assert_one_line_error(proc, needle):
 
 @pytest.mark.parametrize("param", ["lam", "foo"])
 def test_unknown_swept_parameter_exits_2_naming_the_keys(param):
-    proc = run_cli("scan", "--family", "bessel:lambda=1", "--param", param,
-                   "--from", "0.4", "--to", "1.4", "--steps", "3")
-    assert_one_line_error(proc, f"no sweepable parameter {param!r} (keys: lambda)")
+    # A name no value could fix is checked before any row, so no grid value is blamed.
+    for command in (("scan", "--steps", "3"), ("extremum", "--functional", "U", "--kind", "min")):
+        proc = run_cli(*command, "--family", "bessel:lambda=1", "--param", param, "--from", "0.4", "--to", "1.4")
+        assert_one_line_error(proc, f"no sweepable parameter {param!r} (keys: lambda)")
+        assert "failed at" not in proc.stderr, proc.stderr
 
 
 def test_json_parameters_keep_their_keys_in_order(capsys):

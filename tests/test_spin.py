@@ -701,3 +701,20 @@ def test_state_validation():
     assert st.amplitudes[0] == 0.6 and not st.amplitudes.flags.writeable
     with pytest.raises(ValueError, match="dimension"):
         SpinSystem(1)
+
+
+@pytest.mark.parametrize("bad", [1.5, 0.5, math.nan, math.inf])
+def test_non_integer_powers_are_rejected_naming_k_or_l(bad):
+    # k = 1.5 gave weyl_angle pi and, in qubit_char, read as even; char_set's roll raised a TypeError.
+    system = SpinSystem(3)
+    st = random_state(system, np.random.default_rng(41))
+    calls = (lambda k, l: weyl_angle(system, k, l), lambda k, l: qubit_char((0.3, 0.2, 0.1), k, l),
+             lambda k, l: char_set(st, k, l), lambda k, l: report(st, k, l),
+             lambda k, l: cyclic_phase(st, k, l), lambda k, l: weyl_defect(system, k, l))
+    for call in calls:
+        for name, pair in (("k", (bad, 1)), ("l", (1, bad))):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+                call(*pair)
+    for k, l in ((2, -1), (-3, 4), (0, 5)):  # integers of either sign, and integral floats, name powers
+        for call in calls:
+            assert call(float(k), float(l)) == call(k, l), (k, l)
