@@ -2,7 +2,7 @@
 
 Scans evaluate the certainty functionals over a family parameter grid in one
 ``fock.char_table`` (which also gives each row's nbar) and one ``reports.functionals`` pass,
-fed zero-padded chunks of rows as the grid is read, reduced per run of one n_max, no FockState per row;
+fed runs of one n_max as the grid is read, views into chunks of rows built at once, no FockState per row;
 extrema are located by such a coarse grid, then golden-section steps, point by point
 (the functionals are smooth but no derivative formulas are assumed).
 Each standard figure is one row of a table: the family template, swept parameter, grid, k.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import groupby
 
 import numpy as np
 
@@ -90,23 +91,10 @@ def _norms(rows: np.ndarray) -> np.ndarray:
 
 def _rows_at(template: FamilySpec, param_name: str, values, k: int, phi: float, cap: int,
              scale: float = 1.0) -> list[ScanRow]:
-    """Each value's ``_row_at``, bitwise, param times ``scale``: one ``char_table`` of chunks of rows
-    whose zero-padded complex rows fit in ``_RUN_BYTES``, each built by one ``_rows`` call at its
-    largest n_max, each row over its norm as ``families.build``, by reductions per run of one n_max."""
+    """Each value's ``_row_at``, bitwise, param times ``scale``: one ``char_table`` of runs of one n_max,
+    views into chunks of rows whose zero-padded complex rows fit in ``_RUN_BYTES``, each built by one
+    ``_rows`` call at its largest n_max (the formulas are elementwise: a row's prefix is its own build)."""
     families.field(template, param_name)  # a name no value could fix fails before any row
-
-    def normalized(chunk, top):  # built at n_max top, each row zero past its n_max, over its norm
-        xs, specs, n_maxes = zip(*chunk)
-        rows = specs[0]._rows(specs, top)
-        for i, j, n in fock._runs(n_maxes):
-            rows[i:j, n + 1:] = 0
-            run = rows[i:j, :n + 1]
-            run /= _norms(run)[:, None]
-            # FockState's check of each row: its norm within 1e-12 of 1, so finite too.
-            for x, norm, row in zip(xs[i:j], _norms(run).tolist(), run):
-                if not abs(norm - 1.0) <= 1e-12:
-                    _named(param_name, x, reports.unit_amplitudes, row)
-        return rows, n_maxes
 
     def chunks():
         chunk, top = [], 0
@@ -114,13 +102,26 @@ def _rows_at(template: FamilySpec, param_name: str, values, k: int, phi: float, 
             spec = _named(param_name, x, families.with_param, template, param_name, x)
             n_max = _named(param_name, x, spec._truncation, cap)[0]
             if chunk and (len(chunk) + 1) * (max(top, n_max) + 1) * 16 > _RUN_BYTES:  # complex rows
-                yield normalized(chunk, top)
+                yield chunk, top
                 chunk, top = [], 0
             chunk.append((x, spec, n_max))
             top = max(top, n_max)
-        yield normalized(chunk, top)
+        yield chunk, top
 
-    cs, nbar = fock.char_table(chunks(), k, phi)
+    def runs():  # each row over its norm as families.build
+        for chunk, top in chunks():
+            rows, i = chunk[0][1]._rows([spec for _, spec, _ in chunk], top), 0
+            for n_max, same in groupby(chunk, key=lambda v: v[2]):
+                xs = [x for x, _, _ in same]
+                run, i = rows[i:i + len(xs), :n_max + 1], i + len(xs)
+                run /= _norms(run)[:, None]
+                # FockState's check of each row: its norm within 1e-12 of 1, so finite too.
+                for x, norm, row in zip(xs, _norms(run).tolist(), run):
+                    if not abs(norm - 1.0) <= 1e-12:
+                        _named(param_name, x, reports.unit_amplitudes, row)
+                yield run
+
+    cs, nbar = fock.char_table(runs(), k, phi)
     moduli = [reports._abs(z) for z in (cs.number_char, cs.phase_char, cs.cross_char)]
     cols = [x.tolist() for x in (*reports.functionals(cs), *moduli, cs.pi_k, nbar)]
     return [ScanRow(float(x) * scale, *r) for x, r in zip(values, zip(*cols))]

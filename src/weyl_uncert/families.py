@@ -18,7 +18,7 @@ cross-validation against the generic amplitude sums:
 
 Each family is one frozen dataclass holding its checks, its spec-grammar
 tag (TAG), the field each spec key names (KEYS), its n_max and tail bound
-(_truncation), its one amplitude formula as unnormalized rows over a run of
+(_truncation), its one elementwise amplitude formula as unnormalized rows of
 specs at one n_max (_rows; build is the one-row case) and its closed forms
 (_closed_form).  The functions below only look these up, so a new family
 is one new class, listed in FamilySpec.

@@ -5,9 +5,9 @@ of phase is the one-sided-unitary operator E with E|n+1> = |n> (the
 Susskind-Glogower shift).  No operator is applied: inside the sums, E^k
 pairs c_{n+k} with c_n (the slices c[k:] and c[:-k]), and exp(i phi n) is
 a diagonal phase read from the one table kept for the last phi.
-Characteristic functions are O(n_max) sums over amplitudes, of one state or (:func:`char_table`)
-of zero-padded chunks of rows, read one at a time and summed per run of one n_max into one table
-checked once, with each row's nbar; the phase density on a periodic grid of M points is one
+Characteristic functions are O(n_max) sums over amplitudes, of one state or
+(:func:`char_table`) of stacks of them, read one at a time into one table checked
+once, with each row's nbar; the phase density on a periodic grid of M points is one
 length-M FFT (other grids are rejected).  Dense operators are test oracles.
 
 Characteristic sets are :class:`reports.CharSet` records, checked once
@@ -73,29 +73,13 @@ def _phase_table(phi: float, size: int) -> np.ndarray:
     return table[:size]
 
 
-def _products(amps: np.ndarray, k: int) -> tuple:
-    # The elementwise part of the sums along the last axis: conj(c_{n+k}) c_n (numpy's in-place
-    # complex product can round otherwise), then |c|^2 in place, of real amplitudes as they are
-    # (|x + 0i| is |x|), with their complex copy freed first: fewer page faults at n_max 16111.
+def _sums(amps: np.ndarray, k: int, phi: float) -> tuple:
+    # The number, phase and cross sums and pi_k along the last axis of amps, and the |c|^2 they read, of
+    # real amps as they are (|x + 0i| is |x|); np.vecdot conjugates the table without a copy.
     c = np.asarray(amps, dtype=complex)
     pair = np.conj(c[..., k:]) * c[..., :-k]
-    del c
-    probs = np.abs(amps)
-    probs **= 2
-    return probs, pair
-
-
-def _sums(probs: np.ndarray, pair: np.ndarray, k: int, phi: float) -> tuple:
-    # The number, phase and cross sums and pi_k of _products, whose last axis must end at one n_max
-    # (a dot's last bits follow its length); np.vecdot conjugates the table without a copy.
-    phases = _phase_table(phi, probs.shape[-1])
-    return probs @ phases, pair.sum(axis=-1), np.vecdot(phases[k:], pair), probs[..., :k].sum(axis=-1)
-
-
-def _runs(n_maxes) -> zip:
-    # (start, stop, n_max) of each run of consecutive equal n_max.
-    starts = [i for i, n in enumerate(n_maxes) if not i or n != n_maxes[i - 1]]
-    return zip(starts, [*starts[1:], len(n_maxes)], [n_maxes[i] for i in starts])
+    phases, probs = _phase_table(phi, c.shape[-1]), np.abs(amps) ** 2
+    return probs @ phases, pair.sum(-1), np.vecdot(phases[k:], pair), probs[..., :k].sum(-1), probs
 
 
 def char_set(state: FockState, k: int, phi: float) -> CharSet:
@@ -110,28 +94,22 @@ def char_set(state: FockState, k: int, phi: float) -> CharSet:
     by rounding when the whole support lies below k.
     """
     k = integer("k", k, 1)
-    number, phase, cross, below = _sums(*_products(state.amplitudes, k), k, phi)
+    number, phase, cross, below, _ = _sums(state.amplitudes, k, phi)
     return CharSet(complex(number), complex(phase), complex(cross), complex(np.exp(-1j * k * phi)),
                    min(1.0, float(below)))
 
 
-def char_table(chunks, k: int, phi: float) -> tuple[CharSet, np.ndarray]:
-    """:func:`char_set` of each row of ``chunks``, read one at a time, as one record of arrays
-    checked once, and each row's :func:`mean_photon` from the |c|^2 the sums read.  A chunk pairs
-    a 2-D stack of unit amplitude rows, taken as given and each zero past its own n_max, with the
-    rows' n_max.  |c|^2 and the pair products are formed once per chunk, each sum once per run of
-    one n_max on views up to it, each row along its own length-one axis: every product is the
-    one-state dot, so row i is bitwise its one-state values at one BLAS thread count (a dot as
-    long as n_max 16111 threads, and its last bits follow the count)."""
+def char_table(stacks, k: int, phi: float) -> tuple[CharSet, np.ndarray]:
+    """:func:`char_set` of each row of ``stacks``, read one at a time, each of unit amplitude
+    rows of one n_max taken as given, as one record of arrays over all rows, checked once, and
+    each row's :func:`mean_photon` from the |c|^2 the sums read.  Each row sums along its own
+    length-one axis, so every product is the one-state dot: row i is bitwise its one-state
+    values at one BLAS thread count (a dot as long as n_max 16111 threads, and its last bits
+    follow the count)."""
     k = integer("k", k, 1)
-    cols = []
-    for amps, n_maxes in chunks:
-        probs, pair = _products(np.asarray(amps)[:, None, :], k)
-        counts = np.arange(probs.shape[-1], dtype=float)
-        for i, j, n in _runs(n_maxes):
-            p = probs[i:j, :, :n + 1]
-            cols.append((*_sums(p, pair[i:j, :, :max(0, n + 1 - k)], k, phi), np.vecdot(p, counts[:n + 1])))
-    number, phase, cross, below, nbar = (np.concatenate([x[..., 0] for x in col]) for col in zip(*cols))
+    sums = (_sums(np.asarray(amps)[..., None, :], k, phi) for amps in stacks)
+    cols = zip(*((*chars, probs @ np.arange(probs.shape[-1])) for *chars, probs in sums))
+    number, phase, cross, below, nbar = (np.concatenate([x[..., 0] for x in col]) for col in cols)
     return CharSet(number, phase, cross, complex(np.exp(-1j * k * phi)), np.minimum(1.0, below)), nbar
 
 

@@ -20,7 +20,7 @@ from .numerics import Hermitian3
 
 
 def integer(name: str, value, least: int | None = None) -> int:
-    """``value`` as an int, if it is an integer (at least ``least``, if given); else a ValueError naming it."""
+    """``value`` as an int if it is an integer (at least ``least``, if given), else a ValueError naming it."""
     if value % 1 or least is not None and not value >= least:
         raise ValueError(f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {value}")
     return int(value)

@@ -4,7 +4,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import astuple
-from itertools import groupby
 
 import numpy as np
 import pytest
@@ -174,51 +173,67 @@ def _bits(row):
 
 def _assert_rows_equal_single_rows(monkeypatch, template, name, values, k, phi, cap=4096):
     # Each grid row, and each row of amplitudes as char_table reads it, is bitwise its one-state
-    # build's up to its n_max and zero past it: the chunks the grid read are returned.
+    # build's: the runs the grid read are returned.
     seen = _recorded_tables(monkeypatch)
     rows = analysis._rows_at(template, name, values, k, phi, cap)
     monkeypatch.undo()
-    assert len(rows) == len(values) == sum(len(a) for a, _ in seen)
-    amps = ((a, n) for chunk, n_maxes in seen for a, n in zip(chunk, n_maxes, strict=True))
-    for x, row, (got, n) in zip(values, rows, amps):
+    assert len(rows) == len(values) == sum(len(a) for a in seen)
+    amps = (np.asarray(a, dtype=complex) for run in seen for a in run)
+    for x, row, got in zip(values, rows, amps):
         assert _bits(row) == _bits(analysis._row_at(template, name, x, k, phi, cap)), x
-        state = families.build(families.with_param(template, name, x), cap)
-        assert n == state.n_max and not np.any(got[n + 1:]), x
-        assert np.asarray(got[:n + 1], dtype=complex).tobytes() == state.amplitudes.tobytes(), x
+        assert got.tobytes() == families.build(families.with_param(template, name, x), cap).amplitudes.tobytes(), x
     return seen
 
 
 def _recorded_tables(monkeypatch):
-    # The chunks, one (rows, n_maxes) pair per entry, in the order fock.char_table reads them.
+    # The runs of one n_max, one per entry, in the order fock.char_table reads them.
     seen = []
     char_table = fock.char_table
 
-    def recording(chunks, k, phi):
-        def record(chunk):
-            seen.append(chunk)
-            return chunk
+    def recording(stacks, k, phi):
+        def record(amps):
+            seen.append(amps)
+            return amps
 
-        return char_table(map(record, chunks), k, phi)
+        return char_table(map(record, stacks), k, phi)
 
     monkeypatch.setattr(fock, "char_table", recording)
     return seen
 
 
-def _within_budget(seen):
+def _recorded_chunks(monkeypatch, *classes):
+    # The chunks, one array per entry, in the order the families' _rows built them.
+    built = []
+
+    def recording(rows_of):
+        def record(specs, n_max):
+            built.append(rows_of(specs, n_max))
+            return built[-1]
+
+        return staticmethod(record)
+
+    for cls in classes:
+        monkeypatch.setattr(cls, "_rows", recording(cls._rows))
+    return built
+
+
+def _within_budget(built):
     # Each chunk's zero-padded complex rows fit in the budget, or it is one row above it.
-    return all(len(a) == 1 or a.size * 16 <= analysis._RUN_BYTES for a, _ in seen)
+    return all(len(a) == 1 or a.size * 16 <= analysis._RUN_BYTES for a in built)
 
 
 @pytest.mark.parametrize("figure_id", [1, 2, 3, 4])
 def test_grid_rows_equal_single_rows_on_every_figure(figure_id, monkeypatch):
     template, name, lo, hi, steps, k, log_spaced = analysis._FIGURES[figure_id]
     grid = analysis._grid(lo, hi, steps, log_spaced)
+    built = _recorded_chunks(monkeypatch, type(template))
     seen = _assert_rows_equal_single_rows(monkeypatch, template, name, grid, k, math.pi / k)
-    assert _within_budget(seen)
+    assert _within_budget(built) and len(built) <= len(seen)
 
 
 def test_a_grid_is_one_table_checked_once(monkeypatch):
     seen, calls = _recorded_tables(monkeypatch), Counter()
+    built = _recorded_chunks(monkeypatch, GaussianNumber)
     functionals, post_init = reports.functionals, reports.CharSet.__post_init__
 
     def counting(name, f):
@@ -231,14 +246,13 @@ def test_a_grid_is_one_table_checked_once(monkeypatch):
     monkeypatch.setattr(reports, "functionals", counting("functionals", functionals))
     monkeypatch.setattr(reports.CharSet, "__post_init__", counting("check", post_init))
     table = figure_dataset(2)
-    # 160 rows in 131 runs of one n_max, read as 21 chunks.
-    runs = groupby(n for _, n_maxes in seen for n in n_maxes)
-    assert (len(table.rows), len(list(runs)), len(seen)) == (160, 131, 21)
+    # 160 rows built as 21 chunks, read as 134 runs of one n_max (131 runs, 3 cut by a chunk's end).
+    assert (len(table.rows), len(built), len(seen)) == (160, 21, 134)
     assert calls == {"functionals": 1, "check": 1}
 
 
 def test_grid_nbar_is_bitwise_the_one_state_dot():
-    # One grid whose chunks include the lone n_max 16111 row, whose dot is long enough to thread.
+    # One grid whose runs include the lone n_max 16111 row, whose dot is long enough to thread.
     values = np.array([0.5, 0.999, 0.9, 0.9])
     rows = analysis._rows_at(PhaseCoherent(0.5), "xi", values, 1, math.pi, 20000)
     states = [families.build(PhaseCoherent(x), 20000) for x in values]
@@ -251,15 +265,17 @@ def test_grid_nbar_is_bitwise_the_one_state_dot():
 def test_grid_rows_equal_single_rows_on_the_extremum_coarse_grid(monkeypatch):
     grid = analysis._grid(0.4, 1.4, analysis._COARSE_POINTS)
     seen = _assert_rows_equal_single_rows(monkeypatch, BesselEigenstate(1.0), "lambda", grid, 1, math.pi)
-    assert [len(a) for a, _ in seen] == [64]
+    assert [len(a) for a in seen] == [64]
 
 
 def test_grid_rows_equal_single_rows_where_n_max_rises_and_falls(monkeypatch):
     values = np.array([0.1, 0.5, 0.9, 0.9, 0.5, 0.1, 0.1, 0.95, 0.3])
     nmax = [families.build(PhaseCoherent(x)).n_max for x in values]
     assert nmax[2] > nmax[1] > nmax[0] and nmax[7] > nmax[6]
+    built = _recorded_chunks(monkeypatch, PhaseCoherent)
     seen = _assert_rows_equal_single_rows(monkeypatch, PhaseCoherent(0.5), "xi", values, 2, math.pi / 2)
-    assert [list(n) for _, n in seen] == [nmax]  # one chunk of seven runs
+    assert [len(a) for a in seen] == [1, 1, 2, 1, 2, 1, 1]
+    assert [a.shape for a in built] == [(9, max(nmax) + 1)]  # seven runs, one chunk
 
 
 @pytest.mark.parametrize("template, name, lo, hi, steps", [
@@ -276,7 +292,7 @@ def test_grid_rows_equal_single_rows_where_n_max_rises_and_falls(monkeypatch):
 def test_grid_runs_of_many_rows_equal_single_rows_in_every_family(template, name, lo, hi, steps, monkeypatch):
     grid = analysis._grid(lo, hi, steps)
     seen = _assert_rows_equal_single_rows(monkeypatch, template, name, grid, 2, math.pi / 2)
-    assert max(len(a) for a, _ in seen) > 1
+    assert max(len(a) for a in seen) > 1
 
 
 @pytest.mark.parametrize("template, name, values", [
@@ -288,49 +304,44 @@ def test_grid_runs_of_many_rows_equal_single_rows_in_every_family(template, name
 ])
 def test_a_chunk_whose_n_max_rises_and_falls_equals_single_rows_in_every_family(template, name, values,
                                                                                 monkeypatch):
-    # Built at the chunk's largest n_max, each row is bitwise its own build up to its n_max.
+    # Built at the chunk's largest n_max, each row's prefix up to its own n_max is bitwise its own build.
     grid = np.array(values, dtype=float)
-    ((_, n_maxes),) = _assert_rows_equal_single_rows(monkeypatch, template, name, grid, 2, math.pi / 2)
-    steps = set(np.sign(np.diff(n_maxes)).tolist())
-    assert {1, -1} <= steps, n_maxes
+    built = _recorded_chunks(monkeypatch, type(template))
+    seen = _assert_rows_equal_single_rows(monkeypatch, template, name, grid, 2, math.pi / 2)
+    n_maxes = [a.shape[1] - 1 for a in seen]
+    assert len(built) == 1 and {1, -1} <= set(np.sign(np.diff(n_maxes)).tolist()), n_maxes
 
 
 def test_a_lone_large_row_is_passed_as_a_view(monkeypatch):
-    seen, rows_of, built = _recorded_tables(monkeypatch), PhaseCoherent._rows, []
-
-    def recording(specs, n_max):
-        built.append(rows_of(specs, n_max))
-        return built[-1]
-
-    monkeypatch.setattr(PhaseCoherent, "_rows", staticmethod(recording))
+    seen, built = _recorded_tables(monkeypatch), _recorded_chunks(monkeypatch, PhaseCoherent)
     rows = analysis._rows_at(PhaseCoherent(0.5), "xi", np.array([0.999]), 1, math.pi, 20000)
-    (run,), ((amps, n_maxes),) = built, seen
-    assert amps is run and amps.shape == (1, 16112) and list(n_maxes) == [16111]
+    (chunk,), (amps,) = built, seen
+    assert amps.shape == chunk.shape == (1, 16112) and np.shares_memory(amps, chunk)
     assert _bits(rows[0]) == _bits(analysis._row_at(PhaseCoherent(0.5), "xi", 0.999, 1, math.pi, 20000))
 
 
 def test_grid_runs_stay_within_the_byte_budget(monkeypatch):
-    seen = _recorded_tables(monkeypatch)
-    table = figure_dataset(3)  # 151 rows, all at n_max 427
-    assert {a.shape[1] for a, _ in seen} == {428}
-    assert sum(len(a) for a, _ in seen) == len(table.rows) == 151
-    assert max(a.size * 16 for a, _ in seen) <= analysis._RUN_BYTES
-    assert len(seen) >= 151 * 428 * 16 / analysis._RUN_BYTES > 10
+    seen, built = _recorded_tables(monkeypatch), _recorded_chunks(monkeypatch, GaussianNumber)
+    table = figure_dataset(3)  # 151 rows, all at n_max 427: each chunk is one run
+    assert [a.shape for a in seen] == [a.shape for a in built] and {a.shape[1] for a in built} == {428}
+    assert sum(len(a) for a in built) == len(table.rows) == 151
+    assert max(a.size * 16 for a in built) <= analysis._RUN_BYTES
+    assert len(built) >= 151 * 428 * 16 / analysis._RUN_BYTES > 10
 
 
 def test_grid_rows_do_not_depend_on_the_byte_budget(monkeypatch):
     # Figures 1-4 and the xi = 0.49 scan in chunks of a few rows (4 KiB), at the default, and in
     # chunks past glibc's 128 KiB mmap threshold (1 MiB): the same rows, bit for bit.
-    seen, rows, chunks = _recorded_tables(monkeypatch), [], []
+    built, rows, chunks = _recorded_chunks(monkeypatch, PhaseCoherent, GaussianNumber, BesselEigenstate), [], []
     for budget in (4 * 1024, 64 * 1024, 1024 * 1024):
         monkeypatch.setattr(analysis, "_RUN_BYTES", budget)
-        seen.clear()
+        built.clear()
         scans = (*map(figure_dataset, analysis.FIGURE_IDS),
                  scan(PhaseCoherent(0.49), "xi", 0.01, 0.995, 99, 1, math.pi))
         rows.append([[_bits(r) for r in t.rows] for t in scans])
-        chunks.append(len(seen))
-        assert _within_budget(seen)
-    assert max(a.size * 16 for a, _ in seen) > 128 * 1024
+        chunks.append(len(built))
+        assert _within_budget(built)
+    assert max(a.size * 16 for a in built) > 128 * 1024
     assert chunks[0] > chunks[1] > chunks[2] and rows[0] == rows[1] == rows[2]
 
 
@@ -341,18 +352,12 @@ def test_grid_build_failure_names_the_failing_value():
 
 def test_a_grid_builds_its_states_as_it_reads_them(monkeypatch):
     # Chunks stream, with no list of all rows: 0.999 (n_max 16111, past the budget beside them)
-    # cuts the chunk of 0.1 and 0.5, which is built and read by char_table before 1.5 fails;
+    # cuts the chunk of 0.1 and 0.5, whose two runs are read by char_table before 1.5 fails;
     # 0.999 and 0.2 are never built.
-    seen, rows_of, built = _recorded_tables(monkeypatch), PhaseCoherent._rows, []
-
-    def recording(specs, n_max):
-        built.append([s.xi.real for s in specs])
-        return rows_of(specs, n_max)
-
-    monkeypatch.setattr(PhaseCoherent, "_rows", staticmethod(recording))
+    seen, built = _recorded_tables(monkeypatch), _recorded_chunks(monkeypatch, PhaseCoherent)
     with pytest.raises(ValueError, match=r"xi = 1\.5"):
         analysis._rows_at(PhaseCoherent(0.5), "xi", np.array([0.1, 0.5, 0.999, 1.5, 0.2]), 1, math.pi, 20000)
-    assert built == [[0.1, 0.5]] and [len(a) for a, _ in seen] == [2]
+    assert [len(a) for a in built] == [2] and [len(a) for a in seen] == [1, 1]
 
 
 @pytest.mark.parametrize("bad, message", [
