@@ -2,9 +2,9 @@
 
 Scans evaluate the certainty functionals over a family parameter grid in one
 ``fock.char_table`` (which also gives each row's nbar) and one ``reports.functionals`` pass,
-fed runs of one n_max as the grid is read, views into chunks of rows built at once, no FockState per row;
-extrema are located by such a coarse grid, then golden-section steps, point by point
-(the functionals are smooth but no derivative formulas are assumed).
+fed the amplitude runs ``families.sweep`` streams as the grid is read, no FockState per row;
+extrema are located by such a coarse grid, then golden-section steps, point by point, each
+state a one-value sweep (the functionals are smooth but no derivative formulas are assumed).
 Each standard figure is one row of a table: the family template, swept parameter, grid, k.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import groupby
 
 import numpy as np
 
@@ -22,8 +21,6 @@ from .families import FamilySpec
 _COARSE_POINTS = 64
 _PARAM_TOL = 1e-6
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# Zero-padded complex bytes per chunk: under glibc's 128 KiB mmap threshold, a chunk never page-faults.
-_RUN_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -67,61 +64,18 @@ class ExtremumResult:
     boundary: bool
 
 
-def _named(param_name: str, value: float, make, *args):
-    try:
-        return make(*args)
-    except ValueError as err:
-        raise ValueError(f"family build failed at {param_name} = {float(value)!r}: {err}") from err
-
-
 def _row_at(template: FamilySpec, param_name: str, value: float, k: int, phi: float, cap: int) -> ScanRow:
     # Golden-section points only.  Its report (a second char_set) stays for perfbench's pin (ROADMAP 0, 1).
-    spec = _named(param_name, value, families.with_param, template, param_name, value)
-    state = _named(param_name, value, families.build, spec, cap)
+    state = fock.FockState(next(families.sweep(template, param_name, [value], cap))[0])
     cs, rep = fock.char_set(state, k, phi), fock.report(state, k, phi)
     return ScanRow(float(value), rep.u, rep.u_prime, rep.u_double_prime, rep.v, abs(cs.number_char),
                    abs(cs.phase_char), abs(cs.cross_char), cs.pi_k, fock.mean_photon(state))
 
 
-def _norms(rows: np.ndarray) -> np.ndarray:
-    # np.linalg.norm of each row, bitwise: the same dots, one np.vecdot call each.
-    parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
-    return np.sqrt(sum(np.vecdot(x, x) for x in parts))
-
-
 def _rows_at(template: FamilySpec, param_name: str, values, k: int, phi: float, cap: int,
              scale: float = 1.0) -> list[ScanRow]:
-    """Each value's ``_row_at``, bitwise, param times ``scale``: one ``char_table`` of runs of one n_max,
-    views into chunks of rows whose zero-padded complex rows fit in ``_RUN_BYTES``, each built by one
-    ``_rows`` call at its largest n_max (the formulas are elementwise: a row's prefix is its own build)."""
-    families.field(template, param_name)  # a name no value could fix fails before any row
-
-    def chunks():
-        chunk, top = [], 0
-        for x in values:
-            spec = _named(param_name, x, families.with_param, template, param_name, x)
-            n_max = _named(param_name, x, spec._truncation, cap)[0]
-            if chunk and (len(chunk) + 1) * (max(top, n_max) + 1) * 16 > _RUN_BYTES:  # complex rows
-                yield chunk, top
-                chunk, top = [], 0
-            chunk.append((x, spec, n_max))
-            top = max(top, n_max)
-        yield chunk, top
-
-    def runs():  # each row over its norm as families.build
-        for chunk, top in chunks():
-            rows, i = chunk[0][1]._rows([spec for _, spec, _ in chunk], top), 0
-            for n_max, same in groupby(chunk, key=lambda v: v[2]):
-                xs = [x for x, _, _ in same]
-                run, i = rows[i:i + len(xs), :n_max + 1], i + len(xs)
-                run /= _norms(run)[:, None]
-                # FockState's check of each row: its norm within 1e-12 of 1, so finite too.
-                for x, norm, row in zip(xs, _norms(run).tolist(), run):
-                    if not abs(norm - 1.0) <= 1e-12:
-                        _named(param_name, x, reports.unit_amplitudes, row)
-                yield run
-
-    cs, nbar = fock.char_table(runs(), k, phi)
+    """Each value's ``_row_at``, bitwise, param times ``scale``: one ``char_table`` of a sweep."""
+    cs, nbar = fock.char_table(families.sweep(template, param_name, values, cap), k, phi)
     moduli = [reports._abs(z) for z in (cs.number_char, cs.phase_char, cs.cross_char)]
     cols = [x.tolist() for x in (*reports.functionals(cs), *moduli, cs.pi_k, nbar)]
     return [ScanRow(float(x) * scale, *r) for x, r in zip(values, zip(*cols))]

@@ -118,16 +118,14 @@ def _resolve_phi(phi_over_pi: float | None, k: int) -> tuple[float, float]:
 
 def _cmd_verify(args) -> int:
     results = verify.run(args.suite, args.samples, args.seed)
-    failed = False
     for res in results:
         status = "ok" if res.passed else "FAILED"
         print(f"{res.name}: {res.checks} checks, {len(res.failures)} failures [{status}]")
         for key, value in sorted(res.stats.items()):
             print(f"  {key} = {float(value):.17g}")
         for message in res.failures:
-            failed = True
             print(f"  FAIL: {message}")
-    return 1 if failed else 0
+    return 0 if all(res.passed for res in results) else 1
 
 
 # scan, figure and extremum read the truncation cap override first, once per

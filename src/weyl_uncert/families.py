@@ -21,7 +21,7 @@ tag (TAG), the field each spec key names (KEYS), its n_max and tail bound
 (_truncation), its one elementwise amplitude formula as unnormalized rows of
 specs at one n_max (_rows; build is the one-row case) and its closed forms
 (_closed_form).  The functions below only look these up, so a new family
-is one new class, listed in FamilySpec.
+is one new class, listed in FamilySpec; :func:`sweep` reads a parameter grid.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import functools
 import math
 import os
 from dataclasses import MISSING, dataclass, fields, replace
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import Union, get_args, get_type_hints
 
 import numpy as np
@@ -39,13 +39,15 @@ import numpy as np
 from . import fock
 from .fock import FockState
 from .numerics import MAX_BESSEL_ORDER, bessel_i
-from .reports import CharSet, deviation, integer
+from .reports import CharSet, deviation, integer, unit_amplitudes
 
 TRUNCATION_CAP_ENV = "WEYL_UNCERT_MAX_NMAX"
 DEFAULT_TRUNCATION_CAP = 4096
 
 _TAIL_TARGET = 1e-14
 _MIN_NMAX = 16
+# Zero-padded complex bytes per chunk: under glibc's 128 KiB mmap threshold, a chunk never page-faults.
+_RUN_BYTES = 64 * 1024
 
 
 class ClosedFormUnavailable(ValueError):
@@ -351,6 +353,51 @@ def build(spec: FamilySpec, max_nmax: int = DEFAULT_TRUNCATION_CAP) -> FockState
     n_max, tail = _family(spec)._truncation(max_nmax)
     c = spec._rows([spec], n_max)[0]
     return FockState(c / np.linalg.norm(c), tail)
+
+
+def _named(name: str, value: float, make, *args):
+    try:
+        return make(*args)
+    except ValueError as err:
+        raise ValueError(f"family build failed at {name} = {float(value)!r}: {err}") from err
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    # np.linalg.norm of each row, bitwise: the same dots, one np.vecdot call each.
+    parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
+    return np.sqrt(sum(np.vecdot(x, x) for x in parts))
+
+
+def sweep(template: FamilySpec, name: str, values, cap: int = DEFAULT_TRUNCATION_CAP):
+    """Each value's :func:`build` amplitudes, bitwise, read as runs of unit rows of one n_max: views
+    into chunks of rows whose zero-padded complex rows fit in ``_RUN_BYTES``, each built by one ``_rows``
+    call at its largest n_max (the formulas are elementwise: a row's prefix is its own build)."""
+    field(template, name)  # a name no value could fix fails before any row
+
+    def chunks():
+        chunk, top = [], 0
+        for x in values:
+            spec = _named(name, x, with_param, template, name, x)
+            n_max = _named(name, x, spec._truncation, cap)[0]
+            if chunk and (len(chunk) + 1) * (max(top, n_max) + 1) * 16 > _RUN_BYTES:  # complex rows
+                yield chunk, top
+                chunk, top = [], 0
+            chunk.append((x, spec, n_max))
+            top = max(top, n_max)
+        if chunk:
+            yield chunk, top
+
+    for chunk, top in chunks():  # each row over its norm as build
+        rows, i = chunk[0][1]._rows([spec for _, spec, _ in chunk], top), 0
+        for n_max, same in groupby(chunk, key=lambda v: v[2]):
+            xs = [x for x, _, _ in same]
+            run, i = rows[i:i + len(xs), :n_max + 1], i + len(xs)
+            run /= _norms(run)[:, None]
+            # FockState's check of each row: its norm within 1e-12 of 1, so finite too.
+            for x, norm, row in zip(xs, _norms(run).tolist(), run):
+                if not abs(norm - 1.0) <= 1e-12:
+                    _named(name, x, unit_amplitudes, row)
+            yield run
 
 
 def closed_form_char(spec: FamilySpec, k: int, phi: float) -> CharSet:

@@ -32,9 +32,9 @@ def bessel_i(order: int, z: complex) -> complex:
     terms.  Every use in this package has |z| <= ~20, where a few dozen
     terms suffice; the admission bounds below keep the series regime honest.
     """
+    if order % 1 or not 0 <= order <= MAX_BESSEL_ORDER:  # a non-integer, nan included
+        raise ValueError(f"order out of range: need an integer 0 <= order <= {MAX_BESSEL_ORDER}, got {order}")
     order = int(order)
-    if order < 0 or order > MAX_BESSEL_ORDER:
-        raise ValueError(f"order out of range: need 0 <= order <= {MAX_BESSEL_ORDER}, got {order}")
     z = complex(z)
     if abs(z) > MAX_BESSEL_ARG:
         raise ValueError(f"argument out of range: need |z| <= {MAX_BESSEL_ARG}, got |z| = {abs(z)!r}")

@@ -59,12 +59,12 @@ def _check(res: SuiteResult, off: float, tol: float, text, amps=None) -> None:
         res.failures.append(text(off) if amps is None else f"{text(off)}; amplitudes={_amps(amps)}")
 
 
-def _table_failures(res: SuiteResult, cs: reports.CharSet, limits: dict, where, states) -> float:
+def _table_failures(res: SuiteResult, cs: reports.CharSet, limits: dict, where, states) -> None:
     """Check one table ``cs`` indexed [state, config]: both Gram determinants
     at least ``_DET_TOL``, and each functional named in ``limits`` at most its
     limit (per config) + ``_BOUND_TOL``.  Counts one check per entry, appends
-    the failures of ``where[config]`` quoting ``states[state]``, and returns
-    the least determinant."""
+    the failures of ``where[config]`` quoting ``states[state]``, and keeps the
+    least determinant of all tables checked in ``res.stats["min_gram_det"]``."""
     det_plus, det_minus = (det3(g) for g in reports.gram_pair(cs))
     funcs = dict(zip(("U", "U'", "U''", "V"), reports.functionals(cs)))
     limits = {name: np.broadcast_to(limits[name], det_plus.shape) for name in funcs if name in limits}
@@ -77,7 +77,7 @@ def _table_failures(res: SuiteResult, cs: reports.CharSet, limits: dict, where, 
         if bad["det"][s, i]:
             texts.insert(0, f"Gram determinant negative ({det_plus[s, i]:.3e}, {det_minus[s, i]:.3e})")
         res.failures += [f"{where[i]}: {t}; amplitudes={_amps(states[s])}" for t in texts]
-    return min(float(det_plus.min()), float(det_minus.min()))
+    res.stats["min_gram_det"] = min(res.stats.get("min_gram_det", math.inf), det_plus.min(), det_minus.min())
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +125,6 @@ def run_spin(samples: int, seed: int) -> SuiteResult:
     res = SuiteResult("spin")
     dims = (2, 3, 4, 5, 8, 16)
     per = max(1, samples // len(dims))
-    min_det = math.inf
 
     for d in dims:
         system = spin.SpinSystem(d)
@@ -143,7 +142,7 @@ def run_spin(samples: int, seed: int) -> SuiteResult:
         at_pi = np.abs(np.array(gammas) - math.pi) <= 1e-9
         limits = {"U": bound, "U'": np.where(at_pi, 1.0, math.inf), "V": bound / 2}
         where = ["spin d={} k={} l={}".format(d, *pair) for pair in pairs]
-        min_det = min(min_det, _table_failures(res, table, limits, where, states))
+        _table_failures(res, table, limits, where, states)
         for st, k, l in drawn:
             off = abs(spin.cyclic_phase(st, k, l) - np.exp(-2j * math.pi * ((k * l) % d) / d))
             _check(res, off, 1e-10, lambda _: f"spin d={d}: cyclic excursion phase off at k={k} l={l}",
@@ -164,8 +163,6 @@ def run_spin(samples: int, seed: int) -> SuiteResult:
             l = int(rng.integers(1, 2 * d + 1))
             _check(res, spin.weyl_defect(system, k, l), 1e-12,
                    lambda x: f"spin d={d}: Weyl defect {x:.3e} at k={k} l={l}")
-
-    res.stats["min_gram_det"] = min_det
     return res
 
 
@@ -179,7 +176,6 @@ def run_fock(samples: int, seed: int) -> SuiteResult:
     nmaxes = (8, 32, 128)
     ks = (1, 2, 4)
     per = max(1, samples // len(nmaxes))
-    min_det = math.inf
 
     for n_max in nmaxes:
         drawn = []  # (state, k, phi) of the per-state checks, in rng order
@@ -192,7 +188,7 @@ def run_fock(samples: int, seed: int) -> SuiteResult:
         table = reports.CharSet(*(np.stack(np.broadcast_arrays(*x), axis=-1) for x in per_k))
         limits = {"U": 1.0, "U'": 1.0, "U''": 1.0, "V": 0.5}
         where = [f"fock n_max={n_max} k={k}" for k in ks]
-        min_det = min(min_det, _table_failures(res, table, limits, where, states))
+        _table_failures(res, table, limits, where, states)
 
         n = np.arange(n_max + 1)
         for st, k, phi in drawn:
@@ -228,8 +224,6 @@ def run_fock(samples: int, seed: int) -> SuiteResult:
         moment = complex(np.sum(np.exp(2j * grid) * dens) * (2 * math.pi / grid.size))
         _check(res, abs(moment - fock.char_set(st, 2, 1.0).phase_char.conjugate()), 1e-8,
                lambda _: f"fock n_max={n_max}: phase-distribution moment disagrees with char set")
-
-    res.stats["min_gram_det"] = min_det
     return res
 
 

@@ -219,7 +219,7 @@ def _recorded_chunks(monkeypatch, *classes):
 
 def _within_budget(built):
     # Each chunk's zero-padded complex rows fit in the budget, or it is one row above it.
-    return all(len(a) == 1 or a.size * 16 <= analysis._RUN_BYTES for a in built)
+    return all(len(a) == 1 or a.size * 16 <= families._RUN_BYTES for a in built)
 
 
 @pytest.mark.parametrize("figure_id", [1, 2, 3, 4])
@@ -325,8 +325,8 @@ def test_grid_runs_stay_within_the_byte_budget(monkeypatch):
     table = figure_dataset(3)  # 151 rows, all at n_max 427: each chunk is one run
     assert [a.shape for a in seen] == [a.shape for a in built] and {a.shape[1] for a in built} == {428}
     assert sum(len(a) for a in built) == len(table.rows) == 151
-    assert max(a.size * 16 for a in built) <= analysis._RUN_BYTES
-    assert len(built) >= 151 * 428 * 16 / analysis._RUN_BYTES > 10
+    assert max(a.size * 16 for a in built) <= families._RUN_BYTES
+    assert len(built) >= 151 * 428 * 16 / families._RUN_BYTES > 10
 
 
 def test_grid_rows_do_not_depend_on_the_byte_budget(monkeypatch):
@@ -334,7 +334,7 @@ def test_grid_rows_do_not_depend_on_the_byte_budget(monkeypatch):
     # chunks past glibc's 128 KiB mmap threshold (1 MiB): the same rows, bit for bit.
     built, rows, chunks = _recorded_chunks(monkeypatch, PhaseCoherent, GaussianNumber, BesselEigenstate), [], []
     for budget in (4 * 1024, 64 * 1024, 1024 * 1024):
-        monkeypatch.setattr(analysis, "_RUN_BYTES", budget)
+        monkeypatch.setattr(families, "_RUN_BYTES", budget)
         built.clear()
         scans = (*map(figure_dataset, analysis.FIGURE_IDS),
                  scan(PhaseCoherent(0.49), "xi", 0.01, 0.995, 99, 1, math.pi))
@@ -343,6 +343,12 @@ def test_grid_rows_do_not_depend_on_the_byte_budget(monkeypatch):
         assert _within_budget(built)
     assert max(a.size * 16 for a in built) > 128 * 1024
     assert chunks[0] > chunks[1] > chunks[2] and rows[0] == rows[1] == rows[2]
+
+
+def test_a_sweep_of_no_values_reads_no_runs():
+    assert list(families.sweep(PhaseCoherent(0.5), "xi", [], 4096)) == []
+    with pytest.raises(ValueError, match="no sweepable parameter 'a'"):
+        list(families.sweep(PhaseCoherent(0.5), "a", [], 4096))
 
 
 def test_grid_build_failure_names_the_failing_value():

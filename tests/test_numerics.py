@@ -82,6 +82,9 @@ def test_bessel_domain_errors():
         bessel_i(-1, 1.0)
     with pytest.raises(ValueError, match="order"):
         bessel_i(65, 1.0)
+    for order in (1.5, -0.5, math.nan):  # a non-integer order is not truncated to an integer
+        with pytest.raises(ValueError, match="order"):
+            bessel_i(order, 1.0)
     with pytest.raises(ValueError, match=r"\|z\|"):
         bessel_i(0, 101.0)
 

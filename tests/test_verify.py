@@ -23,8 +23,8 @@ def _synthetic_table():
 def test_table_check_names_the_one_functional_over_its_limit():
     res = verify.SuiteResult("synthetic")
     states = [np.array([1.0, 0.0]), np.array([0.6, 0.8])]
-    least = verify._table_failures(res, _synthetic_table(), {"U": 2.0, "V": np.array([1.0, 0.3])},
-                                   ["config 0", "config 1"], states)
+    verify._table_failures(res, _synthetic_table(), {"U": 2.0, "V": np.array([1.0, 0.3])},
+                           ["config 0", "config 1"], states)
     assert res.checks == 4
     v = float(reports.functionals(_synthetic_table())[3][0, 1])
     assert res.failures[0] == f"config 1: V={v!r} exceeds 0.3; amplitudes={verify._amps(states[0])}"
@@ -33,7 +33,21 @@ def test_table_check_names_the_one_functional_over_its_limit():
     assert res.failures[1] == (f"config 0: Gram determinant negative ({det_plus:.3e}, {det_minus:.3e}); "
                                f"amplitudes={verify._amps(states[1])}")
     assert len(res.failures) == 2
-    assert least == min(det_plus, det_minus)
+    assert res.stats == {"min_gram_det": min(det_plus, det_minus)}
+
+
+@pytest.mark.parametrize("run", [verify.run_spin, verify.run_fock])
+def test_min_gram_det_is_the_least_determinant_of_every_table_checked(run, monkeypatch):
+    tables, check = [], verify._table_failures
+
+    def recording(res, cs, *args):
+        tables.append(cs)
+        return check(res, cs, *args)
+
+    monkeypatch.setattr(verify, "_table_failures", recording)
+    res = run(24, 3)
+    least = min(float(det3(g).min()) for cs in tables for g in reports.gram_pair(cs))
+    assert len(tables) > 1 and float(res.stats["min_gram_det"]).hex() == least.hex()
 
 
 def test_table_check_reads_only_the_functionals_it_is_given():
