@@ -20,8 +20,10 @@ Each family is one frozen dataclass holding its checks, its spec-grammar
 tag (TAG), the field each spec key names (KEYS), its n_max and tail bound
 (_truncation), its one elementwise amplitude formula as unnormalized rows of
 specs at one n_max (_rows; build is the one-row case) and its closed forms
-(_closed_form).  The functions below only look these up, so a new family
-is one new class, listed in FamilySpec; :func:`sweep` reads a parameter grid.
+as the four values number, phase, cross and pi_k (_closed_form), which
+:func:`closed_form_char` alone makes a checked CharSet.  The functions below
+only look these up, so a new family is one new class, listed in FamilySpec;
+:func:`sweep` reads a parameter grid.
 """
 
 from __future__ import annotations
@@ -127,16 +129,10 @@ class NumberState:
     def _rows(specs, n_max: int) -> np.ndarray:
         return (np.arange(n_max + 1) == np.array([[s.n] for s in specs])).astype(complex)
 
-    def _closed_form(self, k: int, phi: float, weyl: complex) -> CharSet:
+    def _closed_form(self, k: int, phi: float, weyl: complex) -> tuple:
         if self.n > 2**53:  # phi * n would be formed from a rounded n
             raise ClosedFormUnavailable(f"closed form needs n <= 2**53, got a {len(str(self.n))}-digit n")
-        return CharSet(
-            number_char=complex(np.exp(1j * phi * self.n)),
-            phase_char=0.0j,
-            cross_char=0.0j,
-            weyl=weyl,
-            pi_k=1.0 if self.n < k else 0.0,
-        )
+        return np.exp(1j * phi * self.n), 0.0, 0.0, 1.0 if self.n < k else 0.0
 
 
 @dataclass(frozen=True)
@@ -159,17 +155,11 @@ class PhaseCoherent:
         # One kept xi^n table per row, as each row's own build reads it.
         return np.array([_xi_powers(s.xi + 0.0, n_max) for s in specs])
 
-    def _closed_form(self, k: int, phi: float, weyl: complex) -> CharSet:
+    def _closed_form(self, k: int, phi: float, weyl: complex) -> tuple:
         t = abs(self.xi) ** 2
         number = (1.0 - t) / (1.0 - t * np.exp(1j * phi))
         phase = np.conj(self.xi) ** k
-        return CharSet(
-            number_char=complex(number),
-            phase_char=complex(phase),
-            cross_char=complex(weyl * phase * np.conj(number)),
-            weyl=weyl,
-            pi_k=1.0 - t**k,
-        )
+        return number, phase, weyl * phase * np.conj(number), 1.0 - t**k
 
 
 @dataclass(frozen=True)
@@ -208,7 +198,7 @@ class GaussianNumber:
         nbar = np.array([s.nbar for s in specs])[:, None]
         return np.exp(z * (np.arange(n_max + 1) - nbar) ** 2)
 
-    def _closed_form(self, k: int, phi: float, weyl: complex) -> CharSet:
+    def _closed_form(self, k: int, phi: float, weyl: complex) -> tuple:
         if k > math.sqrt(self.nbar):
             raise ClosedFormUnavailable(
                 f"continuum forms need k <= sqrt(nbar): k = {k}, nbar = {self.nbar!r}"
@@ -217,12 +207,8 @@ class GaussianNumber:
         e_number = -phi * phi / (8.0 * a)
         e_phase = -(a * a + b * b) * k * k / (2.0 * a)
         e_cross = e_number + e_phase + b * k * phi / (2.0 * a)
-        return CharSet(
-            number_char=cmath.exp(complex(e_number, phi * nbar)),
-            phase_char=complex(math.exp(e_phase)),
-            cross_char=cmath.exp(complex(e_cross, -phi * (nbar + 0.5 * k))),
-            weyl=weyl,
-        )
+        return (cmath.exp(complex(e_number, phi * nbar)), math.exp(e_phase),
+                cmath.exp(complex(e_cross, -phi * (nbar + 0.5 * k))), 0.0)
 
 
 @dataclass(frozen=True)
@@ -238,7 +224,8 @@ class BesselEigenstate:
 
     def _truncation(self, cap: int) -> tuple[int, float]:
         # Factorial decay is fast; push the tail far below the generic target so the
-        # eigen-residual check keeps its 1e-8 headroom.  m is |c_n|, in floats.
+        # eigen-residual check keeps its 1e-8 headroom.  m is |c_n|, in floats.  The loop ends
+        # by n = 106 (lambda = 50), so the cap is checked once, on the n it ends at.
         lam, m, total, n = self.lam, 1.0, 1.0, 0
         while True:
             n += 1
@@ -247,8 +234,7 @@ class BesselEigenstate:
             if n >= _MIN_NMAX and n + 2 > lam:
                 rem = m ** 2 * (lam / (n + 1)) ** 2 / (1.0 - (lam / (n + 2)) ** 2)
                 if rem < 1e-22 * total:
-                    return n, rem / total
-            _within_cap(n, cap)
+                    return _within_cap(n, cap), rem / total
 
     @staticmethod
     def _rows(specs, n_max: int) -> np.ndarray:
@@ -257,7 +243,7 @@ class BesselEigenstate:
         m = [list(accumulate(steps, lambda m, n, lam=s.lam: m * lam / n, initial=1.0)) for s in specs]
         return np.array(m) * np.array([1, -1j, -1, 1j])[np.arange(n_max + 1) % 4]
 
-    def _closed_form(self, k: int, phi: float, weyl: complex) -> CharSet:
+    def _closed_form(self, k: int, phi: float, weyl: complex) -> tuple:
         if k > MAX_BESSEL_ORDER:
             raise ClosedFormUnavailable(f"Bessel series need k <= {MAX_BESSEL_ORDER}, got k = {k}")
         lam = self.lam
@@ -270,13 +256,8 @@ class BesselEigenstate:
             if m > 0:
                 term *= (lam / m) ** 2
             pi_k += term
-        return CharSet(
-            number_char=complex(bessel_i(0, z) / i0),
-            phase_char=complex(ik * bessel_i(k, 2.0 * lam).real),
-            cross_char=complex(ik * np.exp(-0.5j * k * phi) * bessel_i(k, z.conjugate())),
-            weyl=weyl,
-            pi_k=pi_k / i0,
-        )
+        return (bessel_i(0, z) / i0, ik * bessel_i(k, 2.0 * lam).real,
+                ik * np.exp(-0.5j * k * phi) * bessel_i(k, z.conjugate()), pi_k / i0)
 
 
 @dataclass(frozen=True)
@@ -309,17 +290,14 @@ class Intermediate:
         c[np.arange(len(specs)), [s.n for s in specs]] += np.sqrt([s.alpha2 for s in specs])
         return c
 
-    def _closed_form(self, k: int, phi: float, weyl: complex) -> CharSet:
+    def _closed_form(self, k: int, phi: float, weyl: complex) -> tuple:
         if abs(self.xi) < 0.99:
             raise ClosedFormUnavailable(
                 f"asymptotic forms need |xi| >= 0.99, got |xi| = {abs(self.xi)!r}"
             )
-        return CharSet(
-            number_char=complex(self.alpha2 * np.exp(1j * phi * self.n)),
-            phase_char=complex((1.0 - self.alpha2) * np.conj(self.xi) ** k),
-            cross_char=0.0j,
-            weyl=weyl,
-        )
+        number = NumberState(self.n)._closed_form(k, phi, weyl)[0]
+        phase = PhaseCoherent(self.xi)._closed_form(k, phi, weyl)[1]
+        return self.alpha2 * number, (1.0 - self.alpha2) * phase, 0.0, 0.0
 
 
 FamilySpec = Union[NumberState, PhaseCoherent, GaussianNumber, BesselEigenstate, Intermediate]
@@ -407,7 +385,8 @@ def closed_form_char(spec: FamilySpec, k: int, phi: float) -> CharSet:
     forms, the last in modified Bessel functions with z = 2 lambda
     exp(i phi / 2): number = I_0(z) / I_0(2 lambda), phase = i^k I_k(2 lambda)
     / I_0(2 lambda) and cross = i^k exp(-i k phi / 2) I_k(conj z) / I_0(2 lambda).
-    The intermediate family has asymptotic forms (|xi| -> 1).
+    The intermediate family has asymptotic forms (|xi| -> 1): alpha2 times the
+    number state's number char and 1 - alpha2 times the phase state's phase char.
 
     The Gaussian forms are the leading order of Poisson summation in
     m = n - nbar: number = exp(i phi nbar - phi^2/(8a)), phase =
@@ -420,7 +399,9 @@ def closed_form_char(spec: FamilySpec, k: int, phi: float) -> CharSet:
     instead of returning numbers that do not mean anything.
     """
     k = integer("k", k, 1)
-    return _family(spec)._closed_form(k, phi, np.exp(-1j * k * phi))
+    weyl = np.exp(-1j * k * phi)
+    *chars, pi_k = _family(spec)._closed_form(k, phi, weyl)
+    return CharSet(*map(complex, chars), weyl, pi_k)
 
 
 def oracle_check(spec: FamilySpec, state: fock.FockState, k: int, phi: float) -> float:

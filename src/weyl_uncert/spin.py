@@ -98,7 +98,8 @@ def phase_state(system: SpinSystem, m_tilde: float) -> QuditState:
     Amplitudes are exp(-i 2pi m m_tilde / d) / sqrt(d), with the exponent
     4 m m_tilde = (2t - d + 1)(2 ti - d + 1) reduced exactly modulo 4d.
     """
-    t = m_tilde + system.j
+    # The range comes first: NaN, +-inf and an int no float holds (10**400) fail it, not the sum or round.
+    t = m_tilde + system.j if abs(m_tilde) <= system.j + 1 else -1
     ti = round(t)
     if abs(t - ti) > 1e-9 or not 0 <= ti < system.dim:
         raise ValueError(f"m_tilde must lie in -j..j in integer steps, got {m_tilde}")

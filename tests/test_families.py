@@ -309,6 +309,14 @@ def test_oracle_check_bessel():
                 assert oracle_check(spec, state, k, phi) <= 1e-14
 
 
+@pytest.mark.parametrize("cap", [30, 60])
+def test_bessel_cap_error_names_the_family_need(cap):
+    # lambda = 40 needs n_max = 91 at any cap below it, not the first n past the cap.
+    assert BesselEigenstate(40.0)._truncation(91)[0] == 91
+    with pytest.raises(ValueError, match=f"needs n_max = 91 but the cap is {cap} "):
+        build(BesselEigenstate(40.0), cap)
+
+
 def test_bessel_closed_form_stops_at_the_series_order_cap():
     spec = BesselEigenstate(1.0)
     state = build(spec)
@@ -384,6 +392,58 @@ def test_number_state_closed_form_stops_where_n_rounds():
     for n, digits in ((2**53 + 1, 16), (10**400, 401)):
         with pytest.raises(ClosedFormUnavailable, match=re.escape(f"n <= 2**53, got a {digits}-digit n")):
             closed_form_char(NumberState(n), 1, 1.0)
+
+
+def test_intermediate_closed_form_stops_where_n_rounds():
+    # Its number char is the number state's, so it takes that form's guard.
+    for n, digits in ((2**60, 19), (10**400, 401)):
+        with pytest.raises(ClosedFormUnavailable, match=re.escape(f"n <= 2**53, got a {digits}-digit n")):
+            closed_form_char(Intermediate(0.5, n, 0.999), 1, 1.0)
+
+
+# The number, phase and cross chars as float.hex of their real and imaginary parts, and pi_k,
+# recorded before each family's form returned its four values to closed_form_char.
+CLOSED_FORM_BITS = [
+    (NumberState(3), 1, math.pi,
+     ("-0x1.0000000000000p+0 0x1.a79394c9e8a0ap-52", "0x0.0p+0 0x0.0p+0",
+      "0x0.0p+0 0x0.0p+0", "0x0.0p+0")),
+    (NumberState(3), 2, 0.7,
+     ("-0x1.027b304989ec6p-1 0x1.b9f693feb72fdp-1", "0x0.0p+0 0x0.0p+0",
+      "0x0.0p+0 0x0.0p+0", "0x0.0p+0")),
+    (PhaseCoherent(0.6 + 0.3j), 1, math.pi,
+     ("0x1.8469ee58469efp-2 0x1.09ee765fb6e1bp-56", "0x1.3333333333333p-1 -0x1.3333333333333p-2",
+      "-0x1.d218b79d218b8p-3 0x1.d218b79d218b8p-4", "0x1.199999999999ap-1")),
+    (PhaseCoherent(0.6 + 0.3j), 2, 0.7,
+     ("0x1.6732e43689448p-1 0x1.3d8f2788fe567p-2", "0x1.147ae147ae148p-2 -0x1.70a3d70a3d70ap-2",
+      "-0x1.45d0fa04e9f32p-2 -0x1.120916c01decap-3", "0x1.9851eb851eb85p-1")),
+    (GaussianNumber(400.0, 0.01, 0.3), 1, math.pi,
+     ("0x1.029c1f6327cd9p-178 0x1.1dfbec320ba12p-225", "0x1.6a343c2d8fb17p-7 0x0.0p+0",
+      "0x1.5a7dcc8913848p-161 -0x1.6a36855b01ae8p-117", "0x0.0p+0")),
+    (GaussianNumber(400.0, 0.01, 0.3), 2, 0.7,
+     ("-0x1.0847b49656bc0p-9 -0x1.bcc4e14aa03edp-11", "0x1.0077d2db8165bp-26 0x0.0p+0",
+      "-0x1.4128aa67c34f9p-6 0x1.3a244e2078edbp-5", "0x0.0p+0")),
+    (BesselEigenstate(0.77), 1, math.pi,
+     ("0x1.2919f8443521ap-2 0x1.2266bd2c669c4p-55", "0x0.0p+0 0x1.36342d6122a83p-1",
+      "0x1.f8b10ef3db653p-56 -0x1.55e80a986ac04p-2", "0x1.2f88e7ec8cc35p-1")),
+    (BesselEigenstate(0.77), 2, 0.7,
+     ("0x1.bcc3a02161561p-1 0x1.1f8675167f63dp-2", "-0x1.b48d358269e35p-3 0x0.0p+0",
+      "-0x1.4197dcaf6bea0p-7 0x1.a1c9697f18cc8p-3", "0x1.e380250a979eap-1")),
+    (Intermediate(0.3, 3, 0.7 + 0.7071j), 1, math.pi,
+     ("-0x1.3333333333333p-2 0x1.fc4ab28be3f3fp-54", "0x1.f5c28f5c28f5bp-2 -0x1.fad96a6a01258p-2",
+      "0x0.0p+0 0x0.0p+0", "0x0.0p+0")),
+    (Intermediate(0.3, 3, 0.7 + 0.7071j), 2, 0.7,
+     ("-0x1.362d6d250be87p-3 0x1.092d8bff3ab64p-2", "-0x1.ca4fe2f4dfef3p-8 -0x1.62cb641700cd7p-1",
+      "0x0.0p+0 0x0.0p+0", "0x0.0p+0")),
+]
+
+
+@pytest.mark.parametrize("spec, k, phi, bits", CLOSED_FORM_BITS, ids=lambda v: getattr(v, "TAG", None))
+def test_closed_form_char_keeps_its_bits_and_types(spec, k, phi, bits):
+    cf = closed_form_char(spec, k, phi)
+    chars = (cf.number_char, cf.phase_char, cf.cross_char)
+    assert [type(x) for x in chars] == [complex] * 3 and type(cf.pi_k) is float
+    assert [f"{x.real.hex()} {x.imag.hex()}" for x in chars] + [cf.pi_k.hex()] == list(bits)
+    assert cf.weyl == np.exp(-1j * k * phi)
 
 
 # ---------------------------------------------------------------------------

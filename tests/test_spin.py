@@ -86,6 +86,10 @@ def test_phase_state_label_out_of_range():
         phase_state(SpinSystem(3), 2)
     with pytest.raises(ValueError, match="m_tilde"):
         phase_state(SpinSystem(2), 0.0)  # labels are half-integers for even d
+    # Labels round cannot take fail the range check too, before the sum or round.
+    for bad in (math.nan, math.inf, 10**400):
+        with pytest.raises(ValueError, match="m_tilde must lie in -j..j in integer steps"):
+            phase_state(SpinSystem(3), bad)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
