@@ -9,7 +9,8 @@ moduli, and this package computes, verifies and sweeps those relations.
 """
 
 from . import analysis, families, fock, spin, verify
-from .numerics import Hermitian3, bessel_i, det3
+from .families import bessel_i
+from .numerics import Hermitian3, det3
 from .reports import UncertaintyReport
 
 __version__ = "0.1.0"

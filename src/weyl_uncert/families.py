@@ -11,7 +11,7 @@ cross-validation against the generic amplitude sums:
   regime (a << 1, nbar >> 1), where the closed forms are the leading
   order of Poisson summation,
 * eigenstates of (n + i lambda Edag) with eigenvalue 0, whose amplitudes
-  are (-i lambda)^n / n! normalized by a modified Bessel function,
+  are (-i lambda)^n / n! normalized by a modified Bessel function (:func:`bessel_i`),
 * coherent superpositions sqrt(alpha2) |n> + sqrt(1 - alpha2) |xi> of a
   number state and a near-ideal phase state (asymptotic closed forms,
   |xi| -> 1).
@@ -40,7 +40,6 @@ import numpy as np
 
 from . import fock
 from .fock import FockState
-from .numerics import MAX_BESSEL_ORDER, bessel_i
 from .reports import CharSet, deviation, integer, unit_amplitudes
 
 TRUNCATION_CAP_ENV = "WEYL_UNCERT_MAX_NMAX"
@@ -211,6 +210,44 @@ class GaussianNumber:
                 cmath.exp(complex(e_cross, -phi * (nbar + 0.5 * k))), 0.0)
 
 
+MAX_BESSEL_ORDER = 64
+MAX_BESSEL_ARG = 100.0  # the family's lambda window is MAX_BESSEL_ARG / 2
+_SERIES_CAP = 500
+_SERIES_RTOL = 1e-16
+_SERIES_FLOOR = 1e-300
+
+
+def bessel_i(order: int, z: complex) -> complex:
+    """Modified Bessel function I_order(z) for integer order >= 0, complex z.
+
+    Direct power series
+
+        I_nu(z) = sum_{m>=0} (z/2)^(2m+nu) / (m! (m+nu)!),
+
+    summed until the current term magnitude drops below 1e-16 of the partial
+    sum (with an absolute floor so z ~ 0 terminates), hard-capped at 500
+    terms.
+    """
+    if order % 1 or not 0 <= order <= MAX_BESSEL_ORDER:  # a non-integer, nan included
+        raise ValueError(f"order out of range: need an integer 0 <= order <= {MAX_BESSEL_ORDER}, got {order}")
+    order = int(order)
+    z = complex(z)
+    if not abs(z) <= MAX_BESSEL_ARG * (1.0 + 1e-15):  # |2 lambda e^(i phi/2)| rounds up an ulp; nan fails
+        raise ValueError(f"argument out of range: need |z| <= {MAX_BESSEL_ARG}, got |z| = {abs(z)!r}")
+    half = z / 2.0
+    term = complex(1.0)
+    for n in range(1, order + 1):
+        term *= half / n
+    total = term
+    zz = half * half
+    for m in range(1, _SERIES_CAP + 1):
+        term *= zz / (m * (m + order))
+        total += term
+        if abs(term) < _SERIES_RTOL * (abs(total) + _SERIES_FLOOR):
+            break
+    return total
+
+
 @dataclass(frozen=True)
 class BesselEigenstate:
     lam: float
@@ -219,8 +256,8 @@ class BesselEigenstate:
     KEYS = {"lambda": "lam"}
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.lam <= 50.0:
-            raise ValueError(f"lambda must be in (0, 50], got {self.lam!r}")
+        if not 0.0 < self.lam <= MAX_BESSEL_ARG / 2:
+            raise ValueError(f"lambda must be in (0, {MAX_BESSEL_ARG / 2:g}], got {self.lam!r}")
 
     def _truncation(self, cap: int) -> tuple[int, float]:
         # Factorial decay is fast; push the tail far below the generic target so the
@@ -330,7 +367,7 @@ def build(spec: FamilySpec, max_nmax: int = DEFAULT_TRUNCATION_CAP) -> FockState
     """
     n_max, tail = _family(spec)._truncation(max_nmax)
     c = spec._rows([spec], n_max)[0]
-    return FockState(c / np.linalg.norm(c), tail)
+    return FockState(c / _norms(c), tail)
 
 
 def _named(name: str, value: float, make, *args):
@@ -341,7 +378,7 @@ def _named(name: str, value: float, make, *args):
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
-    # np.linalg.norm of each row, bitwise: the same dots, one np.vecdot call each.
+    # The 2-norm of each row (or of one vector), bitwise numpy's: its two dots, one np.vecdot call each.
     parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
     return np.sqrt(sum(np.vecdot(x, x) for x in parts))
 

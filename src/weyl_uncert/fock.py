@@ -101,14 +101,15 @@ def char_set(state: FockState, k: int, phi: float) -> CharSet:
 
 def char_table(stacks, k: int, phi: float) -> tuple[CharSet, np.ndarray]:
     """:func:`char_set` of each row of ``stacks``, read one at a time, each of unit amplitude
-    rows of one n_max taken as given, as one record of arrays over all rows, checked once, and
-    each row's :func:`mean_photon` from the |c|^2 the sums read.  Each row sums along its own
-    length-one axis, so every product is the one-state dot: row i is bitwise its one-state
-    values at one BLAS thread count (a dot as long as n_max 16111 threads, and its last bits
-    follow the count)."""
+    rows of one n_max taken as given, as one record of arrays over all rows (empty if none),
+    checked once, and each row's :func:`mean_photon` from the |c|^2 the sums read.  Each row
+    sums along its own length-one axis, so every product is the one-state dot: row i is bitwise
+    its one-state values at one BLAS thread count (a dot as long as n_max 16111 threads, and its
+    last bits follow the count)."""
     k = integer("k", k, 1)
     sums = (_sums(np.asarray(amps)[..., None, :], k, phi) for amps in stacks)
-    cols = zip(*((*chars, probs @ np.arange(probs.shape[-1])) for *chars, probs in sums))
+    none = (np.empty((0, 1), complex),) * 3 + (np.empty((0, 1)),) * 2  # the columns of no rows
+    cols = zip(none, *((*chars, probs @ np.arange(probs.shape[-1])) for *chars, probs in sums))
     number, phase, cross, below, nbar = (np.concatenate([x[..., 0] for x in col]) for col in cols)
     return CharSet(number, phase, cross, complex(np.exp(-1j * k * phi)), np.minimum(1.0, below)), nbar
 

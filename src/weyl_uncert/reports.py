@@ -67,12 +67,12 @@ class CharSet:
         for name in ("number_char", "phase_char", "cross_char", "weyl"):
             size = abs(getattr(self, name))
             if isinstance(size, np.ndarray):
-                size = float(size.max())
+                size = float(size.max(initial=0.0))
             if not size <= 1.0 + 1e-12:
                 raise ValueError(f"|{name}| exceeds 1 or is NaN: {size!r}")
         lo = hi = self.pi_k
         if isinstance(lo, np.ndarray):
-            lo, hi = float(lo.min()), float(hi.max())
+            lo, hi = float(lo.min(initial=0.0)), float(hi.max(initial=0.0))
         if not -1e-12 <= lo <= hi <= 1.0 + 1e-12:
             raise ValueError(f"pi_k out of [0, 1]: {self.pi_k!r}")
 

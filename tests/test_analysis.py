@@ -167,6 +167,49 @@ def test_figure2_dataset():
     assert x[interior] == pytest.approx(math.pi / 2, rel=0.08)
 
 
+# The abstract's contradictions between the product and the sums, at figure 1 (phase-coherent,
+# t = xi^2, U = ((1 - t)/(1 + t))^2 + t and V = xi (1 - t)/(1 + t) at k phi = pi) and figure 2
+# (Gaussian, x = a k^2, U = exp(-pi^2/4x) + exp(-x) and V = exp(-pi^2/8x - x/2) to leading order).
+def _figure_extrema(figure_id):
+    template, name, lo, hi, _, k, _ = analysis._FIGURES[figure_id]
+    return [find_extremum(template, name, *fk, lo, hi, k, math.pi / k) for fk in (("U", "min"), ("V", "max"))]
+
+
+def test_figure2_sum_minimum_and_product_maximum_are_one_closed_form_point():
+    # Both are stationary at x = pi/2, where U = 2 exp(-pi/2) and V = exp(-pi/2): the least sum is
+    # the largest product's state.  Measured: both found at x = pi/2 + 2.69e-5 (the 1e-6 tolerance
+    # in a, times k^2 = 256), values within 5.5e-11 of the closed forms; bounds about twice that.
+    u, v = _figure_extrema(2)
+    for res, value in ((u, 2.0 * math.exp(-math.pi / 2)), (v, math.exp(-math.pi / 2))):
+        assert abs(res.param * analysis._FIG2_K2 - math.pi / 2) <= 5e-5 and not res.boundary
+        assert abs(res.value - value) <= 1e-10
+
+
+def test_figure1_sum_minimum_and_product_maximum_are_apart():
+    # V is largest at t = sqrt(5) - 2 and U least at the root of 4(1 - t) = (1 + t)^3.  Measured:
+    # both found within 1.26e-7 in xi (bound 2.5e-7), and each value within 1.3e-15 of its closed
+    # form at its own param (bound 1e-14).
+    u, v = _figure_extrema(1)
+    for res, t in ((u, u_argmin_t()), (v, math.sqrt(5.0) - 2.0)):
+        assert abs(res.param - math.sqrt(t)) <= 2.5e-7 and not res.boundary
+    x2 = u.param**2
+    assert abs(u.value - (((1.0 - x2) / (1.0 + x2)) ** 2 + x2)) <= 1e-14
+    x2 = v.param**2
+    assert abs(v.value - v.param * (1.0 - x2) / (1.0 + x2)) <= 1e-14
+
+
+def test_sum_and_product_step_apart_except_between_their_extrema():
+    # Figure 2: U and V step in opposite directions on all 159 steps.  Figure 1: on all 198 but the
+    # 23 that lie between the V maximum and the U minimum, where both fall.
+    between = (math.sqrt(math.sqrt(5.0) - 2.0), math.sqrt(u_argmin_t()))
+    for figure_id, steps, (lo, hi), count in ((1, 198, between, 23), (2, 159, (math.inf, 0.0), 0)):
+        table = figure_dataset(figure_id)
+        x = table.column("param")
+        together = np.flatnonzero(np.diff(table.column("u")) * np.diff(table.column("v")) >= 0)
+        assert len(x) - 1 == steps and len(together) == count
+        assert together.tolist() == np.flatnonzero((x[:-1] > lo) & (x[1:] < hi)).tolist()
+
+
 def _bits(row):
     return [float(v).hex() for v in astuple(row)]
 

@@ -13,6 +13,8 @@ from scipy import optimize, special
 
 from weyl_uncert import analysis, cli, families, fock
 from weyl_uncert.families import (
+    MAX_BESSEL_ARG,
+    MAX_BESSEL_ORDER,
     BesselEigenstate,
     ClosedFormUnavailable,
     FamilySpecError,
@@ -27,7 +29,6 @@ from weyl_uncert.families import (
     truncation_cap,
     with_param,
 )
-from weyl_uncert.numerics import MAX_BESSEL_ORDER
 from weyl_uncert.reports import CharSet
 
 BIG_CAP = 20000  # |xi| = 0.999 needs ~16k photon numbers for the tail target
@@ -326,6 +327,23 @@ def test_bessel_closed_form_stops_at_the_series_order_cap():
         closed_form_char(spec, MAX_BESSEL_ORDER + 1, 1.0)
     with pytest.raises(ClosedFormUnavailable, match=needle):
         oracle_check(spec, state, MAX_BESSEL_ORDER + 1, 1.0)
+
+
+def test_bessel_window_is_the_series_domain():
+    # The lambda window is MAX_BESSEL_ARG / 2, stated once; at its edge the closed form holds at
+    # every phi, -3.0 included, where |2 lambda exp(i phi / 2)| rounds an ulp above MAX_BESSEL_ARG.
+    edge = MAX_BESSEL_ARG / 2
+    assert abs(2.0 * edge * np.exp(0.5j * -3.0)) > MAX_BESSEL_ARG
+    with pytest.raises(ValueError, match=re.escape("lambda must be in (0, 50]")):
+        BesselEigenstate(50.000000000001)
+    with pytest.raises(ValueError, match=re.escape("lambda must be in (0, 50]")):
+        BesselEigenstate(math.nextafter(edge, math.inf))
+    spec = BesselEigenstate(edge)
+    state = build(spec)
+    for k in (1, 7, 64):
+        for phi in (-3.0, *np.linspace(-math.pi, math.pi, 41)):
+            assert isinstance(closed_form_char(spec, k, phi), CharSet)
+            assert oracle_check(spec, state, k, phi) <= 1e-8, (k, phi)  # 2.0e-12 measured
 
 
 def test_bessel_closed_form_reduces_to_ordinary_bessel_at_pi():

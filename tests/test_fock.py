@@ -344,6 +344,16 @@ def test_char_table_of_stacks_of_several_n_max_is_bitwise_each_row():
     assert type(mean_photon(flat[0])) is float
 
 
+def test_char_table_of_no_rows_is_empty():
+    # No runs, or runs of no rows (a sweep of no values yields none), give an empty table.
+    for stacks in ([], [np.zeros((0, 5))], [np.zeros((0, 5), complex), np.zeros((0, 9))]):
+        for k in (1, 7):
+            table, nbar = fock.char_table(stacks, k, 0.5)
+            assert all(getattr(table, name).dtype == complex for name in CHAR_FIELDS[:3])
+            assert all(getattr(table, name).shape == (0,) for name in (*CHAR_FIELDS[:3], "pi_k"))
+            assert nbar.shape == (0,) and table.weyl == complex(np.exp(-0.5j * k))
+
+
 def test_char_table_edges():
     rng = np.random.default_rng(163)
     # k above n_max: E^k psi = 0, so the phase and cross sums are exactly 0 and

@@ -1,4 +1,4 @@
-"""Kernel tests: Bessel series against an extended-precision oracle; the
+"""Kernel tests: the Bessel family's series against an extended-precision oracle; the
 3x3 Hermitian record, its tables and its determinant against numpy and
 direct Gram constructions; and the CharSet check that guards every entry."""
 
@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from weyl_uncert import Hermitian3, bessel_i, det3, fock, reports, spin
+from weyl_uncert import Hermitian3, bessel_i, det3, families, fock, numerics, reports, spin
 
 
 def oracle_bessel(order, z, terms=80):
@@ -87,6 +87,15 @@ def test_bessel_domain_errors():
             bessel_i(order, 1.0)
     with pytest.raises(ValueError, match=r"\|z\|"):
         bessel_i(0, 101.0)
+    for z in (math.nan, complex(math.nan, 0.0), complex(0.0, math.nan)):  # not 500 terms of nan
+        with pytest.raises(ValueError, match=r"\|z\| = nan"):
+            bessel_i(0, z)
+
+
+def test_numerics_holds_only_the_gram_kernel():
+    # The Bessel series and its domain live with their one caller, the Bessel family.
+    assert not [name for name in vars(numerics) if "bessel" in name.lower()]
+    assert bessel_i is families.bessel_i
 
 
 def from_matrix(m):

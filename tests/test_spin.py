@@ -456,6 +456,13 @@ def test_char_table_matches_char_set_on_every_pair(d):
             assert weyl[k - 1, ell - 1] == spin._weyl_phase(d, k, ell) == cs.weyl
 
 
+def test_char_table_of_no_rows_is_empty():
+    for amps in (np.zeros((0, 4)), np.zeros((0, 4), complex)):
+        table = spin.char_table(amps)
+        assert all(x.shape == (0, 4, 4) for x in vars(table).values())
+    assert all(x.dtype == complex for x in (table.number_char, table.phase_char, table.cross_char))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
 def test_char_table_matches_dense_oracle(d):
     st = random_state(SpinSystem(d), np.random.default_rng(200 + d))
