@@ -370,30 +370,26 @@ def build(spec: FamilySpec, max_nmax: int = DEFAULT_TRUNCATION_CAP) -> FockState
     return FockState(c / _norms(c), tail)
 
 
-def _named(name: str, value: float, make, *args):
-    try:
-        return make(*args)
-    except ValueError as err:
-        raise ValueError(f"family build failed at {name} = {float(value)!r}: {err}") from err
-
-
 def _norms(rows: np.ndarray) -> np.ndarray:
-    # The 2-norm of each row (or of one vector), bitwise numpy's: its two dots, one np.vecdot call each.
-    parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
-    return np.sqrt(sum(np.vecdot(x, x) for x in parts))
+    # The 2-norm of each row (or of one vector), bitwise numpy's: its one or two dots, one np.vecdot each.
+    sq = np.vecdot(rows.real, rows.real)
+    return np.sqrt(sq + np.vecdot(rows.imag, rows.imag) if rows.dtype.kind == "c" else sq)
 
 
 def sweep(template: FamilySpec, name: str, values, cap: int = DEFAULT_TRUNCATION_CAP):
     """Each value's :func:`build` amplitudes, bitwise, read as runs of unit rows of one n_max: views
     into chunks of rows whose zero-padded complex rows fit in ``_RUN_BYTES``, each built by one ``_rows``
     call at its largest n_max (the formulas are elementwise: a row's prefix is its own build)."""
-    field(template, name)  # a name no value could fix fails before any row
+    key, cls = field(template, name), type(template)  # a name no value could fix fails before any row
 
     def chunks():
         chunk, top = [], 0
         for x in values:
-            spec = _named(name, x, with_param, template, name, x)
-            n_max = _named(name, x, spec._truncation, cap)[0]
+            try:
+                spec = replace(template, **{key: _typed(cls, key, x)})
+                n_max = spec._truncation(cap)[0]
+            except ValueError as err:
+                raise ValueError(f"family build failed at {name} = {float(x)!r}: {err}") from err
             if chunk and (len(chunk) + 1) * (max(top, n_max) + 1) * 16 > _RUN_BYTES:  # complex rows
                 yield chunk, top
                 chunk, top = [], 0
@@ -409,9 +405,12 @@ def sweep(template: FamilySpec, name: str, values, cap: int = DEFAULT_TRUNCATION
             run, i = rows[i:i + len(xs), :n_max + 1], i + len(xs)
             run /= _norms(run)[:, None]
             # FockState's check of each row: its norm within 1e-12 of 1, so finite too.
-            for x, norm, row in zip(xs, _norms(run).tolist(), run):
+            for j, norm in enumerate(_norms(run).tolist()):
                 if not abs(norm - 1.0) <= 1e-12:
-                    _named(name, x, unit_amplitudes, row)
+                    try:
+                        unit_amplitudes(run[j])
+                    except ValueError as err:
+                        raise ValueError(f"family build failed at {name} = {float(xs[j])!r}: {err}") from err
             yield run
 
 

@@ -79,7 +79,8 @@ def _sums(amps: np.ndarray, k: int, phi: float) -> tuple:
     c = np.asarray(amps, dtype=complex)
     pair = np.conj(c[..., k:]) * c[..., :-k]
     phases, probs = _phase_table(phi, c.shape[-1]), np.abs(amps) ** 2
-    return probs @ phases, pair.sum(-1), np.vecdot(phases[k:], pair), probs[..., :k].sum(-1), probs
+    return (probs @ phases, np.add.reduce(pair, -1), np.vecdot(phases[k:], pair),
+            np.add.reduce(probs[..., :k], -1), probs)
 
 
 def char_set(state: FockState, k: int, phi: float) -> CharSet:
@@ -109,7 +110,7 @@ def char_table(stacks, k: int, phi: float) -> tuple[CharSet, np.ndarray]:
     k = integer("k", k, 1)
     sums = (_sums(np.asarray(amps)[..., None, :], k, phi) for amps in stacks)
     none = (np.empty((0, 1), complex),) * 3 + (np.empty((0, 1)),) * 2  # the columns of no rows
-    cols = zip(none, *((*chars, probs @ np.arange(probs.shape[-1])) for *chars, probs in sums))
+    cols = zip(none, *((*chars, probs @ np.arange(probs.shape[-1], dtype=float)) for *chars, probs in sums))
     number, phase, cross, below, nbar = (np.concatenate([x[..., 0] for x in col]) for col in cols)
     return CharSet(number, phase, cross, complex(np.exp(-1j * k * phi)), np.minimum(1.0, below)), nbar
 

@@ -170,7 +170,7 @@ def char_table(amps) -> CharSet:
     """Characteristic sets of every pair (k, l), k, l = 1..d, as one record.
 
     ``amps`` is one state's amplitudes, or a stack of such rows of one system
-    along leading axes, taken as given.  Every field is a read-only broadcast
+    along leading axes, taken as given (as complex).  Every field is a read-only broadcast
     view of shape (..., d, d), entry [..., k-1, l-1] being ``char_set(state, k,
     l)`` of that row up to rounding (weyl and pi_k = 0 exactly).  Both powers
     have period d up to a sign, so these d^2 entries give every pair.  The
@@ -178,7 +178,7 @@ def char_table(amps) -> CharSet:
     contiguous, so each product is the one-state BLAS call: a stacked row is
     bitwise its state's own table.
     """
-    c = np.asarray(amps)
+    c = np.asarray(amps, dtype=complex)
     d = c.shape[-1]
     powers = np.arange(1, d + 1)
     f = _unit_phases(d, powers[:, None])

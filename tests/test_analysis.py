@@ -399,6 +399,12 @@ def test_grid_build_failure_names_the_failing_value():
         analysis._rows_at(PhaseCoherent(0.5), "xi", np.array([0.1, 0.5, 1.5, 0.2]), 1, math.pi, 4096)
 
 
+def test_a_grid_value_past_the_truncation_cap_is_named():
+    with pytest.raises(ValueError, match=r"^family build failed at xi = 0\.9999: truncation cap exceeded: "
+                                         r"family needs n_max = 161173 but the cap is 4096"):
+        analysis._rows_at(PhaseCoherent(0.5), "xi", np.array([0.5, 0.9999]), 1, math.pi, 4096)
+
+
 def test_a_grid_builds_its_states_as_it_reads_them(monkeypatch):
     # Chunks stream, with no list of all rows: 0.999 (n_max 16111, past the budget beside them)
     # cuts the chunk of 0.1 and 0.5, whose two runs are read by char_table before 1.5 fails;

@@ -257,6 +257,23 @@ def test_geometric_amplitudes_are_real_powers_within_one_ulp(xi):
             assert abs(mpmath.mpf(float(c[n])) - exact) <= 2.0**-52 * abs(exact), (xi, n)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n_max", [16, 16111])
+def test_row_norms_are_numpys_norm_bitwise(n_max, dtype):
+    rng = np.random.default_rng(n_max)
+    chunk = rng.standard_normal((3, n_max + 40)) * [[1e-3], [1.0], [1e3]]
+    if dtype is complex:
+        chunk = chunk + 1j * rng.standard_normal(chunk.shape)
+    run = chunk[1:, :n_max + 1]  # a view whose rows end before the chunk's do
+    assert np.shares_memory(run, chunk) and not run.flags.c_contiguous
+    for rows in (np.ascontiguousarray(chunk[:, :n_max + 1]), run):
+        norms = families._norms(rows)
+        assert norms.shape == (len(rows),) and norms.dtype == np.float64
+        for row, norm in zip(rows, norms):
+            want = np.linalg.norm(row).tobytes()
+            assert norm.tobytes() == want and families._norms(row).tobytes() == want
+
+
 def test_geometric_table_is_kept_invisibly(monkeypatch):
     # All rows of an alpha2 scan at one xi read one kept, read-only xi^n
     # table, bitwise as if each row had built its own.

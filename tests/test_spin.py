@@ -463,6 +463,19 @@ def test_char_table_of_no_rows_is_empty():
     assert all(x.dtype == complex for x in (table.number_char, table.phase_char, table.cross_char))
 
 
+def test_char_table_of_real_rows_is_the_table_of_the_rows_cast_to_complex():
+    rng = np.random.default_rng(34)
+    for d, stack in ((4, ()), (5, (3,)), (8, (2, 2))):
+        real = rng.standard_normal(stack + (d,))
+        real /= np.linalg.norm(real, axis=-1, keepdims=True)
+        got, want = vars(spin.char_table(real)), vars(spin.char_table(real.astype(complex)))
+        for name, x in got.items():
+            assert x.dtype == want[name].dtype and x.tobytes() == want[name].tobytes(), name
+    # The characters and the Weyl phase are complex, as for complex rows; pi_k is a real weight.
+    table = spin.char_table(np.ones(4) / 2)
+    assert [x.dtype for x in vars(table).values()] == [np.complex128] * 4 + [np.float64]
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
 def test_char_table_matches_dense_oracle(d):
     st = random_state(SpinSystem(d), np.random.default_rng(200 + d))
