@@ -367,7 +367,7 @@ def build(spec: FamilySpec, max_nmax: int = DEFAULT_TRUNCATION_CAP) -> FockState
     """
     n_max, tail = _family(spec)._truncation(max_nmax)
     c = spec._rows([spec], n_max)[0]
-    return FockState(c / _norms(c), tail)
+    return FockState(np.divide(c, _norms(c), out=c), tail)  # c is this call's own row
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:

@@ -5,10 +5,10 @@ of phase is the one-sided-unitary operator E with E|n+1> = |n> (the
 Susskind-Glogower shift).  No operator is applied: inside the sums, E^k
 pairs c_{n+k} with c_n (the slices c[k:] and c[:-k]), and exp(i phi n) is
 a diagonal phase read from the one table kept for the last phi.
-Characteristic functions are O(n_max) sums over amplitudes, of one state or
-(:func:`char_table`) of stacks of them, read one at a time into one table checked
-once, with each row's nbar; the phase density on a periodic grid of M points is one
-length-M FFT (other grids are rejected).  Dense operators are test oracles.
+Characteristic functions are O(n_max) sums over amplitudes (real rows read as given, with no complex
+copy), of one state or (:func:`char_table`) of stacks of them, read one at a time into one table checked
+once, with each row's nbar; the phase density on a periodic grid of M points is one FFT at length M,
+folded modulo M only when n_max + 1 > M (other grids are rejected).  Dense operators are test oracles.
 
 Characteristic sets are :class:`reports.CharSet` records, checked once
 when made.  The two Gram matrices of {psi, exp(+-i phi n) psi, Edag^k /
@@ -74,11 +74,11 @@ def _phase_table(phi: float, size: int) -> np.ndarray:
 
 
 def _sums(amps: np.ndarray, k: int, phi: float) -> tuple:
-    # The number, phase and cross sums and pi_k along the last axis of amps, and the |c|^2 they read, of
-    # real amps as they are (|x + 0i| is |x|); np.vecdot conjugates the table without a copy.
-    c = np.asarray(amps, dtype=complex)
-    pair = np.conj(c[..., k:]) * c[..., :-k]
-    phases, probs = _phase_table(phi, c.shape[-1]), np.abs(amps) ** 2
+    # The number, phase and cross sums and pi_k along the last axis of amps, and the |c|^2 they read. Real
+    # amps are not cast: the pair operands x - 0i, y + 0i are a cast's, |x + 0i| is |x|; np.vecdot conjugates.
+    pair = np.conj(amps[..., k:], dtype=complex) * amps[..., :-k]
+    phases, probs = _phase_table(phi, amps.shape[-1]), np.abs(amps)
+    probs *= probs
     return (probs @ phases, np.add.reduce(pair, -1), np.vecdot(phases[k:], pair),
             np.add.reduce(probs[..., :k], -1), probs)
 
@@ -132,28 +132,30 @@ def phase_distribution(state: FockState, phi_grid: np.ndarray) -> np.ndarray:
 
     The grid must be finite and one period, phi_j = phi_0 + 2 pi j / M (e.g.
     [-pi, pi)), with |phi| small enough for its points to be told apart, or
-    ValueError is raised; the sum is then one length-M FFT of
-    c_n exp(-i n phi_0) folded modulo M.  With M > 2 n_max the periodic
-    rectangle quadrature of P over the period is exact up to rounding.
+    ValueError is raised; the sum is then one FFT at length M of c_n exp(-i n phi_0),
+    folded modulo M only when n_max + 1 > M (the transform zero-pads a shorter vector).
+    With M > 2 n_max the periodic rectangle quadrature of P is exact up to rounding.
     """
     grid = np.asarray(phi_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("phi_grid must be a 1-D grid with at least 2 points")
-    if not np.all(np.isfinite(grid)):
+    m, top = grid.size, max(grid.max(), -grid.min())  # max |phi|, NaN if any point is
+    if not math.isfinite(top):
         raise ValueError("phi_grid must be finite")
-    m = grid.size
-    top = float(np.max(np.abs(grid)))
     # The tolerance grows with |phi|; from half the step on, it would pass a
     # grid of equal or shuffled points as one period.
     tol = _GRID_TOL * (1.0 + top)
     if not tol < math.pi / m:
         raise ValueError(f"phi_grid points 2 pi / {m} apart cannot be told apart at |phi| = {top:g}")
-    periodic = grid[0] + (2.0 * math.pi / m) * np.arange(m)
-    if np.max(np.abs(grid - periodic)) > tol:
+    off = np.arange(m, dtype=float)  # phi_0 + 2 pi j / M - phi_j, all in this one array
+    off *= 2.0 * math.pi / m
+    off += grid[0]
+    off -= grid
+    if max(off.max(), -off.min()) > tol:
         raise ValueError("phi_grid must be phi_0 + 2 pi j / M for j = 0..M-1 (one period)")
     a = state.amplitudes * _phase_table(-grid[0], state.amplitudes.size)
-    amp = np.fft.fft(np.pad(a, (0, -a.size % m)).reshape(-1, m).sum(axis=0))
-    return np.abs(amp) ** 2 / (2.0 * math.pi)
+    p = np.abs(np.fft.fft(a if a.size <= m else np.pad(a, (0, -a.size % m)).reshape(-1, m).sum(axis=0), m))
+    return np.divide(np.square(p, out=p), 2.0 * math.pi, out=p)  # |FFT|^2 / 2 pi, in place
 
 
 def mean_photon(state: FockState) -> float:

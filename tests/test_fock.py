@@ -5,6 +5,7 @@ phase distribution and verify's fock suite."""
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +266,26 @@ def test_phase_table_reuse_is_invisible():
     assert len({id(t) for t in tables}) <= 12
 
 
+def _large_density_state():
+    # The phase-coherent state at xi = 0.999 (n_max 16111), the benchmark's phase density.
+    return families.build(families.parse_spec("phase-coherent:xi=0.999"), 20000)
+
+
+def test_phase_distribution_is_the_pad_and_fold_transform_bitwise():
+    # The transform runs at length M and folds only when n_max + 1 > M: each density is
+    # bitwise |FFT|^2 / 2 pi of the amplitudes zero-padded to a multiple of M and folded.
+    st = _large_density_state()
+    assert st.n_max == 16111
+    for m in (32768, 16112, 5000):  # M above, at and below n_max + 1
+        for phi0 in (-math.pi, 0.3):
+            grid = phi0 + (2.0 * math.pi / m) * np.arange(m)
+            a = st.amplitudes * np.exp(-1j * grid[0] * np.arange(st.amplitudes.size))
+            amp = np.fft.fft(np.pad(a, (0, -a.size % m)).reshape(-1, m).sum(axis=0))
+            want = np.abs(amp) ** 2 / (2.0 * math.pi)
+            got = phase_distribution(st, grid)
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), (m, phi0)
+
+
 def test_number_char_hermitian_in_phi():
     rng = np.random.default_rng(35)
     st = random_state(40, rng)
@@ -342,6 +363,48 @@ def test_char_table_of_stacks_of_several_n_max_is_bitwise_each_row():
             assert _bits(*got) == _bits(*(getattr(char_set(st, k, phi), f) for f in CHAR_FIELDS)), (k, i)
         assert nbar.tolist() == [mean_photon(st) for st in flat]
     assert type(mean_photon(flat[0])) is float
+
+
+def test_char_table_of_real_rows_is_the_table_of_the_rows_cast_to_complex():
+    # Real rows are summed as given, without a complex copy: every field and nbar is
+    # bitwise the table of the same rows cast to complex, signed zeros included.
+    rng = np.random.default_rng(166)
+    for n_max, rows in ((16, 1), (427, 1), (427, 3), (16111, 1)):
+        real = rng.standard_normal((rows, n_max + 1))
+        real[:, ::7], real[:, 1::7] = 0.0, -0.0
+        real /= np.linalg.norm(real, axis=1, keepdims=True)
+        for k in (1, 2, n_max + 2):
+            for phi in (math.pi / k, -0.4):
+                (got, got_nbar), (want, want_nbar) = (
+                    fock.char_table([x], k, phi) for x in (real, real.astype(complex)))
+                for name in CHAR_FIELDS:
+                    x, y = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (n_max, rows, k, phi, name)
+                assert got_nbar.tobytes() == want_nbar.tobytes(), (n_max, rows, k, phi)
+
+
+def _traced_peak(call):
+    # Peak bytes traced while call runs, above what was allocated before it; a first
+    # untraced call builds the kept phase table, so only the call's own arrays count.
+    call()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_large_single_mode_calls_make_no_avoidable_copies():
+    # At n_max 16111 a complex row is 258 KB.  The sums of a real row form the pair
+    # products and |c|^2 without a complex copy of the row, and the density makes its
+    # length-M transform and squares it in place: each peak stays under 2.6 such arrays.
+    row = next(families.sweep(families.PhaseCoherent(0.999), "xi", [0.999], 20000))[0]
+    assert row.dtype == np.float64 and row.size == 16112
+    assert _traced_peak(lambda: fock.char_table([row[None]], 1, math.pi)) <= 2.6 * 16112 * 16
+    st, grid = _large_density_state(), np.linspace(-math.pi, math.pi, 32768, endpoint=False)
+    assert _traced_peak(lambda: phase_distribution(st, grid)) <= 2.6 * 32768 * 16
 
 
 def test_char_table_of_no_rows_is_empty():
