@@ -10,11 +10,13 @@ the Weyl commutation relation
 
 for all integers k, l, which is what every check in this module leans on.
 
-shift^k acts on amplitudes as a signed cyclic roll, so every quantity for
-one (k, l) pair costs O(d) with no dense operator matrices and no caches;
-dense shift and clock matrices exist only as the oracles of :mod:`verify`.
-:func:`char_table` covers all d^2 pairs of a stack of states at once in
-O(d^3) per state: d rolls and one d x d matrix product each.
+shift^k acts on amplitudes as a signed cyclic roll, so every quantity for one
+(k, l) pair costs O(d) with no dense operator matrices (only :mod:`verify`'s
+oracles have them) and reads its clock phases from one kept read-only table,
+bitwise a fresh exp, of the 2d roots exp(i pi q / d) and the d exponents 2m:
+40 d bytes (40 KiB at d = 1024, 40 MB at d = 10^6), kept until another d is
+asked for.  :func:`char_table` covers all d^2 pairs of a stack of states at
+once in O(d^3) per state: d rolls and one d x d matrix product each.
 
 Characteristic sets are :class:`reports.CharSet` records whose Weyl phase is
 exp(-i 2pi k l / d) and whose pi_k is 0, since shift^k is unitary.
@@ -27,6 +29,7 @@ at gamma = pi only, no U''.  :func:`gram_dets` reads them off :func:`report`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,13 +70,17 @@ class QuditState:
         object.__setattr__(self, "amplitudes", unit_amplitudes(c))
 
 
+@functools.lru_cache(maxsize=1)
+def _roots(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    roots, base = np.exp(1j * math.pi * np.arange(2 * dim) / dim), 2 * np.arange(dim) - (dim - 1)
+    roots.flags.writeable = base.flags.writeable = False
+    return roots, base
+
+
 def _unit_phases(dim: int, power) -> np.ndarray:
-    # exp(i 2pi m q / d) for m = -j..j, with the exponent reduced in exact
-    # integer arithmetic: 2 m q = (2t - d + 1) q with t = 0..d-1.  A column
-    # of powers gives one row per power.
-    t = np.arange(dim)
-    num = ((2 * t - (dim - 1)) * power) % (2 * dim)
-    return np.exp(1j * math.pi * num / dim)
+    # exp(i 2pi m q / d), m = -j..j, as the kept root at 2m q mod 2d: q mod 2d first, exact for any int q.
+    roots, base = _roots(dim)
+    return roots[(base * (power % (2 * dim))) % (2 * dim)]
 
 
 def _wrapped(dim: int, c: np.ndarray) -> np.ndarray:

@@ -175,6 +175,62 @@ def test_weyl_defect_negative_powers():
 
 
 # ---------------------------------------------------------------------------
+# clock phases from the kept roots of unity
+
+
+def fresh_unit_phases(d, p):
+    # One complex exponential per call, of the exponent reduced in int64.
+    t = np.arange(d)
+    return np.exp(1j * math.pi * (((2 * t - (d - 1)) * p) % (2 * d)) / d)
+
+
+@pytest.mark.parametrize("d", [*range(2, 71), 255, 256, 257, 1023, 1024, 1025])
+def test_unit_phases_are_the_fresh_exponential_bitwise(d):
+    for p in [*range(-3 * d, 3 * d + 1), np.arange(1, d + 1)[:, None]]:
+        got, want = spin._unit_phases(d, p), fresh_unit_phases(d, p)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), p
+
+
+def test_clock_phase_table_is_kept_invisibly():
+    # One read-only table for the last d; a call at another d in between
+    # builds that d's table, and this d's is rebuilt with the same bits.
+    d, rng = 5, np.random.default_rng(35)
+    st, other = random_state(SpinSystem(d), rng), random_state(SpinSystem(8), rng)
+    spin._roots.cache_clear()
+    first = spin._unit_phases(d, 3)
+    assert spin._roots.cache_info()[:2] == (0, 1)  # (hits, misses)
+    kept = [x.copy() for x in spin._roots(d)]
+    assert spin._roots.cache_info()[:2] == (1, 1)
+    for table in spin._roots(d):
+        assert not table.flags.writeable and not np.shares_memory(table, first)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+    before = repr(report(st, 2, 3)), repr(char_set(st, 4, -7)), repr(cyclic_phase(st, 1, 2))
+    report(other, 1, 1)  # d = 8 takes the one slot
+    assert spin._roots.cache_info().currsize == 1 and spin._roots.cache_info().misses == 2
+    assert (repr(report(st, 2, 3)), repr(char_set(st, 4, -7)), repr(cyclic_phase(st, 1, 2))) == before
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(spin._roots(d), kept))
+
+
+@pytest.mark.parametrize("d", [3, 4, 7, 1025])
+def test_clock_powers_past_int64_equal_their_reduced_power(d):
+    # Formed in int64, (2t - d + 1) l wrapped silently from |l| >= 2^63 / 2d
+    # (weyl_defect(SpinSystem(3), 1, 2**62) was 1.73) and raised an
+    # OverflowError from 2^63.  Both powers have period 2d exactly.
+    system = SpinSystem(d)
+    st = random_state(system, np.random.default_rng(d))
+    for big in (2**62, 2**63 - 1, 2**63, 10**30, -10**30):
+        r = big % (2 * d)
+        assert spin._unit_phases(d, big).tobytes() == spin._unit_phases(d, r).tobytes()
+        assert weyl_defect(system, 1, big) == weyl_defect(system, 1, r) < 1e-12
+        assert weyl_defect(system, big, 2) == weyl_defect(system, r, 2)
+        for k, ell, kr, lr in ((1, big, 1, r), (big, 3, r, 3), (big, big, r, r)):
+            assert repr(char_set(st, k, ell)) == repr(char_set(st, kr, lr))
+            assert repr(report(st, k, ell)) == repr(report(st, kr, lr))
+            assert cyclic_phase(st, k, ell) == cyclic_phase(st, kr, lr)
+
+
+# ---------------------------------------------------------------------------
 # angle and bound
 
 
