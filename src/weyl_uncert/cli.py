@@ -11,21 +11,18 @@ import argparse
 import functools
 import json
 import math
-import operator
 import os
 import re
 import stat
 import sys
 import tempfile
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 
 from . import analysis, families, reports, spin, verify
 from .analysis import ScanTable
 
 CSV_HEADER = ",".join(analysis.COLUMNS)
 
-# A scan row's values in column order: ScanRow's fields are the columns.
-_row_values = operator.attrgetter(*(f.name for f in fields(analysis.ScanRow)))
 _CSV_ROW = ",".join("{:.17g}" for _ in analysis.COLUMNS)
 
 _QUBIT_CROSS_NOTE = (
@@ -77,12 +74,12 @@ def _envelope(command: str, parameters: dict, payload: dict, notes: list[str] | 
 
 
 def _table_csv(table: ScanTable) -> str:
-    rows = (_CSV_ROW.format(*_row_values(r)) for r in table.rows)
+    rows = (_CSV_ROW.format(*vars(r).values()) for r in table.rows)
     return "\n".join((CSV_HEADER, *rows)) + "\n"
 
 
 def _table_rows(table: ScanTable) -> list[dict]:
-    return [dict(zip(analysis.COLUMNS, _row_values(r))) for r in table.rows]
+    return [dict(zip(analysis.COLUMNS, vars(r).values())) for r in table.rows]
 
 
 def _parameters(args, keys: str, **resolved) -> dict:

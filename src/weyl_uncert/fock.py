@@ -67,6 +67,8 @@ def _phase_table(phi: float, size: int) -> np.ndarray:
     # builds O(log n_max) tables).  exp is elementwise: a prefix is bitwise a fresh table.
     kept_phi, table = _kept[0]
     if not (phi == kept_phi and size <= table.size):
+        if not math.isfinite(phi):
+            raise ValueError(f"phi is NaN or infinite: {phi!r}")
         table = np.exp(1j * phi * np.arange(max(size, 2 * table.size) if phi == kept_phi else size))
         table.flags.writeable = False
         _kept[0] = phi, table  # one store: a reader sees the old pair or the new

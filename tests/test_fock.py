@@ -6,6 +6,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,21 @@ def test_non_integer_k_is_rejected_not_truncated(k):
         with pytest.raises(ValueError, match=re.escape("k must be an integer >= 1, got ")):
             call()
     assert report(st, 2.0, phi) == report(st, 2, phi)  # an integral float still names a count
+
+
+@pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+def test_non_finite_phi_is_one_value_error_and_keeps_the_table(phi):
+    # An infinite phi warned twice (inf * 0, then exp) before the record's NaN check raised.
+    st = random_state(6, np.random.default_rng(41))
+    char_set(st, 1, 0.5)
+    kept = fock._kept[0]
+    for call in (lambda: char_set(st, 1, phi), lambda: fock.char_table([st.amplitudes[None]], 1, phi)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=re.escape(f"phi is NaN or infinite: {phi!r}")):
+                call()
+        assert caught == []
+        assert fock._kept[0] is kept
 
 
 def test_state_validation():

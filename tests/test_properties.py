@@ -1,7 +1,8 @@
 """Property tests at the saturating edges: near-collinear Gram matrices,
-pure qubits on the Bloch surface, phase and number eigenstates, and
-phase-coherent states near |xi| = 1.  Examples are derandomized and no
-example database is kept, so every run draws the same cases."""
+pure qubits on the Bloch surface, phase and number eigenstates,
+phase-coherent states near |xi| = 1, and the single mode as a qudit that
+never wraps.  Examples are derandomized and no example database is kept,
+so every run draws the same cases."""
 
 import contextlib
 import io
@@ -106,6 +107,42 @@ def test_phase_coherent_near_unit_xi_at_the_stringent_point(log_gap, theta, k):
     state = families.build(spec, max_nmax=20000)
     assert fock.report(state, k, phi).u <= 1.0 + 1e-9
     assert families.oracle_check(spec, state, k, phi) <= 1e-10
+
+
+@st.composite
+def padded_single_modes(draw):
+    """Amplitudes c_0..c_N (N < 200), k <= 7, d levels with N + 1 + k <= d <= N + k + 50, l in [-3d, 3d)."""
+    n, k = draw(st.integers(0, 199)), draw(st.integers(1, 7))
+    d = draw(st.integers(n + 1 + k, n + k + 50))
+    amps = fock.random_state(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))).amplitudes
+    return amps, k, d, draw(st.integers(-3 * d, 3 * d - 1))
+
+
+def cut_phase_coherent(xi, levels):
+    c = xi ** np.arange(levels)
+    return c / np.linalg.norm(c)
+
+
+@settings(EDGE, max_examples=200)
+@given(padded_single_modes())
+@example((np.eye(8)[5], 3, 11, 4))  # a number state
+@example((np.eye(8)[7], 2, 12, 3))  # at k phi = pi
+@example((cut_phase_coherent(0.9 * np.exp(0.3j), 40), 2, 44, 11))  # phase-coherent, cut, at k phi = pi
+@example((cut_phase_coherent(0.999, 150), 1, 152, 76))
+@example((cut_phase_coherent(-0.99j, 100), 3, 108, 18))
+def test_single_mode_is_a_qudit_that_never_wraps(case):
+    # Zero-padded to d >= N + 1 + k levels (m = n - j), no shift^k wraps: at phi = 2 pi l / d the
+    # qudit's set is the single mode's, its clock phases exp(i phi n) times g = exp(-i pi (d - 1) l / d).
+    amps, k, d, ell = case
+    phi, g = 2 * math.pi * ell / d, np.exp(-1j * math.pi * (d - 1) * ell / d)
+    mode = fock.char_set(fock.FockState(amps), k, phi)
+    qudit = spin.char_set(spin.QuditState(spin.SpinSystem(d), np.pad(amps, (0, d - amps.size))), k, ell)
+    # Rounding of phi n in the phase table, of k phi in the Weyl phase, and of g.
+    tol = 4 * 2.0**-52 * (1 + (amps.size - 1 + k) * abs(phi) + math.pi * abs(ell))
+    assert abs(qudit.number_char - g * mode.number_char) <= tol
+    assert abs(qudit.phase_char - mode.phase_char) <= tol
+    assert abs(qudit.cross_char - np.conj(g) * mode.cross_char) <= tol
+    assert abs(qudit.weyl - mode.weyl) <= tol
 
 
 # ---------------------------------------------------------------------------
