@@ -3,8 +3,8 @@
 Scans evaluate the certainty functionals over a family parameter grid in one
 ``fock.char_table`` (which also gives each row's nbar) and one ``reports.functionals`` pass,
 fed the amplitude runs ``families.sweep`` streams as the grid is read, no FockState per row;
-extrema are located by such a coarse grid, then golden-section steps, point by point, each
-state a one-value sweep (the functionals are smooth but no derivative formulas are assumed).
+extrema are located by a coarse ``scan``, then golden-section steps, point by point, each state
+a ``families.build`` with its tail (the functionals are smooth but no derivative formulas are assumed).
 Each standard figure is one row of a table: the family template, swept parameter, grid, k.
 """
 
@@ -66,7 +66,7 @@ class ExtremumResult:
 
 def _row_at(template: FamilySpec, param_name: str, value: float, k: int, phi: float, cap: int) -> ScanRow:
     # Golden-section points only.  Its report (a second char_set) stays for perfbench's pin (ROADMAP 0, 1).
-    state = fock.FockState(next(families.sweep(template, param_name, [value], cap))[0])
+    state = families.build(families.with_param(template, param_name, value), cap)
     cs, rep = fock.char_set(state, k, phi), fock.report(state, k, phi)
     return ScanRow(float(value), rep.u, rep.u_prime, rep.u_double_prime, rep.v, abs(cs.number_char),
                    abs(cs.phase_char), abs(cs.cross_char), cs.pi_k, fock.mean_photon(state))
@@ -129,14 +129,14 @@ def find_extremum(
         raise ValueError(f"functional must be one of {FUNCTIONALS}, got {functional!r}")
     if kind not in ("min", "max"):
         raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
-    grid = _grid(lo, hi, _COARSE_POINTS)
+    table = scan(family_template, param_name, lo, hi, _COARSE_POINTS, k, phi, max_nmax=max_nmax)
     field = fields(ScanRow)[COLUMNS.index(functional)].name
     sign = 1.0 if kind == "min" else -1.0
 
     def f(x: float) -> float:
         return sign * getattr(_row_at(family_template, param_name, x, k, phi, max_nmax), field)
 
-    values = [sign * getattr(r, field) for r in _rows_at(family_template, param_name, grid, k, phi, max_nmax)]
+    grid, values = table.column("param"), sign * table.column(field)
     best = int(np.argmin(values))
     boundary = best in (0, _COARSE_POINTS - 1)
     a = grid[max(best - 1, 0)]

@@ -296,9 +296,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except families.FamilySpecError as err:
-        print(f"error: invalid family spec: {err}", file=sys.stderr)
-        return 2
     except (ValueError, MemoryError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -56,10 +56,10 @@ class ClosedFormUnavailable(ValueError):
 
 
 class FamilySpecError(ValueError):
-    """A family spec string failed to parse; carries the failing position."""
+    """A family spec string failed to parse; worded as the CLI prints it, with the failing position."""
 
     def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+        super().__init__(f"invalid family spec: {message} (at position {position})")
         self.position = position
 
 

@@ -1,10 +1,10 @@
 """Truncated single-mode phase and number machinery.
 
-States are amplitude vectors over photon numbers 0..n_max.  The exponential
-of phase is the one-sided-unitary operator E with E|n+1> = |n> (the
-Susskind-Glogower shift).  No operator is applied: inside the sums, E^k
-pairs c_{n+k} with c_n (the slices c[k:] and c[:-k]), and exp(i phi n) is
-a diagonal phase read from the one table kept for the last phi.
+States are amplitude vectors over photon numbers 0..n_max.  The exponential of phase is the
+one-sided-unitary operator E with E|n+1> = |n> (the Susskind-Glogower shift).  No operator is applied:
+inside the sums, E^k pairs c_{n+k} with c_n (the slices c[k:] and c[:-k]), and exp(i phi n) is a diagonal
+phase read from the one table kept for the last phi; a phi is rejected unless phi * n stays a finite float
+for every n below twice the length asked for, the most a kept table grows to.
 Characteristic functions are O(n_max) sums over amplitudes (real rows read as given, with no complex
 copy), of one state or (:func:`char_table`) of stacks of them, read one at a time into one table checked
 once, with each row's nbar; the phase density on a periodic grid of M points is one FFT at length M,
@@ -69,6 +69,8 @@ def _phase_table(phi: float, size: int) -> np.ndarray:
     if not (phi == kept_phi and size <= table.size):
         if not math.isfinite(phi):
             raise ValueError(f"phi is NaN or infinite: {phi!r}")
+        if not math.isfinite(phi * 2 * size):  # each table built here is under 2 size long
+            raise ValueError(f"phi = {phi!r} is too large: phi * n must be finite for n < {2 * size}")
         table = np.exp(1j * phi * np.arange(max(size, 2 * table.size) if phi == kept_phi else size))
         table.flags.writeable = False
         _kept[0] = phi, table  # one store: a reader sees the old pair or the new
@@ -110,6 +112,7 @@ def char_table(stacks, k: int, phi: float) -> tuple[CharSet, np.ndarray]:
     its one-state values at one BLAS thread count (a dot as long as n_max 16111 threads, and its
     last bits follow the count)."""
     k = integer("k", k, 1)
+    _phase_table(phi, 0)  # phi is checked before any row is read
     sums = (_sums(np.asarray(amps)[..., None, :], k, phi) for amps in stacks)
     none = (np.empty((0, 1), complex),) * 3 + (np.empty((0, 1)),) * 2  # the columns of no rows
     cols = zip(none, *((*chars, probs @ np.arange(probs.shape[-1], dtype=float)) for *chars, probs in sums))

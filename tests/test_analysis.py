@@ -104,6 +104,30 @@ def test_find_extremum_validation():
         find_extremum(PhaseCoherent(0.5), "xi", "U", "extremum", 0.1, 0.9, 1, math.pi)
 
 
+def test_golden_section_states_carry_the_tail_build_certifies(monkeypatch):
+    # Each golden-section state is families.build's, with its tail bound; the first row of a
+    # one-value sweep, wrapped in a new FockState, had a tail of 0.0.
+    build, report, specs, reported = families.build, fock.report, {}, []
+
+    def building(spec, cap=families.DEFAULT_TRUNCATION_CAP):
+        state = build(spec, cap)
+        specs[id(state)] = spec
+        return state
+
+    def reporting(state, k, phi):
+        reported.append(state)
+        return report(state, k, phi)
+
+    monkeypatch.setattr(families, "build", building)
+    monkeypatch.setattr(fock, "report", reporting)
+    res = find_extremum(PhaseCoherent(0.5), "xi", "V", "max", 0.1, 0.9, 1, math.pi)
+    monkeypatch.undo()
+    assert len(reported) == res.iterations + 3  # two first points, one per step, the midpoint
+    for state in reported:
+        assert state.tail_bound > 0
+        assert state.tail_bound == families.build(specs[id(state)]).tail_bound
+
+
 def test_figure1_dataset():
     table = figure_dataset(1)
     assert table.swept_parameter == "xi"

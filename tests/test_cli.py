@@ -230,6 +230,15 @@ def test_overflowing_phase_exits_2(phi_over_pi, k):
     assert_one_line_error(proc, "k*phi must be finite")
 
 
+def test_a_phase_whose_table_overflows_exits_2():
+    # phi = 1e306*pi and k*phi are finite, but phi*n is not from n = 58 on: the table warned twice.
+    proc = run_cli(
+        "scan", "--family", "phase-coherent:xi=0.9", "--param", "xi",
+        "--from", "0.5", "--to", "0.9", "--steps", "2", "--phi-over-pi", "1e306",
+    )
+    assert_one_line_error(proc, f"phi = {1e306 * math.pi!r} is too large")
+
+
 @pytest.mark.parametrize("phi_over_pi", [None, "0.5"], ids=["default-phase", "phi-over-pi"])
 @pytest.mark.parametrize("command", [
     ["scan", "--steps", "2"],

@@ -591,6 +591,7 @@ def test_parse_spec_errors_carry_positions():
     with pytest.raises(FamilySpecError, match="unknown family") as err:
         parse_spec("frobnicate:x=1")
     assert err.value.position == 0
+    assert str(err.value).startswith("invalid family spec: ")  # the CLI prints it as it stands
     with pytest.raises(FamilySpecError, match="unknown key") as err:
         parse_spec("phase-coherent:zeta=0.5")
     assert err.value.position == len("phase-coherent:")

@@ -72,14 +72,34 @@ def test_non_integer_k_is_rejected_not_truncated(k):
 
 @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
 def test_non_finite_phi_is_one_value_error_and_keeps_the_table(phi):
-    # An infinite phi warned twice (inf * 0, then exp) before the record's NaN check raised.
+    # An infinite phi warned twice (inf * 0, then exp) before the record's NaN check raised; a
+    # table of no rows read no phase table and warned in the Weyl phase's exp.
     st = random_state(6, np.random.default_rng(41))
     char_set(st, 1, 0.5)
     kept = fock._kept[0]
-    for call in (lambda: char_set(st, 1, phi), lambda: fock.char_table([st.amplitudes[None]], 1, phi)):
+    for call in (lambda: char_set(st, 1, phi), lambda: fock.char_table([st.amplitudes[None]], 1, phi),
+                 lambda: fock.char_table([], 1, phi)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ValueError, match=re.escape(f"phi is NaN or infinite: {phi!r}")):
+                call()
+        assert caught == []
+        assert fock._kept[0] is kept
+
+
+@pytest.mark.parametrize("n_max", [58, 300])
+def test_a_phi_whose_table_overflows_is_one_value_error_and_keeps_the_table(n_max):
+    # phi = 1e306 pi is finite, but phi * n leaves the float range at n = 58: the table warned
+    # twice (overflow, then exp) before the record's NaN check raised.  The bound is twice the
+    # length asked for, the most a kept table grows to, so a table kept for phi changes nothing.
+    phi = 1e306 * math.pi
+    char_set(random_state(10, np.random.default_rng(42)), 1, phi)  # 2 * 11 * phi is finite
+    st, kept = random_state(n_max, np.random.default_rng(43)), fock._kept[0]
+    assert kept[0] == phi
+    for call in (lambda: char_set(st, 1, phi), lambda: fock.char_table([st.amplitudes[None]], 1, phi)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=re.escape(f"phi = {phi!r} is too large: phi * n must be")):
                 call()
         assert caught == []
         assert fock._kept[0] is kept
