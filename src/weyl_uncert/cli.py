@@ -102,11 +102,7 @@ def _resolve_phi(phi_over_pi: float | None, k: int) -> tuple[float, float]:
     if k > sys.float_info.max:  # 1/k and k*phi would raise OverflowError
         raise ValueError(f"--k out of range: k must be at most 1.8e308, got a {len(str(k))}-digit k")
     x = phi_over_pi if phi_over_pi is not None else 1.0 / k
-    phi = x * math.pi
-    # k >= 1, so a finite k*phi means a finite phi too.
-    if not math.isfinite(k * phi):
-        raise ValueError(f"phase out of range: k*phi must be finite, got phi_over_pi = {x!r}, k = {k}")
-    return x, phi
+    return x, x * math.pi  # fock.weyl_phase checks k*phi
 
 
 # ---------------------------------------------------------------------------
@@ -187,29 +183,20 @@ def _cmd_qubit(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """Usage errors print one line on stderr, without the usage text, and exit 2.
 
-    A value such as ``-5e-05`` reads as a negative number, not as an option,
-    like argparse's own ``-12`` and ``-1.5``; subparsers inherit this class.
+    ``-5e-05``, ``-inf`` and ``-nan`` read as negative numbers, not as options, like argparse's
+    own ``-12`` and ``-1.5``, and reach the check that names them; subparsers inherit this class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's private matcher (Python 3.11: ``-12``, ``-1.5``); extended
-        # with an e-notation alternative, never narrowed.
+        # argparse's private matcher (Python 3.11: ``-12``, ``-1.5``); extended with
+        # e-notation and -inf, -infinity and -nan in any case, never narrowed.
         default = self._negative_number_matcher.pattern
-        self._negative_number_matcher = re.compile(rf"(?:{default})|^-(\d+\.?\d*|\.\d+)[eE][+-]?\d+$")
+        self._negative_number_matcher = re.compile(
+            rf"(?:{default})|^-(\d+\.?\d*|\.\d+)[eE][+-]?\d+$|^-(?i:inf|infinity|nan)$")
 
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {message}\n")
-
-
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
 
 
 def _int_at_least(least: int, what: str):
@@ -232,10 +219,10 @@ _non_negative_int = _int_at_least(0, "non-negative")
 def _add_range_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, help="family spec tag:key=value,... (see --help)")
     p.add_argument("--param", required=True, help="swept parameter name")
-    p.add_argument("--from", dest="lo", type=_finite_float, required=True)
-    p.add_argument("--to", dest="hi", type=_finite_float, required=True)
+    p.add_argument("--from", dest="lo", type=float, required=True)
+    p.add_argument("--to", dest="hi", type=float, required=True)
     p.add_argument("--k", type=_positive_int, default=1)
-    p.add_argument("--phi-over-pi", type=_finite_float, default=None,
+    p.add_argument("--phi-over-pi", type=float, default=None,
                    help="phase in units of pi (default 1/k, so k*phi = pi)")
 
 
@@ -261,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="sweep a family parameter and tabulate functionals")
     _add_range_args(p)
-    p.add_argument("--steps", type=_positive_int, required=True)
+    p.add_argument("--steps", type=int, required=True)
     p.add_argument("--log-spaced", action="store_true")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -281,9 +268,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_extremum)
 
     p = sub.add_parser("qubit", help="report the qubit characteristic set and relations")
-    p.add_argument("--sx", type=_finite_float, default=0.0)
-    p.add_argument("--sy", type=_finite_float, default=0.0)
-    p.add_argument("--sz", type=_finite_float, default=0.0)
+    p.add_argument("--sx", type=float, default=0.0)
+    p.add_argument("--sy", type=float, default=0.0)
+    p.add_argument("--sz", type=float, default=0.0)
     p.add_argument("--k", type=_positive_int, default=1)
     p.add_argument("--ell", type=_positive_int, default=1)
     p.add_argument("--out", default=None)

@@ -131,6 +131,8 @@ class NumberState:
     def _closed_form(self, k: int, phi: float, weyl: complex) -> tuple:
         if self.n > 2**53:  # phi * n would be formed from a rounded n
             raise ClosedFormUnavailable(f"closed form needs n <= 2**53, got a {len(str(self.n))}-digit n")
+        if not math.isfinite(phi * self.n):
+            raise ClosedFormUnavailable(f"closed form needs a finite phi * n, got phi = {phi!r}")
         return np.exp(1j * phi * self.n), 0.0, 0.0, 1.0 if self.n < k else 0.0
 
 
@@ -431,11 +433,10 @@ def closed_form_char(spec: FamilySpec, k: int, phi: float) -> CharSet:
     (phi - 2bk)^2/(8a) < 0.  Dropped are the lattice images at phi -+ 2 pi,
     of size exp(-(2 pi - |phi|)^2/(8a)), and the k-shifted sums' cut at n_max.
 
-    Outside a family's valid regime this raises ClosedFormUnavailable
-    instead of returning numbers that do not mean anything.
+    (k, phi) and the Weyl phase are ``fock.weyl_phase``'s.  Outside a family's valid regime
+    this raises ClosedFormUnavailable instead of returning numbers that do not mean anything.
     """
-    k = integer("k", k, 1)
-    weyl = np.exp(-1j * k * phi)
+    k, weyl = fock.weyl_phase(k, phi)
     *chars, pi_k = _family(spec)._closed_form(k, phi, weyl)
     return CharSet(*map(complex, chars), weyl, pi_k)
 

@@ -4,7 +4,8 @@ States are amplitude vectors over photon numbers 0..n_max.  The exponential of p
 one-sided-unitary operator E with E|n+1> = |n> (the Susskind-Glogower shift).  No operator is applied:
 inside the sums, E^k pairs c_{n+k} with c_n (the slices c[k:] and c[:-k]), and exp(i phi n) is a diagonal
 phase read from the one table kept for the last phi; a phi is rejected unless phi * n stays a finite float
-for every n below twice the length asked for, the most a kept table grows to.
+for every n below twice the length asked for, the most a kept table grows to.  :func:`weyl_phase` alone
+checks that k*phi is a finite float and forms the Weyl phase exp(-i k phi), here and for closed forms.
 Characteristic functions are O(n_max) sums over amplitudes (real rows read as given, with no complex
 copy), of one state or (:func:`char_table`) of stacks of them, read one at a time into one table checked
 once, with each row's nbar; the phase density on a periodic grid of M points is one FFT at length M,
@@ -67,8 +68,6 @@ def _phase_table(phi: float, size: int) -> np.ndarray:
     # builds O(log n_max) tables).  exp is elementwise: a prefix is bitwise a fresh table.
     kept_phi, table = _kept[0]
     if not (phi == kept_phi and size <= table.size):
-        if not math.isfinite(phi):
-            raise ValueError(f"phi is NaN or infinite: {phi!r}")
         if not math.isfinite(phi * 2 * size):  # each table built here is under 2 size long
             raise ValueError(f"phi = {phi!r} is too large: phi * n must be finite for n < {2 * size}")
         table = np.exp(1j * phi * np.arange(max(size, 2 * table.size) if phi == kept_phi else size))
@@ -87,6 +86,14 @@ def _sums(amps: np.ndarray, k: int, phi: float) -> tuple:
             np.add.reduce(probs[..., :k], -1), probs)
 
 
+def weyl_phase(k: int, phi: float) -> tuple[int, complex]:
+    """(k, exp(-i k phi)) for a count k >= 1 at which k*phi is a finite float, else one ValueError."""
+    k = integer("k", k, 1)
+    if not math.isfinite(k * phi):  # k >= 1: so phi is finite too
+        raise ValueError(f"k*phi must be finite, got k = {k}, phi = {phi!r}")
+    return k, complex(np.exp(-1j * k * phi))
+
+
 def char_set(state: FockState, k: int, phi: float) -> CharSet:
     """Characteristic set by direct amplitude sums: number_char = <exp(i phi n)>,
     phase_char = <Edag^k>, cross_char = <exp(-i phi n) Edag^k> and pi_k, the
@@ -98,10 +105,9 @@ def char_set(state: FockState, k: int, phi: float) -> CharSet:
     cos is even and sin odd.  pi_k is clamped to 1, which its sum exceeds
     by rounding when the whole support lies below k.
     """
-    k = integer("k", k, 1)
+    k, weyl = weyl_phase(k, phi)
     number, phase, cross, below, _ = _sums(state.amplitudes, k, phi)
-    return CharSet(complex(number), complex(phase), complex(cross), complex(np.exp(-1j * k * phi)),
-                   min(1.0, float(below)))
+    return CharSet(complex(number), complex(phase), complex(cross), weyl, min(1.0, float(below)))
 
 
 def char_table(stacks, k: int, phi: float) -> tuple[CharSet, np.ndarray]:
@@ -111,13 +117,12 @@ def char_table(stacks, k: int, phi: float) -> tuple[CharSet, np.ndarray]:
     sums along its own length-one axis, so every product is the one-state dot: row i is bitwise
     its one-state values at one BLAS thread count (a dot as long as n_max 16111 threads, and its
     last bits follow the count)."""
-    k = integer("k", k, 1)
-    _phase_table(phi, 0)  # phi is checked before any row is read
+    k, weyl = weyl_phase(k, phi)  # before any row is read
     sums = (_sums(np.asarray(amps)[..., None, :], k, phi) for amps in stacks)
     none = (np.empty((0, 1), complex),) * 3 + (np.empty((0, 1)),) * 2  # the columns of no rows
     cols = zip(none, *((*chars, probs @ np.arange(probs.shape[-1], dtype=float)) for *chars, probs in sums))
     number, phase, cross, below, nbar = (np.concatenate([x[..., 0] for x in col]) for col in cols)
-    return CharSet(number, phase, cross, complex(np.exp(-1j * k * phi)), np.minimum(1.0, below)), nbar
+    return CharSet(number, phase, cross, weyl, np.minimum(1.0, below)), nbar
 
 
 # report calls the Gram step under this module-level name, so tracing can wrap it.

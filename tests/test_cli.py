@@ -610,6 +610,15 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
       "--to", "1e308", "--steps", "3"], "finite width hi - lo, got lo = -1e+308, hi = 1e+308"),
     (["extremum", "--family", "number:n=3", "--param", "n", "--functional", "U", "--kind", "min",
       "--from", "-1e308", "--to", "1e308"], "finite width hi - lo, got lo = -1e+308, hi = 1e+308"),
+    # Non-finite and out-of-range numbers are parsed as given and named by the library check.
+    (["scan", "--family", "phase-coherent:xi=0.5", "--param", "xi", "--from", "nan", "--to", "0.5",
+      "--steps", "3"], "finite width hi - lo, got lo = nan, hi = 0.5"),
+    (["scan", "--family", "phase-coherent:xi=0.5", "--param", "xi", "--from", "0.1", "--to", "0.5",
+      "--steps", "0"], "need at least 2 steps, got 0"),
+    (["qubit", "--sz", "-inf"], "|s| = inf"),
+    (["extremum", "--family", "phase-coherent:xi=0.5", "--param", "xi", "--functional", "V",
+      "--kind", "max", "--from", "0.1", "--to", "0.5", "--phi-over-pi", "-inf"],
+     "k*phi must be finite, got k = 1, phi = -inf"),
 ])
 def test_overflowing_input_exits_2_without_a_warning(argv, needle, capsys):
     # Under warnings-as-errors a numpy overflow warning would escape as a traceback.

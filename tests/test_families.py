@@ -427,6 +427,9 @@ def test_number_state_closed_form_stops_where_n_rounds():
     for n, digits in ((2**53 + 1, 16), (10**400, 401)):
         with pytest.raises(ClosedFormUnavailable, match=re.escape(f"n <= 2**53, got a {digits}-digit n")):
             closed_form_char(NumberState(n), 1, 1.0)
+    # phi * n overflowing at a finite phi warned in exp before the record's NaN check raised.
+    with pytest.raises(ClosedFormUnavailable, match=re.escape("a finite phi * n, got phi = 1e+303")):
+        closed_form_char(NumberState(10**6), 1, 1e303)
 
 
 def test_intermediate_closed_form_stops_where_n_rounds():
@@ -434,6 +437,8 @@ def test_intermediate_closed_form_stops_where_n_rounds():
     for n, digits in ((2**60, 19), (10**400, 401)):
         with pytest.raises(ClosedFormUnavailable, match=re.escape(f"n <= 2**53, got a {digits}-digit n")):
             closed_form_char(Intermediate(0.5, n, 0.999), 1, 1.0)
+    with pytest.raises(ClosedFormUnavailable, match=re.escape("a finite phi * n, got phi = 1e+303")):
+        closed_form_char(Intermediate(0.5, 10**6, 0.999), 1, 1e303)
 
 
 # The number, phase and cross chars as float.hex of their real and imaginary parts, and pi_k,

@@ -70,18 +70,21 @@ def test_non_integer_k_is_rejected_not_truncated(k):
     assert report(st, 2.0, phi) == report(st, 2, phi)  # an integral float still names a count
 
 
-@pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
-def test_non_finite_phi_is_one_value_error_and_keeps_the_table(phi):
+@pytest.mark.parametrize("k, phi", [(1, math.inf), (1, -math.inf), (1, math.nan), (10**6, 1e303)],
+                         ids=["inf", "-inf", "nan", "k*phi-overflows"])
+def test_non_finite_phi_is_one_value_error_and_keeps_the_table(k, phi):
     # An infinite phi warned twice (inf * 0, then exp) before the record's NaN check raised; a
-    # table of no rows read no phase table and warned in the Weyl phase's exp.
+    # table of no rows read no phase table and warned in the Weyl phase's exp.  At k = 10^6,
+    # phi = 1e303 passes the table's phi * n check, and only k * phi overflows.
     st = random_state(6, np.random.default_rng(41))
     char_set(st, 1, 0.5)
-    kept = fock._kept[0]
-    for call in (lambda: char_set(st, 1, phi), lambda: fock.char_table([st.amplitudes[None]], 1, phi),
-                 lambda: fock.char_table([], 1, phi)):
+    kept, message = fock._kept[0], re.escape(f"k*phi must be finite, got k = {k}, phi = {phi!r}")
+    for call in (lambda: char_set(st, k, phi), lambda: fock.char_table([st.amplitudes[None]], k, phi),
+                 lambda: fock.char_table([], k, phi), lambda: report(st, k, phi),
+                 lambda: families.closed_form_char(families.PhaseCoherent(0.5), k, phi)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(ValueError, match=re.escape(f"phi is NaN or infinite: {phi!r}")):
+            with pytest.raises(ValueError, match=message):
                 call()
         assert caught == []
         assert fock._kept[0] is kept
@@ -153,7 +156,7 @@ def test_char_set_record_validation():
             with pytest.raises(ValueError, match=rf"\|{name}\| exceeds 1 or is NaN"):
                 CharSet(**{**ok, name: bad})
     st = random_state(6, np.random.default_rng(40))
-    with pytest.raises(ValueError, match="is NaN"):
+    with pytest.raises(ValueError, match="k\\*phi must be finite"):
         char_set(st, 1, math.nan)
     for k, phi in ((1, math.pi), (3, 0.7), (2, -2.5)):
         assert char_set(st, k, phi).weyl == np.exp(-1j * k * phi)
