@@ -99,10 +99,9 @@ def _emit_table(args, command: str, parameters: dict, table: ScanTable) -> None:
 
 
 def _resolve_phi(phi_over_pi: float | None, k: int) -> tuple[float, float]:
-    if k > sys.float_info.max:  # 1/k and k*phi would raise OverflowError
-        raise ValueError(f"--k out of range: k must be at most 1.8e308, got a {len(str(k))}-digit k")
-    x = phi_over_pi if phi_over_pi is not None else 1.0 / k
-    return x, x * math.pi  # fock.weyl_phase checks k*phi
+    # 1 / max(k, 1) never raises, for any int k, and is bitwise 1.0 / k up to 2**53.
+    x = phi_over_pi if phi_over_pi is not None else 1 / max(k, 1)
+    return x, x * math.pi  # fock.weyl_phase checks k and k*phi
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +110,13 @@ def _resolve_phi(phi_over_pi: float | None, k: int) -> tuple[float, float]:
 
 def _cmd_verify(args) -> int:
     results = verify.run(args.suite, args.samples, args.seed)
+    lines = []
     for res in results:
         status = "ok" if res.passed else "FAILED"
-        print(f"{res.name}: {res.checks} checks, {len(res.failures)} failures [{status}]")
-        for key, value in sorted(res.stats.items()):
-            print(f"  {key} = {float(value):.17g}")
-        for message in res.failures:
-            print(f"  FAIL: {message}")
+        lines.append(f"{res.name}: {res.checks} checks, {len(res.failures)} failures [{status}]")
+        lines += (f"  {key} = {float(value):.17g}" for key, value in sorted(res.stats.items()))
+        lines += (f"  FAIL: {message}" for message in res.failures)
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0 if all(res.passed for res in results) else 1
 
 
@@ -199,29 +198,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _int_at_least(least: int, what: str):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = least - 1
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {text!r}")
-        return value
-
-    return parse
-
-
-_positive_int = _int_at_least(1, "positive")
-_non_negative_int = _int_at_least(0, "non-negative")
-
-
 def _add_range_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, help="family spec tag:key=value,... (see --help)")
     p.add_argument("--param", required=True, help="swept parameter name")
     p.add_argument("--from", dest="lo", type=float, required=True)
     p.add_argument("--to", dest="hi", type=float, required=True)
-    p.add_argument("--k", type=_positive_int, default=1)
+    p.add_argument("--k", type=int, default=1)
     p.add_argument("--phi-over-pi", type=float, default=None,
                    help="phase in units of pi (default 1/k, so k*phi = pi)")
 
@@ -242,8 +224,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run randomized property suites")
     p.add_argument("--suite", choices=verify.SUITES, required=True)
-    p.add_argument("--samples", type=_positive_int, default=200)
-    p.add_argument("--seed", type=_non_negative_int, default=1)
+    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("scan", help="sweep a family parameter and tabulate functionals")
@@ -271,8 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sx", type=float, default=0.0)
     p.add_argument("--sy", type=float, default=0.0)
     p.add_argument("--sz", type=float, default=0.0)
-    p.add_argument("--k", type=_positive_int, default=1)
-    p.add_argument("--ell", type=_positive_int, default=1)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--ell", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_qubit)
 

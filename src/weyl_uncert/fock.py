@@ -5,7 +5,7 @@ one-sided-unitary operator E with E|n+1> = |n> (the Susskind-Glogower shift).  N
 inside the sums, E^k pairs c_{n+k} with c_n (the slices c[k:] and c[:-k]), and exp(i phi n) is a diagonal
 phase read from the one table kept for the last phi; a phi is rejected unless phi * n stays a finite float
 for every n below twice the length asked for, the most a kept table grows to.  :func:`weyl_phase` alone
-checks that k*phi is a finite float and forms the Weyl phase exp(-i k phi), here and for closed forms.
+checks k >= 1, inside the float range, with k*phi a finite float, and forms the Weyl phase exp(-i k phi).
 Characteristic functions are O(n_max) sums over amplitudes (real rows read as given, with no complex
 copy), of one state or (:func:`char_table`) of stacks of them, read one at a time into one table checked
 once, with each row's nbar; the phase density on a periodic grid of M points is one FFT at length M,
@@ -25,6 +25,7 @@ the stringent point k*phi = pi (mod 2pi) only.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,8 @@ def _sums(amps: np.ndarray, k: int, phi: float) -> tuple:
 def weyl_phase(k: int, phi: float) -> tuple[int, complex]:
     """(k, exp(-i k phi)) for a count k >= 1 at which k*phi is a finite float, else one ValueError."""
     k = integer("k", k, 1)
+    if k > sys.float_info.max:  # k*phi would raise OverflowError
+        raise ValueError(f"k must be at most 1.8e308, got a {len(str(k))}-digit k")
     if not math.isfinite(k * phi):  # k >= 1: so phi is finite too
         raise ValueError(f"k*phi must be finite, got k = {k}, phi = {phi!r}")
     return k, complex(np.exp(-1j * k * phi))

@@ -289,7 +289,8 @@ SUITES = (*_SUITES, "all")
 
 
 def run(suite: str, samples: int, seed: int) -> list[SuiteResult]:
-    """Run one named suite, or all of them."""
+    """Run one named suite, or all of them, at ``samples >= 1`` draws from ``seed >= 0``."""
+    samples, seed = reports.integer("samples", samples, 1), reports.integer("seed", seed, 0)
     if suite == "all":
         return [fn(samples, seed) for fn in _SUITES.values()]
     if suite not in _SUITES:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -80,6 +81,15 @@ def test_verify_zero_samples_exits_2():
     assert proc.returncode == 2
 
 
+def test_verify_out_writes_the_stdout_bytes(tmp_path):
+    args = ("verify", "--suite", "spin", "--samples", "5", "--seed", "3")
+    out = tmp_path / "verify.txt"
+    proc = run_cli(*args, "--out", str(out))
+    assert proc.returncode == 0 and proc.stdout == "" and proc.stderr == ""
+    assert out.read_bytes() == subprocess.run([sys.executable, "-m", "weyl_uncert", *args],
+                                              capture_output=True, check=True).stdout
+
+
 def test_verify_small_suite_passes():
     proc = run_cli("verify", "--suite", "spin", "--samples", "12", "--seed", "7")
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -137,6 +147,17 @@ def test_qubit_cross_term_general_definition():
     assert rep["cross_char"] == [0.0, 0.5]  # i * s_y
     assert rep["cross_char_product_form"] == [0.0, pytest.approx(0.06)]  # i * sx sy sz
     assert rep["Uprime"] == pytest.approx(0.3**2 + 0.4**2 + 0.5**2)
+
+
+@pytest.mark.parametrize("option, value, gamma, bound", [
+    ("--k", "0", 0.0, 2.0), ("--ell", "-1", math.pi, 1.0), ("--k", str(10**399), 0.0, 2.0)])
+def test_qubit_takes_every_integer_power(option, value, gamma, bound):
+    # Clock and shift are unitary: k = 0 is the identity power, and negative powers are inverses.
+    proc = run_cli("qubit", "--sx", "0.3", "--sy", "0.5", "--sz", "0.4", option, value)
+    assert proc.returncode == 0 and proc.stderr == ""
+    doc = json.loads(proc.stdout, parse_constant=lambda name: pytest.fail(f"{name} in JSON output"))
+    assert doc["parameters"][option.removeprefix("--")] == int(value)
+    assert (doc["report"]["gamma"], doc["report"]["bound"]) == (gamma, bound)
 
 
 def test_qubit_long_bloch_exits_2():
@@ -245,13 +266,13 @@ def test_a_phase_whose_table_overflows_exits_2():
     ["extremum", "--functional", "V", "--kind", "max"],
 ], ids=["scan", "extremum"])
 def test_k_too_large_for_a_float_exits_2(command, phi_over_pi):
-    # 1/k or k*phi would overflow converting k to a float.
+    # k*phi would overflow converting k to a float: fock.weyl_phase names its digit count.
     args = [*command, "--family", "phase-coherent:xi=0.5", "--param", "xi",
             "--from", "0.1", "--to", "0.2", "--k", str(10**399)]
     if phi_over_pi is not None:
         args += ["--phi-over-pi", phi_over_pi]
     proc = run_cli(*args)
-    assert_one_line_error(proc, "--k out of range")
+    assert_one_line_error(proc, "k must be at most 1.8e308")
     assert "400-digit k" in proc.stderr
 
 
@@ -381,14 +402,17 @@ def test_usage_error_exits_2():
     assert proc.returncode == 2
 
 
-@pytest.mark.parametrize(
-    "option, value", [("--samples", "abc"), ("--samples", "2.5"), ("--seed", "-3"), ("--seed", "x")]
-)
+# Text that is no integer reads argparse's line; an integer out of range, verify.run's.
+BAD_INTEGERS = {("--samples", "abc"): "argument --samples: invalid int value: 'abc'",
+                ("--samples", "2.5"): "argument --samples: invalid int value: '2.5'",
+                ("--seed", "-3"): "seed must be an integer >= 0, got -3",
+                ("--seed", "x"): "argument --seed: invalid int value: 'x'"}
+
+
+@pytest.mark.parametrize("option, value", list(BAD_INTEGERS))
 def test_bad_integer_option_names_the_option(option, value):
     proc = run_cli("verify", "--suite", "all", option, value)
-    assert_one_line_error(proc, f"argument {option}: must be a ")
-    assert repr(value) in proc.stderr
-    assert "_positive_int" not in proc.stderr
+    assert_one_line_error(proc, BAD_INTEGERS[option, value])
 
 
 def test_out_in_a_missing_directory_names_the_given_path(tmp_path):
@@ -589,9 +613,14 @@ def test_verify_run_returns_suite_results():
     assert all(r.checks > 0 and r.passed for r in results)
     with pytest.raises(ValueError, match="suite"):
         verify.run("nonsense", 6, 2)
+    for samples, seed, message in ((0, 1, "samples must be an integer >= 1, got 0"),
+                                   (2.5, 1, "samples must be an integer >= 1, got 2.5"),
+                                   (1, -1, "seed must be an integer >= 0, got -1")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            verify.run("spin", samples, seed)
 
 
-def test_verify_failure_exits_1(monkeypatch, capsys):
+def test_verify_failure_exits_1(monkeypatch, capsys, tmp_path):
     from weyl_uncert import cli, verify
 
     def fake_run(suite, samples, seed):
@@ -602,6 +631,10 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "FAIL: synthetic violation" in out
+    # --out writes the same report, the failure included.
+    path = tmp_path / "verify.txt"
+    assert cli.main(["verify", "--suite", "spin", "--samples", "1", "--seed", "0", "--out", str(path)]) == 1
+    assert capsys.readouterr().out == "" and path.read_text() == out
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -619,6 +652,12 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
     (["extremum", "--family", "phase-coherent:xi=0.5", "--param", "xi", "--functional", "V",
       "--kind", "max", "--from", "0.1", "--to", "0.5", "--phi-over-pi", "-inf"],
      "k*phi must be finite, got k = 1, phi = -inf"),
+    # An integer outside k >= 1 is fock.weyl_phase's, with or without --phi-over-pi.
+    (["scan", "--family", "phase-coherent:xi=0.5", "--param", "xi", "--from", "0.1", "--to", "0.5",
+      "--steps", "3", "--k", "0"], "k must be an integer >= 1, got 0"),
+    (["extremum", "--family", "phase-coherent:xi=0.5", "--param", "xi", "--functional", "V",
+      "--kind", "max", "--from", "0.1", "--to", "0.5", "--k", "-2", "--phi-over-pi", "0.5"],
+     "k must be an integer >= 1, got -2"),
 ])
 def test_overflowing_input_exits_2_without_a_warning(argv, needle, capsys):
     # Under warnings-as-errors a numpy overflow warning would escape as a traceback.

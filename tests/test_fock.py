@@ -68,17 +68,24 @@ def test_non_integer_k_is_rejected_not_truncated(k):
         with pytest.raises(ValueError, match=re.escape("k must be an integer >= 1, got ")):
             call()
     assert report(st, 2.0, phi) == report(st, 2, phi)  # an integral float still names a count
+    assert fock.weyl_phase(2**1023, 0.0) == (2**1023, 1.0)  # counts up to the float range pass
 
 
-@pytest.mark.parametrize("k, phi", [(1, math.inf), (1, -math.inf), (1, math.nan), (10**6, 1e303)],
-                         ids=["inf", "-inf", "nan", "k*phi-overflows"])
-def test_non_finite_phi_is_one_value_error_and_keeps_the_table(k, phi):
+@pytest.mark.parametrize("k, phi, message", [
+    (1, math.inf, "k*phi must be finite, got k = 1, phi = inf"),
+    (1, -math.inf, "k*phi must be finite, got k = 1, phi = -inf"),
+    (1, math.nan, "k*phi must be finite, got k = 1, phi = nan"),
+    (10**6, 1e303, "k*phi must be finite, got k = 1000000, phi = 1e+303"),
+    (10**400, 1.0, "k must be at most 1.8e308, got a 401-digit k"),
+], ids=["inf", "-inf", "nan", "k*phi-overflows", "k-above-the-float-range"])
+def test_non_finite_phi_is_one_value_error_and_keeps_the_table(k, phi, message):
     # An infinite phi warned twice (inf * 0, then exp) before the record's NaN check raised; a
     # table of no rows read no phase table and warned in the Weyl phase's exp.  At k = 10^6,
-    # phi = 1e303 passes the table's phi * n check, and only k * phi overflows.
+    # phi = 1e303 passes the table's phi * n check, and only k * phi overflows.  A k above the
+    # float range raised OverflowError converting k for k * phi.
     st = random_state(6, np.random.default_rng(41))
     char_set(st, 1, 0.5)
-    kept, message = fock._kept[0], re.escape(f"k*phi must be finite, got k = {k}, phi = {phi!r}")
+    kept, message = fock._kept[0], f"^{re.escape(message)}$"
     for call in (lambda: char_set(st, k, phi), lambda: fock.char_table([st.amplitudes[None]], k, phi),
                  lambda: fock.char_table([], k, phi), lambda: report(st, k, phi),
                  lambda: families.closed_form_char(families.PhaseCoherent(0.5), k, phi)):

@@ -153,6 +153,9 @@ NUMBERS = ("0", "-0.0", "5e-324", "-5e-324", "1e308", "-1e308", "1e400", "-1e400
 numbers = st.sampled_from(NUMBERS) | st.floats(allow_nan=True, allow_infinity=True).map(repr)
 # Counts that are too small or do not parse (steps <= 7 and samples <= 5 elsewhere).
 counts = st.sampled_from(("1", "0", "-1", "-0.0", "5e-324", "1e400", "nan", "1+2j", "abc", ""))
+# Integers of any size and sign, and text that is no integer.
+integers = st.sampled_from(("0", "-1", "-7", str(10**399), str(-10**399), "2.0", "1e3", "abc", "")) \
+    | st.integers().map(str)
 
 
 def slot(accepted, adversarial=numbers):
@@ -196,11 +199,12 @@ def required(option, values):
     return values.map(lambda x: [option, x])
 
 
-phase = {"--k": slot(st.sampled_from(("1", "2", "3"))), "--phi-over-pi": slot(reals(-2.0, 2.0))}
+phase = {"--k": slot(st.sampled_from(("1", "2", "3")), numbers | integers),
+         "--phi-over-pi": slot(reals(-2.0, 2.0))}
 ARGV = st.one_of(
     command("verify", required("--suite", slot(st.sampled_from(verify.SUITES), st.just("x"))),
             **{"--samples": slot(st.integers(1, 5).map(str), counts),
-               "--seed": slot(st.integers(0).map(str))}),
+               "--seed": slot(st.integers(0).map(str), numbers | integers)}),
     command("scan", sweeps(), required("--steps", slot(st.integers(2, 7).map(str), counts)),
             **phase, **{"--log-spaced": st.none(),
                         "--format": slot(st.sampled_from(("csv", "json")), st.just("xml"))}),
@@ -209,7 +213,9 @@ ARGV = st.one_of(
     command("extremum", sweeps(), required("--functional", slot(st.sampled_from(analysis.FUNCTIONALS))),
             required("--kind", slot(st.sampled_from(("min", "max")))), **phase),
     command("qubit", **{s: slot(reals(-0.5, 0.5)) for s in ("--sx", "--sy", "--sz")},
-            **{"--k": slot(st.sampled_from(("1", "2"))), "--ell": slot(st.sampled_from(("1", "2")))}),
+            # Clock and shift are unitary: every integer power is accepted, 0 and negatives too.
+            **{s: slot(st.sampled_from(("1", "2", "0", "-1", "-2", str(10**399))), numbers | integers)
+               for s in ("--k", "--ell")}),
     st.lists(st.sampled_from(("", "help", "qubits", "--k", "1", "-1e308")), max_size=3),  # no subcommand
 )
 
@@ -217,6 +223,13 @@ ARGV = st.one_of(
 @settings(EDGE, max_examples=500)
 @given(ARGV)
 @example(["qubit", "--sx", "1e200"])
+@example(["qubit", "--k", str(10**399), "--ell", str(-10**399)])
+@example(["scan", "--family", "bessel:lambda=1", "--param", "lambda", "--from", "0.5", "--to", "1",
+          "--steps", "2", "--k", str(10**399)])
+@example(["extremum", "--family", "bessel:lambda=1", "--param", "lambda", "--from", "0.5", "--to", "1",
+          "--functional", "U", "--kind", "min", "--k", "-3", "--phi-over-pi", "0.5"])
+@example(["verify", "--suite", "spin", "--samples", "2", "--seed", str(10**399)])
+@example(["verify", "--suite", "spin", "--samples", "2", "--seed", "-1"])
 @example(["scan", "--family", "phase-coherent:xi=0.5", "--param", "xi", "--from", "-1e308", "--to", "1e308",
           "--steps", "3"])
 # A bracket that floats cannot split down to 1e-6:
