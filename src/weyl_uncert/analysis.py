@@ -83,7 +83,7 @@ def _rows_at(template: FamilySpec, param_name: str, values, k: int, phi: float, 
 
 def _grid(lo: float, hi: float, steps: int, log_spaced: bool = False) -> np.ndarray:
     if steps < 2:
-        raise ValueError(f"need at least 2 steps, got {steps}")
+        raise ValueError(f"need at least 2 steps, got {reports.shown(steps)}")
     if not (lo < hi and math.isfinite(float(hi) - float(lo))):
         raise ValueError(f"need lo < hi at a finite width hi - lo, got lo = {lo!r}, hi = {hi!r}")
     if log_spaced and not lo > 0:
@@ -192,7 +192,7 @@ def figure_dataset(figure_id: int, max_nmax: int = families.DEFAULT_TRUNCATION_C
     """The scan behind one of the standard figures, as its _FIGURES row sets it;
     figure 2's parameter column is a*k^2, swept log-spaced in [0.05, 20]."""
     if figure_id not in FIGURE_IDS:
-        raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
+        raise ValueError(f"unknown figure id {reports.shown(figure_id)}; expected one of {FIGURE_IDS}")
     template, name, lo, hi, steps, k, log_spaced = _FIGURES[figure_id]
     column, scale = ("ak2", _FIG2_K2) if figure_id == 2 else (name, 1.0)
     grid = _grid(lo, hi, steps, log_spaced)

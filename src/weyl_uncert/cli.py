@@ -1,6 +1,8 @@
 """Command-line front end: verification suites, scans, extrema, figure
 datasets and qubit reports, emitting CSV or a versioned JSON envelope.
-The parser is built once per process, at the first :func:`main` call.
+The parser is built once per process, at the first :func:`main` call.  ``--out``,
+``--format`` and scan's and extremum's six range options are each declared once, in
+a parent parser, and mean the same on every subcommand that takes them.
 
 Exit codes: 0 success, 1 violated invariant (verify), 2 usage error.
 """
@@ -198,16 +200,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _add_range_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True, help="family spec tag:key=value,... (see --help)")
-    p.add_argument("--param", required=True, help="swept parameter name")
-    p.add_argument("--from", dest="lo", type=float, required=True)
-    p.add_argument("--to", dest="hi", type=float, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--phi-over-pi", type=float, default=None,
-                   help="phase in units of pi (default 1/k, so k*phi = pi)")
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -221,42 +213,45 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out, table, span = (_Parser(add_help=False) for _ in range(3))
+    out.add_argument("--out", default=None, help="output path (default stdout)")
+    table.add_argument("--format", choices=("csv", "json"), default="csv")
+    span.add_argument("--family", required=True, help="family spec tag:key=value,... (see --help)")
+    span.add_argument("--param", required=True, help="swept parameter name")
+    span.add_argument("--from", dest="lo", type=float, required=True)
+    span.add_argument("--to", dest="hi", type=float, required=True)
+    span.add_argument("--k", type=int, default=1)
+    span.add_argument("--phi-over-pi", type=float, default=None,
+                      help="phase in units of pi (default 1/k, so k*phi = pi)")
 
-    p = sub.add_parser("verify", help="run randomized property suites")
+    p = sub.add_parser("verify", parents=[out], help="run randomized property suites")
     p.add_argument("--suite", choices=verify.SUITES, required=True)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("scan", help="sweep a family parameter and tabulate functionals")
-    _add_range_args(p)
+    p = sub.add_parser("scan", parents=[span, out, table],
+                       help="sweep a family parameter and tabulate functionals")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--log-spaced", action="store_true")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("figure", help="write one of the standard figure datasets")
+    p = sub.add_parser("figure", parents=[out, table], help="write one of the standard figure datasets")
     p.add_argument("--id", type=int, choices=analysis.FIGURE_IDS, required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_figure)
 
-    p = sub.add_parser("extremum", help="locate a functional extremum over a parameter range")
-    _add_range_args(p)
+    p = sub.add_parser("extremum", parents=[span, out],
+                       help="locate a functional extremum over a parameter range")
     p.add_argument("--functional", choices=analysis.FUNCTIONALS, required=True)
     p.add_argument("--kind", choices=("min", "max"), required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_extremum)
 
-    p = sub.add_parser("qubit", help="report the qubit characteristic set and relations")
+    p = sub.add_parser("qubit", parents=[out], help="report the qubit characteristic set and relations")
     p.add_argument("--sx", type=float, default=0.0)
     p.add_argument("--sy", type=float, default=0.0)
     p.add_argument("--sz", type=float, default=0.0)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_qubit)
 
     return parser

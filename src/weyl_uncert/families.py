@@ -40,7 +40,7 @@ import numpy as np
 
 from . import fock
 from .fock import FockState
-from .reports import CharSet, deviation, integer, unit_amplitudes
+from .reports import CharSet, deviation, integer, shown, unit_amplitudes
 
 TRUNCATION_CAP_ENV = "WEYL_UNCERT_MAX_NMAX"
 DEFAULT_TRUNCATION_CAP = 4096
@@ -83,13 +83,8 @@ def _within_cap(need: int, cap: int) -> int:
     if need <= cap:
         return need
     # A spec such as gaussian:nbar=1e308 needs an n_max of hundreds of digits.
-    # Decimal rounds it to three digits as float would, without overflowing;
-    # it is imported on this error path only, which keeps it out of every run.
-    from decimal import Context, Decimal
-
-    shown = need if need < 10**15 else format(Context(prec=3).normalize(Decimal(need)), "g")
     raise ValueError(
-        f"truncation cap exceeded: family needs n_max = {shown} but the cap is {cap} "
+        f"truncation cap exceeded: family needs n_max = {shown(need)} but the cap is {cap} "
         f"(raise it via {TRUNCATION_CAP_ENV} or the max_nmax argument)"
     )
 
@@ -130,7 +125,7 @@ class NumberState:
 
     def _closed_form(self, k: int, phi: float, weyl: complex) -> tuple:
         if self.n > 2**53:  # phi * n would be formed from a rounded n
-            raise ClosedFormUnavailable(f"closed form needs n <= 2**53, got a {len(str(self.n))}-digit n")
+            raise ClosedFormUnavailable(f"closed form needs n <= 2**53, got n = {shown(self.n)}")
         if not math.isfinite(phi * self.n):
             raise ClosedFormUnavailable(f"closed form needs a finite phi * n, got phi = {phi!r}")
         return np.exp(1j * phi * self.n), 0.0, 0.0, 1.0 if self.n < k else 0.0

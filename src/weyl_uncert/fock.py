@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import det3
-from .reports import CharSet, UncertaintyReport, gram_pair, integer, unit_amplitudes, report as record
+from .reports import CharSet, UncertaintyReport, gram_pair, integer, shown, unit_amplitudes, report as record
 
 _GRID_TOL = 1e-12
 
@@ -91,9 +91,9 @@ def weyl_phase(k: int, phi: float) -> tuple[int, complex]:
     """(k, exp(-i k phi)) for a count k >= 1 at which k*phi is a finite float, else one ValueError."""
     k = integer("k", k, 1)
     if k > sys.float_info.max:  # k*phi would raise OverflowError
-        raise ValueError(f"k must be at most 1.8e308, got a {len(str(k))}-digit k")
+        raise ValueError(f"k must be at most 1.8e308, got {shown(k)}")
     if not math.isfinite(k * phi):  # k >= 1: so phi is finite too
-        raise ValueError(f"k*phi must be finite, got k = {k}, phi = {phi!r}")
+        raise ValueError(f"k*phi must be finite, got k = {shown(k)}, phi = {phi!r}")
     return k, complex(np.exp(-1j * k * phi))
 
 

@@ -19,10 +19,21 @@ import numpy as np
 from .numerics import Hermitian3
 
 
+def shown(value):
+    """``value`` as a message names it: an int of 16 digits or more to three significant digits
+    ("1e+5000"), which neither floods the line nor meets str's 4300-digit limit; else itself."""
+    if not isinstance(value, int) or abs(value) < 10**15:
+        return value
+    # Decimal rounds without overflowing; imported on this error path only, it stays out of every run.
+    from decimal import Context, Decimal
+
+    return format(Context(prec=3).normalize(Decimal(value)), "g")
+
+
 def integer(name: str, value, least: int | None = None) -> int:
     """``value`` as an int if it is an integer (at least ``least``, if given), else a ValueError naming it."""
     if value % 1 or least is not None and not value >= least:
-        raise ValueError(f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {value}")
+        raise ValueError(f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {shown(value)}")
     return int(value)
 
 

@@ -16,7 +16,7 @@ oracles have them) and reads its clock phases from one kept read-only table,
 bitwise a fresh exp, of the 2d roots exp(i pi q / d) and the d exponents 2m:
 40 d bytes (40 KiB at d = 1024, 40 MB at d = 10^6), kept until another d is
 asked for.  :func:`char_table` covers all d^2 pairs of a stack of states at
-once in O(d^3) per state: d rolls and one d x d matrix product each.
+once in O(d^3) per state: d of those rolls and one d x d matrix product each.
 
 Characteristic sets are :class:`reports.CharSet` records whose Weyl phase is
 exp(-i 2pi k l / d) and whose pi_k is 0, since shift^k is unitary.
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import det3
-from .reports import CharSet, UncertaintyReport, gram_pair, integer, unit_amplitudes, report as record
+from .reports import CharSet, UncertaintyReport, gram_pair, integer, shown, unit_amplitudes, report as record
 
 @dataclass(frozen=True)
 class SpinSystem:
@@ -83,19 +83,12 @@ def _unit_phases(dim: int, power) -> np.ndarray:
     return roots[(base * (power % (2 * dim))) % (2 * dim)]
 
 
-def _wrapped(dim: int, c: np.ndarray) -> np.ndarray:
-    # c along axis 0, preceded by a copy times the wrap phase
-    # exp(-i 2pi j) = (-1)^(d-1).  Its rows d-r .. 2d-r-1 are shift^r c for
-    # r = 0..d: c rolled by r, with the r entries that wrap from the copy.
-    return np.concatenate((c if dim % 2 else -c, c))
-
-
 def _apply_shift(dim: int, k: int, c: np.ndarray) -> np.ndarray:
-    # shift^k acts along axis 0 as the signed cyclic roll by r = k mod d,
-    # and shift^d is the wrap sign times the identity, once per full period
-    # q = k div d.  The result is a fresh array.
+    # shift^k acts along axis 0 as the signed cyclic roll by r = k mod d: rows d-r .. 2d-r-1 of c behind
+    # a copy times the wrap sign exp(-i 2pi j) = (-1)^(d-1).  shift^d is that sign times the identity,
+    # once per full period q = k div d.  The result is a fresh array.
     q, r = divmod(k, dim)
-    w = _wrapped(dim, c)[dim - r:2 * dim - r]
+    w = np.concatenate((c if dim % 2 else -c, c))[dim - r:2 * dim - r]
     return -w if dim % 2 == 0 and q % 2 else w
 
 
@@ -109,7 +102,7 @@ def phase_state(system: SpinSystem, m_tilde: float) -> QuditState:
     t = m_tilde + system.j if abs(m_tilde) <= system.j + 1 else -1
     ti = round(t)
     if abs(t - ti) > 1e-9 or not 0 <= ti < system.dim:
-        raise ValueError(f"m_tilde must lie in -j..j in integer steps, got {m_tilde}")
+        raise ValueError(f"m_tilde must lie in -j..j in integer steps, got {shown(m_tilde)}")
     d = system.dim
     num = ((2 * np.arange(d) - (d - 1)) * (2 * int(ti) - (d - 1))) % (4 * d)
     return QuditState(system, np.exp(-0.5j * math.pi * num / d) / math.sqrt(d))
@@ -181,15 +174,15 @@ def char_table(amps) -> CharSet:
     view of shape (..., d, d), entry [..., k-1, l-1] being ``char_set(state, k,
     l)`` of that row up to rounding (weyl and pi_k = 0 exactly).  Both powers
     have period d up to a sign, so these d^2 entries give every pair.  The
-    clock phases are formed once and the d rolls shift^k psi once per row,
-    contiguous, so each product is the one-state BLAS call: a stacked row is
-    bitwise its state's own table.
+    clock phases are formed once and the d rolls shift^k psi (``_apply_shift``)
+    are stacked into one contiguous block, so each product is the one-state
+    BLAS call: a stacked row is bitwise its state's own table.
     """
     c = np.asarray(amps, dtype=complex)
     d = c.shape[-1]
     powers = np.arange(1, d + 1)
     f = _unit_phases(d, powers[:, None])
-    w = np.take(_wrapped(d, c.T).T, d + np.arange(d) - powers[:, None], axis=-1)  # [..., k-1, :]: shift^k c
+    w = np.stack([_apply_shift(d, k, c.T).T for k in range(1, d + 1)], axis=-2)  # [..., k-1, :]: shift^k c
     cross_char = w @ np.swapaxes((f * c[..., None, :]).conj(), -1, -2)
     fields = (np.swapaxes(f @ (np.abs(c) ** 2)[..., None], -1, -2), w @ c.conj()[..., None], cross_char,
               _weyl_phase(d, powers[:, None], powers[None, :]), 0.0)

@@ -55,6 +55,9 @@ def test_scan_log_spacing():
 def test_scan_validation():
     with pytest.raises(ValueError, match="steps"):
         scan(PhaseCoherent(0.5), "xi", 0.1, 0.9, 1, 1, math.pi)
+    # str(steps) failed past 4300 digits; the line names it compactly.
+    with pytest.raises(ValueError, match=r"^need at least 2 steps, got -1e\+5000$"):
+        scan(PhaseCoherent(0.5), "xi", 0.1, 0.9, -10**5000, 1, math.pi)
     with pytest.raises(ValueError, match="lo < hi"):
         scan(PhaseCoherent(0.5), "xi", 0.9, 0.1, 5, 1, math.pi)
     with pytest.raises(ValueError, match="build failed at xi"):
@@ -174,6 +177,9 @@ def test_figure4_dataset():
 def test_figure_dataset_unknown_id():
     with pytest.raises(ValueError, match="figure id"):
         figure_dataset(5)
+    for bad, shown in ((10**5000, r"1e\+5000"), (-10**5000, r"-1e\+5000")):  # repr fails past 4300 digits
+        with pytest.raises(ValueError, match=f"^unknown figure id {shown}; expected one of"):
+            figure_dataset(bad)
 
 
 def test_figure2_dataset():

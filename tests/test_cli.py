@@ -81,13 +81,25 @@ def test_verify_zero_samples_exits_2():
     assert proc.returncode == 2
 
 
-def test_verify_out_writes_the_stdout_bytes(tmp_path):
-    args = ("verify", "--suite", "spin", "--samples", "5", "--seed", "3")
-    out = tmp_path / "verify.txt"
-    proc = run_cli(*args, "--out", str(out))
-    assert proc.returncode == 0 and proc.stdout == "" and proc.stderr == ""
-    assert out.read_bytes() == subprocess.run([sys.executable, "-m", "weyl_uncert", *args],
-                                              capture_output=True, check=True).stdout
+@pytest.mark.parametrize("args", [
+    ("verify", "--suite", "spin", "--samples", "5", "--seed", "3"),
+    ("scan", "--family", "phase-coherent:xi=0.3", "--param", "xi", "--from", "0.2", "--to", "0.4",
+     "--steps", "3"),
+    ("figure", "--id", "1"),
+    ("extremum", "--family", "phase-coherent:xi=0.5", "--param", "xi", "--functional", "V", "--kind", "max",
+     "--from", "0.05", "--to", "0.95"),
+    ("qubit", "--sx", "0.3", "--sy", "0.2", "--sz", "0.1"),
+], ids=lambda args: args[0])
+def test_out_writes_the_stdout_bytes(tmp_path, args):
+    # Every subcommand takes the one shared --out: a path gets exactly the stdout bytes, and - is stdout.
+    def one_shot(*extra):
+        return subprocess.run([sys.executable, "-m", "weyl_uncert", *args, *extra],
+                              capture_output=True, check=True)
+
+    stdout, out = one_shot().stdout, tmp_path / "out.txt"
+    to_file = one_shot("--out", str(out))
+    assert stdout and to_file.stdout == to_file.stderr == b"" and out.read_bytes() == stdout
+    assert one_shot("--out", "-").stdout == stdout
 
 
 def test_verify_small_suite_passes():
@@ -266,14 +278,13 @@ def test_a_phase_whose_table_overflows_exits_2():
     ["extremum", "--functional", "V", "--kind", "max"],
 ], ids=["scan", "extremum"])
 def test_k_too_large_for_a_float_exits_2(command, phi_over_pi):
-    # k*phi would overflow converting k to a float: fock.weyl_phase names its digit count.
+    # k*phi would overflow converting k to a float: fock.weyl_phase names k to three digits.
     args = [*command, "--family", "phase-coherent:xi=0.5", "--param", "xi",
             "--from", "0.1", "--to", "0.2", "--k", str(10**399)]
     if phi_over_pi is not None:
         args += ["--phi-over-pi", phi_over_pi]
     proc = run_cli(*args)
-    assert_one_line_error(proc, "k must be at most 1.8e308")
-    assert "400-digit k" in proc.stderr
+    assert_one_line_error(proc, "k must be at most 1.8e308, got 1e+399")
 
 
 def test_log_spaced_scan_with_nonpositive_start_exits_2():
@@ -615,9 +626,12 @@ def test_verify_run_returns_suite_results():
         verify.run("nonsense", 6, 2)
     for samples, seed, message in ((0, 1, "samples must be an integer >= 1, got 0"),
                                    (2.5, 1, "samples must be an integer >= 1, got 2.5"),
-                                   (1, -1, "seed must be an integer >= 0, got -1")):
-        with pytest.raises(ValueError, match=re.escape(message)):
+                                   (1, -1, "seed must be an integer >= 0, got -1"),
+                                   (-10**5000, 1, "samples must be an integer >= 1, got -1e+5000"),
+                                   (1, -10**5000, "seed must be an integer >= 0, got -1e+5000")):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             verify.run("spin", samples, seed)
+    assert verify.run("spin", 1, 10**5000)[0].passed  # a seed past str's 4300 digits is still a seed
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys, tmp_path):

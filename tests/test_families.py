@@ -424,8 +424,8 @@ def test_number_state_closed_form_exact():
 def test_number_state_closed_form_stops_where_n_rounds():
     # Beyond 2^53, phi * n would be formed from a rounded n; at 10^400 it overflowed a float.
     assert closed_form_char(NumberState(2**53), 1, 1.0).number_char == np.exp(1j * float(2**53))
-    for n, digits in ((2**53 + 1, 16), (10**400, 401)):
-        with pytest.raises(ClosedFormUnavailable, match=re.escape(f"n <= 2**53, got a {digits}-digit n")):
+    for n, shown in ((2**53 + 1, "9.01e+15"), (10**400, "1e+400"), (10**5000, "1e+5000")):
+        with pytest.raises(ClosedFormUnavailable, match=re.escape(f"n <= 2**53, got n = {shown}") + "$"):
             closed_form_char(NumberState(n), 1, 1.0)
     # phi * n overflowing at a finite phi warned in exp before the record's NaN check raised.
     with pytest.raises(ClosedFormUnavailable, match=re.escape("a finite phi * n, got phi = 1e+303")):
@@ -434,8 +434,8 @@ def test_number_state_closed_form_stops_where_n_rounds():
 
 def test_intermediate_closed_form_stops_where_n_rounds():
     # Its number char is the number state's, so it takes that form's guard.
-    for n, digits in ((2**60, 19), (10**400, 401)):
-        with pytest.raises(ClosedFormUnavailable, match=re.escape(f"n <= 2**53, got a {digits}-digit n")):
+    for n, shown in ((2**60, "1.15e+18"), (10**400, "1e+400"), (10**5000, "1e+5000")):
+        with pytest.raises(ClosedFormUnavailable, match=re.escape(f"n <= 2**53, got n = {shown}") + "$"):
             closed_form_char(Intermediate(0.5, n, 0.999), 1, 1.0)
     with pytest.raises(ClosedFormUnavailable, match=re.escape("a finite phi * n, got phi = 1e+303")):
         closed_form_char(Intermediate(0.5, 10**6, 0.999), 1, 1e303)

@@ -76,13 +76,17 @@ def test_non_integer_k_is_rejected_not_truncated(k):
     (1, -math.inf, "k*phi must be finite, got k = 1, phi = -inf"),
     (1, math.nan, "k*phi must be finite, got k = 1, phi = nan"),
     (10**6, 1e303, "k*phi must be finite, got k = 1000000, phi = 1e+303"),
-    (10**400, 1.0, "k must be at most 1.8e308, got a 401-digit k"),
-], ids=["inf", "-inf", "nan", "k*phi-overflows", "k-above-the-float-range"])
+    (10**400, 1.0, "k must be at most 1.8e308, got 1e+400"),
+    (10**5000, 1.0, "k must be at most 1.8e308, got 1e+5000"),
+    (-10**5000, 1.0, "k must be an integer >= 1, got -1e+5000"),
+], ids=["inf", "-inf", "nan", "k*phi-overflows", "k-above-the-float-range", "k-past-4300-digits",
+        "negative-k-past-4300-digits"])
 def test_non_finite_phi_is_one_value_error_and_keeps_the_table(k, phi, message):
     # An infinite phi warned twice (inf * 0, then exp) before the record's NaN check raised; a
     # table of no rows read no phase table and warned in the Weyl phase's exp.  At k = 10^6,
     # phi = 1e303 passes the table's phi * n check, and only k * phi overflows.  A k above the
-    # float range raised OverflowError converting k for k * phi.
+    # float range raised OverflowError converting k for k * phi; one past 4300 digits raised str's
+    # own digit-limit error while its message was formed.
     st = random_state(6, np.random.default_rng(41))
     char_set(st, 1, 0.5)
     kept, message = fock._kept[0], f"^{re.escape(message)}$"

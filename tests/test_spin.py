@@ -90,6 +90,11 @@ def test_phase_state_label_out_of_range():
     for bad in (math.nan, math.inf, 10**400):
         with pytest.raises(ValueError, match="m_tilde must lie in -j..j in integer steps"):
             phase_state(SpinSystem(3), bad)
+    # Past 4300 digits str(m_tilde) raised its own digit-limit error; the line names it compactly.
+    for bad, shown in ((10**5000, "1e+5000"), (-10**5000, "-1e+5000")):
+        message = f"m_tilde must lie in -j..j in integer steps, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            phase_state(SpinSystem(3), bad)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
