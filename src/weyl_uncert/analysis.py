@@ -21,6 +21,8 @@ from .families import FamilySpec
 _COARSE_POINTS = 64
 _PARAM_TOL = 1e-6
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# The most grid points numpy can hold: their float64 bytes must fit its index range, sys.maxsize.
+_MAX_STEPS = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,9 @@ def _rows_at(template: FamilySpec, param_name: str, values, k: int, phi: float, 
 
 
 def _grid(lo: float, hi: float, steps: int, log_spaced: bool = False) -> np.ndarray:
-    if steps < 2:
-        raise ValueError(f"need at least 2 steps, got {reports.shown(steps)}")
+    if not 2 <= steps <= _MAX_STEPS:
+        most = f"at most {_MAX_STEPS}" if steps > _MAX_STEPS else "at least 2"
+        raise ValueError(f"need {most} steps, got {reports.shown(steps)}")
     if not (lo < hi and math.isfinite(float(hi) - float(lo))):
         raise ValueError(f"need lo < hi at a finite width hi - lo, got lo = {lo!r}, hi = {hi!r}")
     if log_spaced and not lo > 0:

@@ -17,7 +17,7 @@ cross-validation against the generic amplitude sums:
   |xi| -> 1).
 
 Each family is one frozen dataclass holding its checks, its spec-grammar
-tag (TAG), the field each spec key names (KEYS), its n_max and tail bound
+tag (TAG), the field each spec key names (KEYS), its cut n_max and tail bound
 (_truncation), its one elementwise amplitude formula as unnormalized rows of
 specs at one n_max (_rows; build is the one-row case) and its closed forms
 as the four values number, phase, cross and pi_k (_closed_form), which
@@ -175,8 +175,8 @@ class GaussianNumber:
                 f"validity window needs finite nbar >= 5/sqrt(a) = {5.0 / math.sqrt(self.a):.3g}, "
                 f"got nbar = {self.nbar!r}"
             )
-        # In the window, build's n_max - nbar stays below nbar, so b (n - nbar)^2
-        # peaks at n = 0; it is formed here as build forms it.  b = 0 has no phase.
+        # In the window, the cut's n_max - nbar stays below nbar, and _rows caps n - nbar at nbar above
+        # it, so b (n - nbar)^2 peaks at n = 0; it is formed here as build forms it.  b = 0 has no phase.
         if self.b and not math.isfinite(self.b * (self.nbar * self.nbar)):
             raise ValueError(
                 f"phase b (n - nbar)^2 must be finite, got b = {self.b!r} at nbar = {self.nbar!r}"
@@ -192,7 +192,7 @@ class GaussianNumber:
         # The exponent is complex at b = 0 too: a real exp rounds differently.
         z = np.array([-(s.a + 1j * s.b) for s in specs])[:, None]
         nbar = np.array([s.nbar for s in specs])[:, None]
-        return np.exp(z * (np.arange(n_max + 1) - nbar) ** 2)
+        return np.exp(z * np.minimum(np.arange(n_max + 1) - nbar, nbar) ** 2)
 
     def _closed_form(self, k: int, phi: float, weyl: complex) -> tuple:
         if k > math.sqrt(self.nbar):
@@ -357,13 +357,16 @@ def _family(spec: FamilySpec) -> FamilySpec:
 def build(spec: FamilySpec, max_nmax: int = DEFAULT_TRUNCATION_CAP) -> FockState:
     """Normalized truncated state for a family spec, tail certified.
 
-    Truncation points are chosen so the discarded probability mass is below
-    1e-14 (the Bessel family aims far lower so its eigen-residual survives
-    in an extended space); amplitudes are renormalized exactly on the
-    truncated lattice.  Exceeding the n_max cap is an error.
+    The family's cut is chosen so the discarded probability mass is below 1e-14 (the Bessel family aims
+    far lower so its eigen-residual survives in an extended space); amplitudes are renormalized exactly
+    on the truncated lattice.  A cut past the cap is an error.  The array runs to level min(cap, cut | 15),
+    exact zeros above the cut: its length is a multiple of 16 (or cap + 1), so :func:`sweep` reads grid
+    rows whose cuts share a 16-level bucket as one run.  The state's n_max is that top level; the cut is
+    the last level that can be nonzero, and "the top k kept levels" are the k at and below it, no padding.
     """
     n_max, tail = _family(spec)._truncation(max_nmax)
-    c = spec._rows([spec], n_max)[0]
+    c = spec._rows([spec], min(max_nmax, n_max | 15))[0]
+    c[n_max + 1:] = 0.0
     return FockState(np.divide(c, _norms(c), out=c), tail)  # c is this call's own row
 
 
@@ -374,9 +377,10 @@ def _norms(rows: np.ndarray) -> np.ndarray:
 
 
 def sweep(template: FamilySpec, name: str, values, cap: int = DEFAULT_TRUNCATION_CAP):
-    """Each value's :func:`build` amplitudes, bitwise, read as runs of unit rows of one n_max: views
-    into chunks of rows whose zero-padded complex rows fit in ``_RUN_BYTES``, each built by one ``_rows``
-    call at its largest n_max (the formulas are elementwise: a row's prefix is its own build)."""
+    """Each value's :func:`build` amplitudes, bitwise, read as runs of unit rows of one length: views into
+    chunks of rows whose zero-padded complex rows fit in ``_RUN_BYTES``, each built by one ``_rows`` call at
+    its longest length (the formulas are elementwise: a row's prefix is its own build), zero above each row's
+    cut as build is; a length is the cut's 16-level bucket, so rows whose cuts share one share a run."""
     key, cls = field(template, name), type(template)  # a name no value could fix fails before any row
 
     def chunks():
@@ -387,19 +391,22 @@ def sweep(template: FamilySpec, name: str, values, cap: int = DEFAULT_TRUNCATION
                 n_max = spec._truncation(cap)[0]
             except ValueError as err:
                 raise ValueError(f"family build failed at {name} = {float(x)!r}: {err}") from err
-            if chunk and (len(chunk) + 1) * (max(top, n_max) + 1) * 16 > _RUN_BYTES:  # complex rows
+            last = min(cap, n_max | 15)  # the last level of build's array
+            if chunk and (len(chunk) + 1) * (max(top, last) + 1) * 16 > _RUN_BYTES:  # complex rows
                 yield chunk, top
                 chunk, top = [], 0
-            chunk.append((x, spec, n_max))
-            top = max(top, n_max)
+            chunk.append((x, spec, n_max, last))
+            top = max(top, last)
         if chunk:
             yield chunk, top
 
     for chunk, top in chunks():  # each row over its norm as build
-        rows, i = chunk[0][1]._rows([spec for _, spec, _ in chunk], top), 0
-        for n_max, same in groupby(chunk, key=lambda v: v[2]):
-            xs = [x for x, _, _ in same]
-            run, i = rows[i:i + len(xs), :n_max + 1], i + len(xs)
+        rows, i = chunk[0][1]._rows([spec for _, spec, _, _ in chunk], top), 0
+        for j, (_, _, cut, _) in enumerate(chunk):  # build's zeros above each row's cut
+            rows[j, cut + 1:] = 0.0
+        for last, same in groupby(chunk, key=lambda v: v[3]):
+            xs = [x for x, _, _, _ in same]
+            run, i = rows[i:i + len(xs), :last + 1], i + len(xs)
             run /= _norms(run)[:, None]
             # FockState's check of each row: its norm within 1e-12 of 1, so finite too.
             for j, norm in enumerate(_norms(run).tolist()):

@@ -40,8 +40,9 @@ _GRID_TOL = 1e-12
 class FockState:
     """Unit-norm amplitudes c_0..c_{n_max} plus a certified truncation tail bound.
 
-    ``tail_bound`` is an upper bound on the probability mass an analytic
-    family constructor discarded; it is 0 for states given directly.
+    n_max is the array's top level.  ``families.build`` pads a family state with exact zeros from the
+    family's cut to a length that is a multiple of 16 (or the cap + 1); ``tail_bound`` bounds the
+    probability mass it discarded above that cut, and is 0 for states given directly.
     """
 
     amplitudes: np.ndarray

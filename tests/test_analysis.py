@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import sys
 from collections import Counter
 from dataclasses import astuple
 
@@ -58,6 +60,11 @@ def test_scan_validation():
     # str(steps) failed past 4300 digits; the line names it compactly.
     with pytest.raises(ValueError, match=r"^need at least 2 steps, got -1e\+5000$"):
         scan(PhaseCoherent(0.5), "xi", 0.1, 0.9, -10**5000, 1, math.pi)
+    # Past the float64s numpy can index, linspace raised its own "Maximum allowed size exceeded"
+    # or, within 512 of sys.maxsize, an IndexError.
+    for steps, shown in ((10**20, "1e+20"), (10**5000, "1e+5000"), (sys.maxsize, "9.22e+18")):
+        with pytest.raises(ValueError, match=rf"^need at most {sys.maxsize // 8} steps, got {re.escape(shown)}$"):
+            scan(PhaseCoherent(0.5), "xi", 0.1, 0.9, steps, 1, math.pi)
     with pytest.raises(ValueError, match="lo < hi"):
         scan(PhaseCoherent(0.5), "xi", 0.9, 0.1, 5, 1, math.pi)
     with pytest.raises(ValueError, match="build failed at xi"):
@@ -319,8 +326,8 @@ def test_a_grid_is_one_table_checked_once(monkeypatch):
     monkeypatch.setattr(reports, "functionals", counting("functionals", functionals))
     monkeypatch.setattr(reports.CharSet, "__post_init__", counting("check", post_init))
     table = figure_dataset(2)
-    # 160 rows built as 21 chunks, read as 134 runs of one n_max (131 runs, 3 cut by a chunk's end).
-    assert (len(table.rows), len(built), len(seen)) == (160, 21, 134)
+    # 160 rows built as 22 chunks, read as 39 runs of one length: 19 lengths, cut 20 more times by a chunk's end.
+    assert (len(table.rows), len(built), len(seen)) == (160, 22, 39)
     assert calls == {"functionals": 1, "check": 1}
 
 
@@ -342,9 +349,10 @@ def test_grid_rows_equal_single_rows_on_the_extremum_coarse_grid(monkeypatch):
 
 
 def test_grid_rows_equal_single_rows_where_n_max_rises_and_falls(monkeypatch):
-    values = np.array([0.1, 0.5, 0.9, 0.9, 0.5, 0.1, 0.1, 0.95, 0.3])
+    # Lengths 32, 48, 160 and 320: each change of cut is a change of 16-level bucket.
+    values = np.array([0.1, 0.7, 0.9, 0.9, 0.7, 0.1, 0.1, 0.95, 0.3])
     nmax = [families.build(PhaseCoherent(x)).n_max for x in values]
-    assert nmax[2] > nmax[1] > nmax[0] and nmax[7] > nmax[6]
+    assert nmax[2] > nmax[1] > nmax[0] and nmax[7] > nmax[6] and nmax[1] // 16 > nmax[0] // 16
     built = _recorded_chunks(monkeypatch, PhaseCoherent)
     seen = _assert_rows_equal_single_rows(monkeypatch, PhaseCoherent(0.5), "xi", values, 2, math.pi / 2)
     assert [len(a) for a in seen] == [1, 1, 2, 1, 2, 1, 1]
@@ -373,11 +381,14 @@ def test_grid_runs_of_many_rows_equal_single_rows_in_every_family(template, name
     (PhaseCoherent(0.5), "xi", [0.1, 0.5, 0.9, 0.9, 0.5, -0.95, 0.3]),
     (GaussianNumber(100.0, 0.1, 0.3), "nbar", [100.0, 40.0, 300.0, 300.0, 20.0, 150.0]),
     (BesselEigenstate(1.0), "lambda", [0.5, 5.0, 1.0, 20.0, 20.0, 2.0]),
-    (Intermediate(0.5, 3, 0.3), "n", [1, 30, 3, 20, 20, 2]),
+    (Intermediate(0.5, 3, 0.3), "n", [1, 40, 3, 35, 35, 2]),
+    (NumberState(2), "n", [30, 31, 32, 33, 31, 47, 48]),  # cuts 31 and 32 straddle a bucket boundary
+    (Intermediate(0.5, 3, 0.3), "n", [29, 30, 31, 30, 47]),
 ])
 def test_a_chunk_whose_n_max_rises_and_falls_equals_single_rows_in_every_family(template, name, values,
                                                                                 monkeypatch):
-    # Built at the chunk's largest n_max, each row's prefix up to its own n_max is bitwise its own build.
+    # Built at the chunk's largest length, each row's prefix of its own length, zero above its own cut,
+    # is bitwise its own build.
     grid = np.array(values, dtype=float)
     built = _recorded_chunks(monkeypatch, type(template))
     seen = _assert_rows_equal_single_rows(monkeypatch, template, name, grid, 2, math.pi / 2)
@@ -395,11 +406,11 @@ def test_a_lone_large_row_is_passed_as_a_view(monkeypatch):
 
 def test_grid_runs_stay_within_the_byte_budget(monkeypatch):
     seen, built = _recorded_tables(monkeypatch), _recorded_chunks(monkeypatch, GaussianNumber)
-    table = figure_dataset(3)  # 151 rows, all at n_max 427: each chunk is one run
-    assert [a.shape for a in seen] == [a.shape for a in built] and {a.shape[1] for a in built} == {428}
+    table = figure_dataset(3)  # 151 rows, all cut at 427, so 432 long: each chunk is one run
+    assert [a.shape for a in seen] == [a.shape for a in built] and {a.shape[1] for a in built} == {432}
     assert sum(len(a) for a in built) == len(table.rows) == 151
     assert max(a.size * 16 for a in built) <= families._RUN_BYTES
-    assert len(built) >= 151 * 428 * 16 / families._RUN_BYTES > 10
+    assert len(built) >= 151 * 432 * 16 / families._RUN_BYTES > 10
 
 
 def test_grid_rows_do_not_depend_on_the_byte_budget(monkeypatch):
@@ -437,12 +448,12 @@ def test_a_grid_value_past_the_truncation_cap_is_named():
 
 def test_a_grid_builds_its_states_as_it_reads_them(monkeypatch):
     # Chunks stream, with no list of all rows: 0.999 (n_max 16111, past the budget beside them)
-    # cuts the chunk of 0.1 and 0.5, whose two runs are read by char_table before 1.5 fails;
-    # 0.999 and 0.2 are never built.
+    # cuts the chunk of 0.1 and 0.5, whose one run (cuts 16 and 24, both 32 long) is read by
+    # char_table before 1.5 fails; 0.999 and 0.2 are never built.
     seen, built = _recorded_tables(monkeypatch), _recorded_chunks(monkeypatch, PhaseCoherent)
     with pytest.raises(ValueError, match=r"xi = 1\.5"):
         analysis._rows_at(PhaseCoherent(0.5), "xi", np.array([0.1, 0.5, 0.999, 1.5, 0.2]), 1, math.pi, 20000)
-    assert [len(a) for a in built] == [2] and [len(a) for a in seen] == [1, 1]
+    assert [len(a) for a in built] == [2] and [len(a) for a in seen] == [2]
 
 
 @pytest.mark.parametrize("bad, message", [

@@ -364,6 +364,20 @@ def test_unallocatable_scan_grid_exits_2():
     assert_one_line_error(proc, "allocate")
 
 
+@pytest.mark.parametrize("steps, needle", [
+    ("1" + "0" * 20, "need at most 1152921504606846975 steps, got 1e+20"),
+    ("1" + "0" * 5000, "argument --steps: invalid int value"),  # past int()'s 4300 digits
+])
+def test_a_step_count_past_numpys_index_range_exits_2(steps, needle):
+    # numpy's own "Maximum allowed size exceeded" named neither the option nor the value.
+    proc = run_cli(
+        "scan", "--family", "phase-coherent:xi=0.5", "--param", "xi",
+        "--from", "0.1", "--to", "0.9", "--steps", steps,
+    )
+    assert_one_line_error(proc, needle)
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("lo, hi", [("0.9", "0.1"), ("0.5", "0.5")])
 def test_extremum_reversed_or_empty_range_exits_2(lo, hi):
     proc = run_cli(

@@ -98,11 +98,12 @@ def test_intermediate_build_normalized_with_overlap():
 def test_intermediate_tail_bound_covers_the_exact_discarded_share(alpha2, n, xi):
     # The untruncated superposition has norm^2 N^2 = 1 + 2 sqrt(alpha2 (1 - alpha2))
     # sqrt(1 - t) Re xi^n, below 1 where Re xi^n < 0 (n = 1, xi = -0.9), and
-    # the discarded share of the normalized state is (1 - alpha2) t^(n_max+1) / N^2.
-    st = build(Intermediate(alpha2, n, xi))
+    # the discarded share of the normalized state is (1 - alpha2) t^(cut+1) / N^2.
+    spec = Intermediate(alpha2, n, xi)
+    st, cut = build(spec), spec._truncation(families.DEFAULT_TRUNCATION_CAP)[0]  # the array is zero above the cut
     t = xi * xi
     norm2 = 1.0 + 2.0 * math.sqrt(alpha2 * (1.0 - alpha2)) * math.sqrt(1.0 - t) * xi**n
-    exact = (1.0 - alpha2) * t ** (st.n_max + 1) / norm2
+    exact = (1.0 - alpha2) * t ** (cut + 1) / norm2
     assert st.tail_bound >= exact
     assert st.tail_bound < 1e-14
 
@@ -173,6 +174,10 @@ def test_gaussian_phase_check_spares_a_zero_b_at_any_nbar():
         build(spec)
     st = build(GaussianNumber(100.0, 0.01, 1e300))
     assert np.all(np.isfinite(st.amplitudes))
+    # Cut at 42 and padded to 47, where n - nbar passes nbar: b (n - nbar)^2 would overflow, with a
+    # numpy warning, in levels that are then zeroed.  The formula caps n - nbar at nbar.
+    st = build(GaussianNumber(22.37, 0.05, 3.4e305))
+    assert st.n_max == 47 and not st.amplitudes[43:].any()
 
 
 def test_truncation_cap_enforced():
@@ -181,6 +186,18 @@ def test_truncation_cap_enforced():
     st = build(PhaseCoherent(0.999), max_nmax=BIG_CAP)
     assert st.n_max > 10000
     assert st.tail_bound < 1e-14
+
+
+@pytest.mark.parametrize("text", [
+    "number:n=16", "phase-coherent:xi=0.1", "bessel:lambda=0.5", "intermediate:alpha2=0.36,n=15,xi=0.1",
+])  # a Gaussian cut lies above nbar + 4.2/sqrt(a) >= 9.2/sqrt(0.1), so no cap of 16 holds it
+def test_a_cap_of_16_keeps_17_levels(text):
+    # Cut at 16, the fewest levels a family keeps but for small number states: its bucket
+    # reaches 31, which a cap of 16 clips to 17 levels.
+    spec = parse_spec(text)
+    assert spec._truncation(16)[0] == 16 and build(spec).n_max == 31
+    st = build(spec, 16)
+    assert st.amplitudes.size == 17 and st.amplitudes[16] != 0 and st.tail_bound == build(spec).tail_bound
 
 
 def test_truncation_cap_env_override(monkeypatch):
@@ -201,7 +218,7 @@ def test_library_ignores_the_truncation_cap_override(monkeypatch):
     # Only the CLI reads the variable; a library call takes its cap as max_nmax.
     monkeypatch.setenv(families.TRUNCATION_CAP_ENV, "16")
     state = build(PhaseCoherent(0.9))
-    assert state.n_max == 153
+    assert state.n_max == 159  # cut at 153, zero above
     assert oracle_check(PhaseCoherent(0.9), state, 1, math.pi) <= 1e-12
     assert len(analysis.scan(PhaseCoherent(0.9), "xi", 0.8, 0.9, 2, 1, math.pi).rows) == 2
     with pytest.raises(ValueError, match="the cap is 16 "):
@@ -239,7 +256,8 @@ def test_oracle_check_complex_and_negative_xi():
 
 
 def _kept_table(xi: float, least: int) -> np.ndarray:
-    # The kept sqrt(1 - t) xi^n table that a build at BIG_CAP with this least n_max reads.
+    # The kept sqrt(1 - t) xi^n table up to the cut of a build at BIG_CAP with this least n_max: the
+    # table that build reads where the cut tops its 16-level bucket, as 16111 (xi = 0.999) does.
     return families._xi_powers(complex(xi), families._geometric(complex(xi), BIG_CAP, least)[0])
 
 
@@ -676,6 +694,14 @@ def test_registered_family_is_complete(tag, capsys):
     assert spec.TAG == tag
     st = build(spec)
     assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-12
+    # The length rule: the cut's 16-level bucket, exact zeros above the cut, the cut's own tail;
+    # a cap at the cut clips the bucket to cap + 1 levels.
+    cap = families.DEFAULT_TRUNCATION_CAP
+    cut, tail = spec._truncation(cap)
+    assert st.amplitudes.size % 16 == 0 and st.n_max == cut | 15 and st.tail_bound == tail
+    assert st.amplitudes[cut + 1:].tobytes() == bytes(16 * (st.n_max - cut))
+    at_cut = build(spec, cut)
+    assert at_cut.amplitudes.size == cut + 1 and at_cut.tail_bound == tail
     try:
         assert isinstance(closed_form_char(spec, 1, math.pi), CharSet)
     except ClosedFormUnavailable:
